@@ -25,6 +25,29 @@ from .weyl import (
 DEFAULT_LENGTH_CAP = 14
 
 
+_V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
+_V_MINUS_V_INV = LaurentPoly({1: 1, -1: -1})
+
+
+def _add_term(out, w, p):
+    """out[w] += p in place, dropping the key when the sum vanishes."""
+    q = out.get(w)
+    if q is None:
+        out[w] = p
+        return
+    q = q + p
+    if q.coeffs:
+        out[w] = q
+    else:
+        del out[w]
+
+
+def _add_scaled(out, coeffs, scale):
+    """out += scale * coeffs in place; scale is a nonzero LaurentPoly."""
+    for w, p in coeffs.items():
+        _add_term(out, w, p * scale)
+
+
 class HeckeElement:
     """Finite support map ExtendedWeylElement -> LaurentPoly, no zeros."""
 
@@ -38,8 +61,17 @@ class HeckeElement:
                 if w.n != n:
                     raise ValueError("mismatched n in Hecke support")
                 if not p.is_zero():
-                    clean[w] = clean.get(w, LaurentPoly.zero()) + p
-        self.coeffs = {w: p for w, p in clean.items() if not p.is_zero()}
+                    _add_term(clean, w, p)
+        self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, n, coeffs):
+        """Wrap a dict that already maps elements of W_ext(n) to nonzero
+        LaurentPolys."""
+        out = object.__new__(cls)
+        out.n = n
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls, n):
@@ -59,20 +91,24 @@ class HeckeElement:
     def __add__(self, other):
         out = dict(self.coeffs)
         for w, p in other.coeffs.items():
-            out[w] = out.get(w, LaurentPoly.zero()) + p
-        return HeckeElement(self.n, out)
+            _add_term(out, w, p)
+        return HeckeElement._trusted(self.n, out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for w, p in other.coeffs.items():
-            out[w] = out.get(w, LaurentPoly.zero()) - p
-        return HeckeElement(self.n, out)
+            _add_term(out, w, -p)
+        return HeckeElement._trusted(self.n, out)
 
     def __neg__(self):
-        return HeckeElement(self.n, {w: -p for w, p in self.coeffs.items()})
+        return HeckeElement._trusted(self.n, {w: -p for w, p in self.coeffs.items()})
 
     def scale(self, laurent):
-        return HeckeElement(self.n, {w: p * laurent for w, p in self.coeffs.items()})
+        if laurent.is_zero():
+            return HeckeElement.zero(self.n)
+        return HeckeElement._trusted(
+            self.n, {w: p * laurent for w, p in self.coeffs.items()}
+        )
 
     def __eq__(self, other):
         return (
@@ -85,58 +121,77 @@ class HeckeElement:
         return hash((self.n, frozenset(self.coeffs.items())))
 
     def times_simple(self, k):
-        """Right multiplication by H_{s_k}."""
+        """Right multiplication by H_{s_k}.
+
+        H_w H_s = H_{ws} when ws > w, and H_{ws} + (v^-1 - v) H_w otherwise.
+        """
         out = {}
-
-        def bump(w, p):
-            if not p.is_zero():
-                out[w] = out.get(w, LaurentPoly.zero()) + p
-
         for w, p in self.coeffs.items():
-            ws = w.times_simple(k)
-            if ws.length() > w.length():
-                bump(ws, p)
-            else:
-                bump(ws, p)
-                bump(w, p * LaurentPoly({-1: 1, 1: -1}))
-        return HeckeElement(self.n, out)
+            _add_term(out, w.times_simple(k), p)
+            if w.has_right_descent(k):
+                _add_term(out, w, p * _V_INV_MINUS_V)
+        return HeckeElement._trusted(self.n, out)
 
     def times_simple_inverse(self, k):
-        """Right multiplication by H_{s_k}^{-1} = H_{s_k} + (v - v^{-1})."""
-        return self.times_simple(k) + self.scale(LaurentPoly({1: 1, -1: -1}))
+        """Right multiplication by H_{s_k}^{-1} = H_{s_k} + (v - v^{-1}).
+
+        H_w H_s^{-1} = H_{ws} when ws < w, and H_{ws} + (v - v^-1) H_w
+        otherwise.
+        """
+        out = {}
+        for w, p in self.coeffs.items():
+            _add_term(out, w.times_simple(k), p)
+            if not w.has_right_descent(k):
+                _add_term(out, w, p * _V_MINUS_V_INV)
+        return HeckeElement._trusted(self.n, out)
 
     def times_omega(self, e=1):
         """Right multiplication by H_omega^e."""
+        if not e:
+            return self
+        om = ExtendedWeylElement.rotation(self.n, e)
+        return HeckeElement._trusted(self.n, {w * om: p for w, p in self.coeffs.items()})
+
+    def _expand(self, start, step, coeff):
+        """The sum of coeff(p) T_w over the terms p H_w, where T_w is
+        start(omega power of w) stepped by step(., k) along a reduced word.
+
+        Every prefix is computed once, keyed by the group element it reaches,
+        and the terms accumulate into one dict.
+        """
+        prefixes = {}
         out = {}
         for w, p in self.coeffs.items():
-            target = w * ExtendedWeylElement.rotation(self.n, e)
-            out[target] = out.get(target, LaurentPoly.zero()) + p
-        return HeckeElement(self.n, out)
+            x = ExtendedWeylElement.rotation(self.n, w.omega)
+            term = prefixes.get(x)
+            if term is None:
+                term = prefixes[x] = start(w.omega)
+            for k in w.reduced_word():
+                x = x.times_simple(k)
+                nxt = prefixes.get(x)
+                if nxt is None:
+                    nxt = prefixes[x] = step(term, k)
+                term = nxt
+            _add_scaled(out, term.coeffs, coeff(p))
+        return HeckeElement._trusted(self.n, out)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("mismatched n")
-        total = HeckeElement.zero(self.n)
-        for w, p in other.coeffs.items():
-            term = self
-            if w.omega:
-                term = term.times_omega(w.omega)
-            for k in w.reduced_word():
-                term = term.times_simple(k)
-            total = total + term.scale(p)
-        return total
+        return other._expand(
+            self.times_omega, HeckeElement.times_simple, lambda p: p
+        )
 
     def bar(self):
         """Kazhdan-Lusztig bar involution: v -> v^-1, H_w -> H_{w^-1}^{-1}."""
-        total = HeckeElement.zero(self.n)
-        for w, p in self.coeffs.items():
-            term = HeckeElement.std(ExtendedWeylElement.rotation(self.n, w.omega))
-            for k in w.reduced_word():
-                term = term.times_simple_inverse(k)
-            total = total + term.scale(p.bar())
-        return total
+        n = self.n
+        return self._expand(
+            lambda e: HeckeElement.std(ExtendedWeylElement.rotation(n, e)),
+            HeckeElement.times_simple_inverse,
+            LaurentPoly.bar,
+        )
 
     def coefficient(self, w):
         return self.coeffs.get(w, LaurentPoly.zero())
@@ -144,9 +199,8 @@ class HeckeElement:
     def reduce_omega_mod_n(self):
         out = {}
         for w, p in self.coeffs.items():
-            r = w.reduce_omega_mod_n()
-            out[r] = out.get(r, LaurentPoly.zero()) + p
-        return HeckeElement(self.n, out)
+            _add_term(out, w.reduce_omega_mod_n(), p)
+        return HeckeElement._trusted(self.n, out)
 
     def serialize(self):
         """Stable text form, lines ordered by (length, window lex)."""
@@ -196,19 +250,20 @@ def kl_basis(w, length_cap=DEFAULT_LENGTH_CAP):
         _KL_CACHE[key] = out
         return out
     k = next(k for k in range(n) if w.has_right_descent(k))
-    c = kl_basis(w.times_simple(k), length_cap) * b_simple(n, k)
+    coeffs = dict((kl_basis(w.times_simple(k), length_cap) * b_simple(n, k)).coeffs)
     # subtract bar-invariant multiples of lower b_y until all lower
     # coefficients lie in vZ[v]
     while True:
         bad = [
             (y, p)
-            for y, p in c.coeffs.items()
+            for y, p in coeffs.items()
             if y != w and not p.in_positive_v()
         ]
         if not bad:
             break
         y, p = max(bad, key=lambda item: item[0].length())
-        c = c - kl_basis(y, length_cap).scale(p.symmetric_part())
+        _add_scaled(coeffs, kl_basis(y, length_cap).coeffs, -p.symmetric_part())
+    c = HeckeElement._trusted(n, coeffs)
     _KL_CACHE[key] = c
     return c
 

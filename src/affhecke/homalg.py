@@ -16,7 +16,6 @@ multiplicatively), and exact Bott-Samelson bimodule morphisms.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -865,7 +864,3 @@ def one_term_complex(arithmetic, label, shift=0, degree=0):
     return Pseudocomplex(
         arithmetic, [Summand(0, label, shift, degree)], {}, validate=False
     )
-
-
-def complex_to_json_str(p, n=None):
-    return json.dumps(p.to_json(n), indent=1, sort_keys=True)

@@ -32,6 +32,13 @@ class LaurentPoly:
         self.coeffs = {e: c for e, c in clean.items() if c}
 
     @classmethod
+    def _trusted(cls, coeffs):
+        """Wrap a dict that already maps int exponents to nonzero ints."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -49,33 +56,43 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._trusted(out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+            c = out.get(e, 0) - c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._trusted(out)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+            if not other:
+                return LaurentPoly()
+            return LaurentPoly._trusted({e: c * other for e, c in self.coeffs.items()})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._trusted({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def bar(self):
         """v -> v^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted({-e: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -85,9 +102,6 @@ class LaurentPoly:
 
     def coefficient(self, power):
         return self.coeffs.get(power, 0)
-
-    def min_degree(self):
-        return min(self.coeffs) if self.coeffs else 0
 
     def in_positive_v(self):
         """True when the support lies in v Z[v] (strictly positive powers)."""

@@ -10,8 +10,6 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def window_apply(window, i):
     """Value at any integer of the periodic extension of the window."""
@@ -40,6 +38,17 @@ def window_tau(u, k=1):
     return tuple(window_apply(u, i - k) + k for i in range(1, n + 1))
 
 
+def window_times_simple(u, k):
+    """Window of u o s_k, 0 <= k < n: two entries trade places."""
+    out = list(u)
+    if k:
+        out[k - 1], out[k] = u[k], u[k - 1]
+    else:
+        n = len(u)
+        out[0], out[-1] = u[-1] - n, u[0] + n
+    return tuple(out)
+
+
 def window_length(u):
     n = len(u)
     total = 0
@@ -62,6 +71,14 @@ class ExtendedWeylElement:
             raise ValueError(f"window {window} entries not distinct mod {n}")
         if sum(self.window) != n * (n + 1) // 2:
             raise ValueError(f"window {window} is not winding-normalized")
+
+    @classmethod
+    def _trusted(cls, omega, window):
+        """Build from an int omega and a window tuple known to be valid."""
+        out = object.__new__(cls)
+        out.omega = omega
+        out.window = window
+        return out
 
     @property
     def n(self):
@@ -141,12 +158,9 @@ class ExtendedWeylElement:
         return frozenset(k for k in range(self.n) if self.has_left_descent(k))
 
     def times_simple(self, k):
-        """Right multiplication by s_k, fast path."""
-        n = self.n
-        k = k % n
-        s = ExtendedWeylElement.simple(n, k)
-        return ExtendedWeylElement(
-            self.omega, window_compose(self.window, s.window)
+        """Right multiplication by s_k."""
+        return ExtendedWeylElement._trusted(
+            self.omega, window_times_simple(self.window, k % self.n)
         )
 
     def reduced_word(self):
@@ -155,18 +169,20 @@ class ExtendedWeylElement:
         Returns a tuple of indices (i_1, ..., i_m) with the affine part equal
         to s_{i_1} ... s_{i_m}; the omega power is carried separately.
         """
-        w = ExtendedWeylElement(0, self.window)
+        # a left descent of w is a right descent of w^-1, and s_k w is
+        # (w^-1 s_k)^-1, so the peeling runs on the inverse window
+        inv = window_inverse(self.window)
+        n = len(inv)
         word = []
         while True:
-            length = w.length()
-            if length == 0:
-                break
-            for k in range(w.n):
-                if w.has_left_descent(k):
-                    word.append(k)
-                    w = ExtendedWeylElement.simple(w.n, k) * w
-                    break
-        return tuple(word)
+            k = next(
+                (k for k in range(n) if window_apply(inv, k) > window_apply(inv, k + 1)),
+                None,
+            )
+            if k is None:
+                return tuple(word)
+            word.append(k)
+            inv = window_times_simple(inv, k)
 
     def finite_projection(self):
         """Image in S_n: the tuple (f(1) mod n, ...) shifted by omega, 1-based."""
@@ -396,9 +412,8 @@ def bruhat_interval_below(w, length_cap=14):
     for k in w.reduced_word():
         new = set(current)
         for u in current:
-            us = u.times_simple(k)
-            if us.length() > u.length():
-                new.add(us)
+            if not u.has_right_descent(k):
+                new.add(u.times_simple(k))
         current = new
     if w.omega == 0:
         return current

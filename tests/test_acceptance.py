@@ -138,6 +138,7 @@ def _tau_suffixes(n, I, X, comps):
 
 
 def test_criterion_05_plethysm_and_smoothness():
+    start = time.monotonic()
     # finite plethysm identities for N <= 5
     for N in range(2, 6):
         n, cap = N + 1, 24
@@ -175,6 +176,8 @@ def test_criterion_05_plethysm_and_smoothness():
                     cxx = c_element(n, I, X, X, cap, memo)
                     assert cxx == kl_basis(longest_element(n, I) * h_of(n, X), cap)
                     assert cxx.bar() == cxx
+    elapsed = time.monotonic() - start
+    assert elapsed < 60, f"criterion 5 took {elapsed:.1f}s"
     report(5, "Hecke plethysm N<=5, byXY n<=5, smoothness n<=4")
 
 

@@ -70,6 +70,53 @@ def test_kl_command():
     assert lines[-1].endswith(": 1")
 
 
+# The exact output of the kl and hecke commands, pinned byte for byte.
+KL_N3_010 = (
+    "(0, 1 2 3) : v^3\n"
+    "(0, 0 2 4) : v^2\n"
+    "(0, 2 1 3) : v^2\n"
+    "(0, 0 1 5) : v\n"
+    "(0, 2 0 4) : v\n"
+    "(0, 1 0 5) : 1\n"
+)
+
+KL_N4_1021 = (
+    "(0, 1 2 3 4) : v^4 + v^2\n"
+    "(0, 0 2 3 5) : v^3\n"
+    "(0, 1 3 2 4) : v^3\n"
+    "(0, 2 1 3 4) : v^3 + v\n"
+    "(0, 0 1 3 6) : v^2\n"
+    "(0, 0 3 2 5) : v^2\n"
+    "(0, 2 0 3 5) : v^2\n"
+    "(0, 2 3 1 4) : v^2\n"
+    "(0, 3 1 2 4) : v^2\n"
+    "(0, 0 3 1 6) : v\n"
+    "(0, 1 0 3 6) : v\n"
+    "(0, 3 0 2 5) : v\n"
+    "(0, 3 2 1 4) : v\n"
+    "(0, 3 0 1 6) : 1\n"
+)
+
+HECKE_N2_B1B1 = (
+    "standard basis:\n"
+    "(0, 1 2) : v^2 + 1\n"
+    "(0, 2 1) : v + v^-1\n"
+    "kazhdan-lusztig basis:\n"
+    "(v + v^-1) b(w^0 | 2 1)\n"
+)
+
+
+def test_kl_and_hecke_output_pinned():
+    for args, expected in (
+        (("kl", "--n", "3", "--word", "0 1 0"), KL_N3_010),
+        (("kl", "--n", "4", "--word", "1 0 2 1"), KL_N4_1021),
+        (("hecke", "--n", "2", "--expr", "b1*b1"), HECKE_N2_B1B1),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 0
+        assert result.stdout == expected
+
+
 def test_verify_suite_and_certificate(tmp_path):
     cert = tmp_path / "certs.jsonl"
     result = run_cli(

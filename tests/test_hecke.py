@@ -190,3 +190,91 @@ def test_serialization_order():
         window = tuple(int(t) for t in line.split(")")[0].split(",")[1].split())
         lengths.append(ExtendedWeylElement(0, window).length())
     assert lengths == sorted(lengths)
+
+
+def _poly_add(out, exp, c):
+    out[exp] = out.get(exp, 0) + c
+    if not out[exp]:
+        del out[exp]
+
+
+def naive_mul(a, b):
+    """Reference product: every H_x H_y expanded on its own, letter by letter,
+    with plain dicts, the validated group product and Coxeter lengths.
+
+    A word for the affine part of y is found by peeling right descents, so
+    neither reduced_word nor the O(1) descent steps are involved.
+    """
+    n = a.n
+    total = {}
+    for y, q in b.coeffs.items():
+        affine = ExtendedWeylElement(0, y.window)
+        word = []
+        while affine.length():
+            k = next(
+                k for k in range(n)
+                if (affine * ExtendedWeylElement.simple(n, k)).length() < affine.length()
+            )
+            word.append(k)
+            affine = affine * ExtendedWeylElement.simple(n, k)
+        word.reverse()
+        for x, p in a.coeffs.items():
+            term = {x * ExtendedWeylElement.rotation(n, y.omega): dict(p.coeffs)}
+            for k in word:
+                nxt = {}
+                for u, c in term.items():
+                    us = u * ExtendedWeylElement.simple(n, k)
+                    for e, cc in c.items():
+                        _poly_add(nxt.setdefault(us, {}), e, cc)
+                        if us.length() < u.length():
+                            # H_u H_s = H_us + (v^-1 - v) H_u
+                            _poly_add(nxt.setdefault(u, {}), e - 1, cc)
+                            _poly_add(nxt.setdefault(u, {}), e + 1, -cc)
+                term = nxt
+            for u, c in term.items():
+                for e, cc in c.items():
+                    for e2, c2 in q.coeffs.items():
+                        _poly_add(total.setdefault(u, {}), e + e2, cc * c2)
+    return {u: c for u, c in total.items() if c}
+
+
+def random_element(rng, n):
+    out = {}
+    for _ in range(rng.randint(1, 4)):
+        w = ExtendedWeylElement.rotation(n, rng.choice((-1, 0, 1)))
+        for _ in range(rng.randint(0, 4)):
+            w = w * ExtendedWeylElement.simple(n, rng.randrange(n))
+        out[w] = LaurentPoly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))})
+    return HeckeElement(n, out)
+
+
+def test_mul_matches_naive_reference():
+    rng = random.Random(2024)
+    for n in (2, 3, 4):
+        for _ in range(25):
+            a, b = random_element(rng, n), random_element(rng, n)
+            got = a * b
+            assert {u: p.coeffs for u, p in got.coeffs.items()} == naive_mul(a, b)
+            assert all(not p.is_zero() for p in got.coeffs.values())
+
+
+def test_times_simple_inverse_undoes_times_simple():
+    rng = random.Random(5)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            a = random_element(rng, n)
+            for k in range(n):
+                assert a.times_simple(k).times_simple_inverse(k) == a
+                assert a.times_simple_inverse(k).times_simple(k) == a
+
+
+def test_cancellation_stores_no_zero():
+    for n in (2, 3):
+        bs = b_simple(n, 1)
+        assert (bs * bs - bs.scale(gauss(2))).coeffs == {}
+        assert (bs - bs).coeffs == {}
+        assert (bs + (-bs)).coeffs == {}
+    # H_s (H_s + v - v^-1) = 1 cancels the H_s term of the quadratic relation
+    hs = H(2, 1)
+    prod = hs * (hs + HeckeElement.unit(2).scale(LaurentPoly({1: 1, -1: -1})))
+    assert prod.coeffs == HeckeElement.unit(2).coeffs

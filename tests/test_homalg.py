@@ -15,8 +15,10 @@ from affhecke.homalg import (
     Summand,
     one_term_complex,
 )
+from affhecke.polymat import mat_add, mat_scale
 from affhecke.rings import RingElement
 from affhecke.suites import (
+    chainmap_entries_equal,
     ge_property_cases,
     ge_round_trip_case,
     monodromy_naturality_case,
@@ -38,6 +40,41 @@ def test_two_term_identity_eliminates_to_zero():
     q, alpha, beta, h = p.gaussian_eliminate((0, 1))
     assert not q.summands
     assert alpha.is_pseudo_chain_map()
+
+
+def test_ge_on_a_complex_with_survivors():
+    # Q[d] pseudocomplex A, B -> C, D -> E with invertible entries A->C and
+    # B->D; every entry into E is a multiple of d, so d^2 = mu.delta with
+    # mu nonzero.  Eliminating either pair leaves three summands, and alpha,
+    # beta and their composites have several entries.
+    ar = MatrixArithmetic(0)
+
+    def q(*coeffs):
+        return ((RingElement(0, {(e,): c for e, c in enumerate(coeffs)}),),)
+
+    A, B, C, D, E = range(5)
+    summands = [Summand(A, 1, 0, 0), Summand(B, 1, 0, 0), Summand(C, 1, 0, 1),
+                Summand(D, 1, 0, 1), Summand(E, 1, 0, 2)]
+    diff = {(A, C): q(1), (A, D): q(0, 1), (B, C): q(0, 1), (B, D): q(2),
+            (C, E): q(0, 1), (D, E): q(0, 1)}
+    p = Pseudocomplex(ar, summands, diff)
+    assert not p.monodromy().is_zero()
+    isos = [key for key, mor in sorted(p.diff.items())
+            if ar.is_isomorphism(mor, p.by_sid[key[0]].label, p.by_sid[key[1]].label)]
+    assert isos == [(A, C), (B, D)]
+    for iso in isos:
+        # the identities of suites.ge_round_trip_case
+        reduced, alpha, beta, homotopy = p.gaussian_eliminate(iso)
+        assert len(reduced.summands) == 3
+        assert len(alpha.entries) >= 4 and len(beta.entries) >= 4
+        assert alpha.compose(beta).is_identity()
+        combined = dict(homalg.identity_chain_map(p).entries)
+        for key, m in homotopy.nulhomotopic_map().entries.items():
+            m = mat_scale(m, Fraction(-1))
+            combined[key] = mat_add(combined[key], m) if key in combined else m
+        assert chainmap_entries_equal(ar, beta.compose(alpha).entries, combined)
+        assert alpha.is_pseudo_chain_map() and beta.is_pseudo_chain_map()
+        reduced.monodromy()
 
 
 def test_pitfall():

@@ -167,3 +167,12 @@ def test_laurent():
     p = LaurentPoly({3: 2, -1: 5})
     assert p.bar().bar() == p
     assert str(gauss(2)) == "v + v^-1"
+
+
+def test_laurent_drops_cancelled_coefficients():
+    one, v = LaurentPoly.one(), LaurentPoly.v(1)
+    assert ((one + v) * (one - v)).coeffs == {0: 1, 2: -1}
+    assert (gauss(2) - gauss(2)).coeffs == {}
+    assert (v + (-v)).coeffs == {}
+    assert (gauss(3) * 0).coeffs == {}
+    assert (LaurentPoly.v(2, 3) * gauss(2)).coeffs == {3: 3, 1: 3}

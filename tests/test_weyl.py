@@ -16,6 +16,7 @@ from affhecke.weyl import (
     longest_element,
     rewrite_wIhX,
     tau_components,
+    window_length,
 )
 
 
@@ -219,3 +220,38 @@ def test_serialization():
 def test_omega_reduction():
     w = ExtendedWeylElement.rotation(3, 5)
     assert w.reduce_omega_mod_n().omega == 2
+
+
+def short_elements(n, max_length=4):
+    """omega^e w for e in {-1, 0, 1} and every affine w of length <= max_length,
+    generated with the validated product and window_length only."""
+    level = {ExtendedWeylElement.identity(n)}
+    found = set(level)
+    for _ in range(max_length):
+        level = {
+            w * s(n, k)
+            for w in level
+            for k in range(n)
+            if window_length((w * s(n, k)).window) == window_length(w.window) + 1
+        }
+        found |= level
+    return [ExtendedWeylElement.rotation(n, e) * w for w in found for e in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_times_simple_matches_validated_product(n):
+    for w in short_elements(n):
+        for k in range(n):
+            got = w.times_simple(k)
+            assert got == w * s(n, k)
+            assert got.times_simple(k + n) == w
+            # the trusted result satisfies the checks of the public constructor
+            assert ExtendedWeylElement(got.omega, got.window) == got
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_reduced_word_is_reduced(n):
+    for w in short_elements(n):
+        word = w.reduced_word()
+        assert len(word) == w.length()
+        assert from_word(n, word) == ExtendedWeylElement(0, w.window)
