@@ -21,9 +21,10 @@ from functools import lru_cache
 from . import polymat
 from .rings import (
     RingElement,
+    accumulate_product,
     act_sigma,
-    act_simple,
     demazure,
+    from_accumulated,
     simple_root,
 )
 from .weyl import anticyclic_word
@@ -222,27 +223,30 @@ def tensor(a, b):
     src = a.src + b.src
     tgt = a.tgt + b.tgt
     rb_s, rb_t = rank(b.src), rank(b.tgt)
-    out = [
-        [RingElement.zero(n) for _ in range(rank(src))] for _ in range(rank(tgt))
-    ]
+    b_rows = [[(cb, y) for cb, y in enumerate(row) if y.terms] for row in b.matrix]
+    cells = {}
     for ra, rowa in enumerate(a.matrix):
         for ca, f in enumerate(rowa):
             if f.is_zero():
                 continue
             lf = left_mult_matrix(n, b.tgt, f)
-            for rbready in range(rb_t):
-                for mid in range(rb_t):
-                    coeff = lf[rbready][mid]
-                    if coeff.is_zero():
+            for rbready, lf_row in enumerate(lf):
+                r = ra * rb_t + rbready
+                for mid, coeff in enumerate(lf_row):
+                    if not coeff.terms:
                         continue
-                    for cb in range(rb_s):
-                        entry = b.matrix[mid][cb]
-                        if entry.is_zero():
-                            continue
-                        out[ra * rb_t + rbready][ca * rb_s + cb] = (
-                            out[ra * rb_t + rbready][ca * rb_s + cb]
-                            + coeff * entry
-                        )
+                    for cb, entry in b_rows[mid]:
+                        key = (r, ca * rb_s + cb)
+                        acc = cells.get(key)
+                        if acc is None:
+                            acc = cells[key] = {}
+                        accumulate_product(acc, coeff, entry)
+    zero = RingElement.zero(n)
+    out = [[zero] * rank(src) for _ in range(rank(tgt))]
+    for (r, c), acc in cells.items():
+        value = from_accumulated(n, acc)
+        if value.terms:
+            out[r][c] = value
     deg = None
     if a.degree is not None and b.degree is not None:
         deg = a.degree + b.degree

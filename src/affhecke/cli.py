@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import braid, complexes, hecke, homalg, twist
 from .hecke import HeckeElement, b_simple, kl_basis
 from .rings import LaurentPoly
+from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
 from .weyl import ExtendedWeylElement, from_word
 
 
@@ -71,7 +71,7 @@ SUITES = (
 
 def _suite_d2(n, seed):
     cases = []
-    if n <= 4:
+    if n <= 5:
         f = complexes.build_F(n, "bimodule")
         mu = f.monodromy()
         expected = complexes.monodromy_map(n, f)
@@ -88,12 +88,6 @@ def _suite_d2(n, seed):
     return cases
 
 
-def _suite_descent(n, seed):
-    from .suites import descent_lemma_cases
-
-    return descent_lemma_cases(n)
-
-
 def run_suite(args):
     n = args.n
     seed = args.seed
@@ -103,13 +97,13 @@ def run_suite(args):
     elif args.suite == "wakimoto":
         cases = [(f"wakimoto filtration n={n}", complexes.verify_wakimoto(n))]
     elif args.suite == "descent":
-        cases = _suite_descent(n, seed)
+        cases = descent_lemma_cases(n)
     elif args.suite == "tensorbi":
-        for members in _proper_subsets(n):
+        for members in proper_subsets(n):
             cert = complexes.tensorBI_object_GE(n, members)
             cases.append((f"I={sorted(members)}", cert["verdict"] == "pass"))
     elif args.suite == "crossover":
-        for members in _proper_subsets(n):
+        for members in proper_subsets(n):
             cases.append(
                 (f"I={sorted(members)}", complexes.verify_N_equals_M(n, members))
             )
@@ -119,21 +113,10 @@ def run_suite(args):
         report = twist.verify_phi_squares_n2()
         cases = [(f"square {k}", True) for k in sorted(report)]
     elif args.suite == "ge-props":
-        from .suites import ge_property_cases
-
         cases = ge_property_cases(seed=seed, count=args.count)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     return cases
-
-
-def _proper_subsets(n):
-    import itertools
-
-    out = []
-    for size in range(n):
-        out.extend(frozenset(c) for c in itertools.combinations(range(n), size))
-    return out
 
 
 def cmd_verify(args):
@@ -265,8 +248,11 @@ def cmd_load_verify(args):
     """Reload a serialized complex and re-check d^2 without rebuilding."""
     with open(args.path, encoding="utf-8") as handle:
         data = json.load(handle)
-    p = homalg.Pseudocomplex.from_json(data)
     n = data.get("n")
+    if n is None:
+        print('FAIL: missing field "n"')
+        return 1
+    p = homalg.Pseudocomplex.from_json(data)
     if data["backend"] == "bimodule":
         mu = p.monodromy()
         print(f"d^2 divisible by delta: PASS ({len(mu.entries)} mu entries)")
@@ -292,7 +278,7 @@ def main(argv=None):
     p_build.add_argument("--n", type=int, required=True)
     p_build.add_argument("--backend", choices=("sign", "hecke", "bimodule"), default="sign")
     p_build.add_argument("--out", default=None)
-    p_build.add_argument("--bimodule-cap", type=int, default=4)
+    p_build.add_argument("--bimodule-cap", type=int, default=5)
     p_build.set_defaults(func=cmd_build_f)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import RingElement, exact_div
+from .rings import RingElement, accumulate_product, exact_div, from_accumulated
 
 
 def mat_shape(m):
@@ -41,24 +41,31 @@ def mat_scale(a, f):
 
 
 def mat_mul(a, b):
-    rows, mid = mat_shape(a)
+    """Exact product, visiting only the nonzero entries of a and of b."""
+    _, mid = mat_shape(a)
     mid2, cols = mat_shape(b)
     if mid != mid2 or mid == 0:
         raise ValueError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
     n = a[0][0].n
     zero = RingElement.zero(n)
+    b_rows = [[(c, y) for c, y in enumerate(row) if y.terms] for row in b]
     out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = zero
-            for k in range(mid):
-                x = a[r][k]
-                y = b[k][c]
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        cells = {}
+        for k, x in enumerate(row):
+            if not x.terms:
+                continue
+            for c, y in b_rows[k]:
+                acc = cells.get(c)
+                if acc is None:
+                    acc = cells[c] = {}
+                accumulate_product(acc, x, y)
+        out_row = [zero] * cols
+        for c, acc in cells.items():
+            value = from_accumulated(n, acc)
+            if value.terms:
+                out_row[c] = value
+        out.append(tuple(out_row))
     return tuple(out)
 
 

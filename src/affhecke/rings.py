@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
+from operator import add, sub
 
 
 class LaurentPoly:
@@ -148,11 +150,45 @@ def gauss(k):
     return LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
 
 
+def _coeff(c):
+    """A rational coefficient as an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _cleaned(acc):
+    """An accumulated term dict without zeros and with integral values as int."""
+    return {m: c if type(c) is int else _coeff(c) for m, c in acc.items() if c}
+
+
+def _unit_mono(n, index):
+    """The exponent vector of the single variable at position index."""
+    mono = [0] * (n + 1)
+    mono[index] = 1
+    return tuple(mono)
+
+
+def accumulate_product(acc, f, g):
+    """acc += f * g on raw term dicts; clean acc with from_accumulated."""
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def from_accumulated(n, acc):
+    """The RingElement of a term dict built by accumulate_product."""
+    return RingElement._trusted(n, _cleaned(acc))
+
+
 class RingElement:
     """Element of R = Q[x_1..x_n, d] with sparse rational terms.
 
     Exponent vectors are tuples of length n+1 ordered (x_1, ..., x_n, d).
-    No zero coefficients are stored.
+    No zero coefficients are stored; a coefficient is an int when it is
+    integral and a Fraction otherwise.
     """
 
     __slots__ = ("n", "terms")
@@ -162,37 +198,43 @@ class RingElement:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c:
-                    clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + c
-        self.terms = {m: c for m, c in clean.items() if c}
+                    mono = tuple(mono)
+                    clean[mono] = clean.get(mono, 0) + c
+        self.terms = _cleaned(clean)
+
+    @classmethod
+    def _trusted(cls, n, terms):
+        """Wrap a dict of tuple monomials to nonzero, normalized coefficients."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, n):
-        return cls(n)
+        return cls._trusted(n, {})
 
     @classmethod
     def one(cls, n):
-        return cls(n, {(0,) * (n + 1): Fraction(1)})
+        return cls._trusted(n, {(0,) * (n + 1): 1})
 
     @classmethod
     def constant(cls, n, c):
-        return cls(n, {(0,) * (n + 1): Fraction(c)})
+        c = _coeff(c)
+        return cls._trusted(n, {(0,) * (n + 1): c} if c else {})
 
     @classmethod
     def x(cls, n, i):
         """The variable x_i, 1 <= i <= n."""
         if not 1 <= i <= n:
             raise ValueError(f"x_{i} undefined for n={n}")
-        mono = [0] * (n + 1)
-        mono[i - 1] = 1
-        return cls(n, {tuple(mono): Fraction(1)})
+        return cls._trusted(n, {_unit_mono(n, i - 1): 1})
 
     @classmethod
     def delta(cls, n):
-        mono = [0] * (n + 1)
-        mono[n] = 1
-        return cls(n, {tuple(mono): Fraction(1)})
+        return cls._trusted(n, {_unit_mono(n, n): 1})
 
     def is_zero(self):
         return not self.terms
@@ -201,29 +243,56 @@ class RingElement:
         return bool(self.terms)
 
     def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms and self.n == other.n:
+            return other
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return RingElement(self.n, out)
+            if m in out:
+                c += out[m]
+                if not c:
+                    del out[m]
+                    continue
+                if type(c) is not int:
+                    c = _coeff(c)
+            out[m] = c
+        return RingElement._trusted(self.n, out)
 
     def __sub__(self, other):
+        if not other.terms:
+            return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return RingElement(self.n, out)
+            if m in out:
+                c = out[m] - c
+                if not c:
+                    del out[m]
+                    continue
+                if type(c) is not int:
+                    c = _coeff(c)
+                out[m] = c
+            else:
+                out[m] = -c
+        return RingElement._trusted(self.n, out)
 
     def __neg__(self):
-        return RingElement(self.n, {m: -c for m, c in self.terms.items()})
+        return RingElement._trusted(self.n, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        n = self.n
         if isinstance(other, (int, Fraction)):
-            return RingElement(self.n, {m: c * other for m, c in self.terms.items()})
+            return RingElement._trusted(
+                n, _cleaned({m: c * other for m, c in self.terms.items()})
+            )
+        if len(other.terms) == 1:
+            # a monomial factor moves every term to a distinct monomial
+            ((m2, c2),) = other.terms.items()
+            terms = {tuple(map(add, m, m2)): c * c2 for m, c in self.terms.items()}
+            return RingElement._trusted(n, _cleaned(terms))
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return RingElement(self.n, out)
+        accumulate_product(out, self, other)
+        return from_accumulated(n, out)
 
     __rmul__ = __mul__
 
@@ -247,7 +316,7 @@ class RingElement:
         return degs.pop()
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * (self.n + 1), Fraction(0))
+        return self.terms.get((0,) * (self.n + 1), 0)
 
     def is_unit(self):
         """Nonzero constant (the units of the polynomial ring over Q)."""
@@ -255,8 +324,9 @@ class RingElement:
 
     def subs_delta_zero(self):
         """The image in R/(d), exact quotient-set arithmetic."""
-        return RingElement(
-            self.n, {m: c for m, c in self.terms.items() if m[self.n] == 0}
+        n = self.n
+        return RingElement._trusted(
+            n, {m: c for m, c in self.terms.items() if m[n] == 0}
         )
 
     def __str__(self):
@@ -303,16 +373,16 @@ def parse_ring_element(n, text):
             break
         tokens.append(m.group(1))
         pos = m.end()
-    out = RingElement.zero(n)
+    terms = {}
     i = 0
     while i < len(tokens):
-        sign = Fraction(1)
+        sign = 1
         while i < len(tokens) and tokens[i] in "+-":
             if tokens[i] == "-":
                 sign = -sign
             i += 1
         if i >= len(tokens):
-            if sign != 1 or not out.terms and not tokens:
+            if sign != 1 or not terms and not tokens:
                 raise ValueError("dangling sign")
             break
         coeff = sign
@@ -336,11 +406,12 @@ def parse_ring_element(n, text):
                     i += 2
                 mono[idx] += exp
             else:
-                coeff *= Fraction(tok)
+                coeff *= Fraction(tok) if "/" in tok else int(tok)
             expect_factor = False
             i += 1
-        out = out + RingElement(n, {tuple(mono): coeff})
-    return out
+        mono = tuple(mono)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return RingElement(n, terms)
 
 
 def simple_root(n, i):
@@ -349,13 +420,15 @@ def simple_root(n, i):
         raise ValueError(f"index {i} out of range for n={n}")
     if i == 0:
         return RingElement.x(n, n) - RingElement.x(n, 1) + RingElement.delta(n)
-    return RingElement.x(n, i) - RingElement.x(n, i + 1)
+    return RingElement._trusted(
+        n, {_unit_mono(n, i - 1): 1, _unit_mono(n, i): -1}
+    )
 
 
 def _apply_variable_map(f, images):
     """Ring homomorphism determined by images of (x_1..x_n, d)."""
     n = f.n
-    out = RingElement.zero(n)
+    out = {}
     power_cache = [{0: RingElement.one(n)} for _ in range(n + 1)]
     for mono, c in f.terms.items():
         term = RingElement.constant(n, c)
@@ -370,8 +443,9 @@ def _apply_variable_map(f, images):
                         p += 1
                         cache[p] = acc
                 term = term * cache[e]
-        out = out + term
-    return out
+        for m, t in term.terms.items():
+            out[m] = out.get(m, 0) + t
+    return from_accumulated(n, out)
 
 
 def act_simple(i, f):
@@ -380,20 +454,28 @@ def act_simple(i, f):
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for n={n}")
     if i != 0:
-        # fast path: swap the exponents of x_i and x_{i+1}
+        # swap the exponents of x_i and x_{i+1}: a bijection on monomials
         out = {}
         for mono, c in f.terms.items():
             m = list(mono)
             m[i - 1], m[i] = m[i], m[i - 1]
-            m = tuple(m)
-            out[m] = out.get(m, Fraction(0)) + c
-        return RingElement(n, out)
-    images = [RingElement.x(n, j) for j in range(1, n + 1)] + [RingElement.delta(n)]
-    images[0] = RingElement.x(n, n) + RingElement.delta(n)  # s_0(x_1) = x_n + d
-    images[n - 1] = RingElement.x(n, 1) - RingElement.delta(n)  # s_0(x_n) = x_1 - d
+            out[tuple(m)] = c
+        return RingElement._trusted(n, out)
     if n == 1:
         raise ValueError("n must be at least 2")
-    return _apply_variable_map(f, images)
+    # s_0(x_1) = x_n + d and s_0(x_n) = x_1 - d: expand both binomials
+    out = {}
+    for mono, c in f.terms.items():
+        a, b, e = mono[0], mono[n - 1], mono[n]
+        for j in range(a + 1):
+            cj = c * comb(a, j)
+            for k in range(b + 1):
+                m = list(mono)
+                m[0], m[n - 1], m[n] = b - k, a - j, e + j + k
+                m = tuple(m)
+                t = cj * comb(b, k)
+                out[m] = out.get(m, 0) + (-t if k & 1 else t)
+    return from_accumulated(n, out)
 
 
 def act_tau(f):
@@ -423,36 +505,50 @@ def act_sigma(f):
     out = {}
     for mono, c in f.terms.items():
         xs = mono[:n]
-        sign = (-1) ** sum(xs)
         m = tuple(reversed(xs)) + (mono[n],)
-        out[m] = out.get(m, Fraction(0)) + sign * c
-    return RingElement(n, out)
+        out[m] = -c if sum(xs) & 1 else c
+    return RingElement._trusted(n, out)
 
 
 def exact_div(f, g):
-    """Exact division f / g; raises ArithmeticError when not divisible."""
+    """Exact division f / g; raises ArithmeticError when not divisible.
+
+    Long division in the lex order of exponent vectors.  The quotient stays
+    integral when the leading coefficient of g is +-1, as for every simple
+    root; otherwise it is rational.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     n = f.n
     g_lead = max(g.terms)
     g_c = g.terms[g_lead]
+    g_rest = [(m, c) for m, c in g.terms.items() if m != g_lead]
     quo = {}
     rem = dict(f.terms)
     while rem:
         lead = max(rem)
-        q_mono = tuple(a - b for a, b in zip(lead, g_lead))
-        if any(e < 0 for e in q_mono):
-            raise ArithmeticError(f"non-divisible remainder {RingElement(n, rem)}")
-        q_c = rem[lead] / g_c
-        quo[q_mono] = quo.get(q_mono, Fraction(0)) + q_c
-        for m, c in g.terms.items():
-            m2 = tuple(a + b for a, b in zip(q_mono, m))
-            new = rem.get(m2, Fraction(0)) - q_c * c
-            if new:
-                rem[m2] = new
+        q_mono = tuple(map(sub, lead, g_lead))
+        if min(q_mono) < 0:
+            raise ArithmeticError(
+                f"non-divisible remainder {RingElement._trusted(n, rem)}"
+            )
+        c = rem.pop(lead)
+        if g_c == 1:
+            q_c = c
+        elif g_c == -1:
+            q_c = -c
+        else:
+            q_c = _coeff(Fraction(c) / g_c)
+        # the lead strictly decreases, so each quotient monomial is new
+        quo[q_mono] = q_c
+        for m, gc in g_rest:
+            m2 = tuple(map(add, q_mono, m))
+            new = rem.get(m2, 0) - q_c * gc
+            if not new:
+                del rem[m2]
             else:
-                rem.pop(m2, None)
-    return RingElement(n, quo)
+                rem[m2] = new if type(new) is int else _coeff(new)
+    return RingElement._trusted(n, quo)
 
 
 def divide_by_delta(f):
@@ -463,7 +559,7 @@ def divide_by_delta(f):
         if mono[n] == 0:
             raise ArithmeticError(f"{f} is not divisible by d")
         out[mono[:n] + (mono[n] - 1,)] = c
-    return RingElement(n, out)
+    return RingElement._trusted(n, out)
 
 
 def demazure(i, f):

@@ -7,8 +7,9 @@ import random
 from fractions import Fraction
 
 from . import homalg
+from .bimod import distant
 from .homalg import MatrixArithmetic, Pseudocomplex, Summand
-from .polymat import mat_add, mat_identity, mat_mul, mat_scale, mat_zero
+from .polymat import _rational_inverse, mat_add, mat_mul, mat_scale
 from .rings import RingElement
 from .weyl import (
     ExtendedWeylElement,
@@ -16,7 +17,6 @@ from .weyl import (
     h_of,
     longest_element,
     rewrite_wIhX,
-    tau_components,
 )
 
 
@@ -82,10 +82,6 @@ def descent_lemma_cases(n):
     return cases
 
 
-def _distant(n, a, b):
-    return a != b and (a - b) % n not in (1, n - 1)
-
-
 def commutation_reachable(n, word_from, word_to):
     """Whether two words are related by distant-swap moves only.
 
@@ -97,7 +93,7 @@ def commutation_reachable(n, word_from, word_to):
     remaining = list(word_from)
     for t in word_to:
         i = remaining.index(t)
-        if any(not _distant(n, remaining[j], t) for j in range(i)):
+        if any(not distant(n, remaining[j], t) for j in range(i)):
             return False
         remaining.pop(i)
     return not remaining
@@ -218,7 +214,7 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2), delta_deform=True):
     diff = {}
     for k, mat in base.items():
         u_next = changes[k + 1]
-        u_inv = _fraction_inverse(changes[k])
+        u_inv = _rational_inverse(changes[k])
         prod = _fraction_mul(_fraction_mul(u_next, mat), u_inv)
         entry = tuple(
             tuple(RingElement(0, {(0,): c}) for c in row) for row in prod
@@ -244,24 +240,6 @@ def _fraction_mul(a, b):
         [sum((a[r][k] * b[k][c] for k in range(mid)), Fraction(0)) for c in range(cols)]
         for r in range(rows)
     ]
-
-
-def _fraction_inverse(a):
-    size = len(a)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(size)]
-        for r, row in enumerate(a)
-    ]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
 
 
 def chainmap_entries_equal(ar, left, right):

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from . import bimod, homalg
 from .bimod import Morphism, basis_degree, rank
-from .complexes import build_F, summand_subset
+from .complexes import build_F
 from .homalg import BimoduleArithmetic, one_term_complex
-from .rings import RingElement, demazure
+from .rings import RingElement
 
 
 def _delta_zero_complex(p):
@@ -46,19 +46,6 @@ def side_complexes(s):
     Bs = one_term_complex(ar, (s,))
     Bt = one_term_complex(ar, (t,))
     return F, homalg.tensor(Bs, F, validate=False), homalg.tensor(F, Bt, validate=False)
-
-
-def _pair_sid(product, left_word, inner_subset, degree):
-    for summand in product.summands:
-        if summand.degree != degree:
-            continue
-        word = tuple(summand.label)
-        if left_word is not None and word[: len(left_word)] != left_word:
-            continue
-        core = word[len(left_word):] if left_word is not None else word
-        if frozenset(core) == inner_subset:
-            return summand.sid
-    raise KeyError((left_word, inner_subset, degree))
 
 
 def phi_s(s):
@@ -568,7 +555,7 @@ def _rank_of_entry_maps(maps):
         for b in basis:
             lead = b["lead"]
             if lead in vec and vec[lead]:
-                f = vec[lead] / b["vec"][lead]
+                f = Fraction(vec[lead]) / b["vec"][lead]
                 for k, v in b["vec"].items():
                     vec[k] = vec.get(k, Fraction(0)) - f * v
                 vec = {k: v for k, v in vec.items() if v}

@@ -46,22 +46,33 @@ def report(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
+def assert_exact_d2(n):
+    """d^2 = mu.delta with mu the monodromy map, and d^2 = 0 mod delta."""
+    f = build_F(n, "bimodule")
+    mu = f.monodromy()
+    expected = monodromy_map(n, f)
+    assert set(mu.entries) == set(expected.entries)
+    for key in mu.entries:
+        assert (mu.entries[key] - expected.entries[key]).is_zero()
+    for value in f.d_squared().values():
+        assert bimod.subs_delta_zero(value).is_zero()
+
+
 def test_criterion_01_d2_equals_mu_delta():
     start = time.monotonic()
-    for n in (2, 3, 4):
-        f = build_F(n, "bimodule")
-        mu = f.monodromy()
-        expected = monodromy_map(n, f)
-        assert set(mu.entries) == set(expected.entries)
-        for key in mu.entries:
-            assert (mu.entries[key] - expected.entries[key]).is_zero()
-        for value in f.d_squared().values():
-            assert bimod.subs_delta_zero(value).is_zero()
+    for n in (2, 3, 4, 5):
+        assert_exact_d2(n)
     for n in (5, 6):
         assert check_d2_signs(n)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s"
-    report(1, "d^2 = mu.delta, exact to n=4, sign level to n=6")
+    report(1, "d^2 = mu.delta, exact to n=5, sign level to n=6")
+
+
+@pytest.mark.slow
+def test_criterion_01_exact_n6():
+    assert_exact_d2(6)
+    report("1+", "d^2 = mu.delta, exact at n=6")
 
 
 def test_criterion_02_golden_figures():
@@ -241,7 +252,7 @@ def test_criterion_09_pseudocomplex_engine():
 
 
 def test_criterion_10_categorical_showcases():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         assert verify_x1_commutation(n)
     from affhecke.twist import verify_phi_squares_n2
 
@@ -249,14 +260,4 @@ def test_criterion_10_categorical_showcases():
     assert len(rep) == 4
     for value in rep.values():
         assert value["kernel_dim"] == value["boundary_dim"]
-    report(10, "x_1 nulhomotopy n=2,3 and the phi_s squares at n=2")
-
-
-@pytest.mark.slow
-def test_criterion_10_optional_n4():
-    # optional per the acceptance list, time-boxed at ten minutes
-    start = time.monotonic()
-    assert verify_x1_commutation(4)
-    elapsed = time.monotonic() - start
-    assert elapsed < 600, f"optional n=4 homotopy took {elapsed:.1f}s"
-    report("10+", "x_1 nulhomotopy at n=4 (optional)")
+    report(10, "x_1 nulhomotopy n=2,3,4 and the phi_s squares at n=2")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -117,6 +118,33 @@ def test_kl_and_hecke_output_pinned():
         assert result.stdout == expected
 
 
+# The bimodule serialization of F at n = 3 and its check-file verdict,
+# pinned byte for byte.
+F3_BIMODULE_SHA256 = "be601fcd6118404b012f7d0ef6075721441d2cb5ca3d1e06ca9cce33a4b6e142"
+F3_BIMODULE_CHECK = "d^2 divisible by delta: PASS (5 mu entries)\n"
+
+
+def test_bimodule_output_pinned(tmp_path):
+    out = tmp_path / "f.json"
+    result = run_cli("build-f", "--n", "3", "--backend", "bimodule", "--out", str(out))
+    assert result.returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == F3_BIMODULE_SHA256
+    check = run_cli("check-file", str(out))
+    assert check.returncode == 0
+    assert check.stdout == F3_BIMODULE_CHECK
+
+
+def test_check_file_requires_n(tmp_path):
+    out = tmp_path / "f3.json"
+    assert run_cli("build-f", "--n", "3", "--out", str(out)).returncode == 0
+    data = json.loads(out.read_text())
+    del data["n"]
+    out.write_text(json.dumps(data))
+    result = run_cli("check-file", str(out))
+    assert result.returncode == 1
+    assert result.stdout == 'FAIL: missing field "n"\n'
+
+
 def test_verify_suite_and_certificate(tmp_path):
     cert = tmp_path / "certs.jsonl"
     result = run_cli(
@@ -128,6 +156,23 @@ def test_verify_suite_and_certificate(tmp_path):
     # append-only: run again, two lines
     run_cli("verify", "--suite", "descent", "--n", "3", "--cert", str(cert))
     assert len(cert.read_text().splitlines()) == 2
+
+
+def test_verify_d2_exact_at_n5(tmp_path):
+    result = run_cli(
+        "verify", "--suite", "d2", "--n", "5", "--cert", str(tmp_path / "c.jsonl")
+    )
+    assert result.returncode == 0
+    assert "PASS: bimodule d^2 = mu.delta at n=5" in result.stdout
+    assert "3/3 cases pass" in result.stdout
+
+
+def test_build_f_bimodule_cap(tmp_path):
+    result = run_cli(
+        "build-f", "--n", "6", "--backend", "bimodule", "--out", str(tmp_path / "x.json")
+    )
+    assert result.returncode == 2
+    assert "capped at n <= 5" in result.stderr
 
 
 def test_verify_ge_props(tmp_path):

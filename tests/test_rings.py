@@ -176,3 +176,76 @@ def test_laurent_drops_cancelled_coefficients():
     assert (v + (-v)).coeffs == {}
     assert (gauss(3) * 0).coeffs == {}
     assert (LaurentPoly.v(2, 3) * gauss(2)).coeffs == {3: 3, 1: 3}
+
+
+def test_ring_coefficients_are_int_when_integral():
+    mono = (1, 0, 0)
+    two = RingElement(2, {mono: Fraction(4, 2)})
+    assert type(two.terms[mono]) is int and two.terms[mono] == 2
+    half = RingElement(2, {mono: Fraction(1, 2)})
+    assert half.terms[mono] == Fraction(1, 2)
+    assert type((half + half).terms[mono]) is int
+    assert type((half * 2).terms[mono]) is int
+    assert type((half * half * 4).terms[(2, 0, 0)]) is int
+    assert type(RingElement.constant(2, Fraction(6, 3)).constant_coefficient()) is int
+
+
+def test_int_and_fraction_coefficients_agree():
+    rng = random.Random(8)
+    for n in (2, 3):
+        for _ in range(20):
+            f = random_element(rng, n)
+            as_fractions = {m: Fraction(c) for m, c in f.terms.items()}
+            g = RingElement(n, as_fractions)
+            assert g == f and hash(g) == hash(f)
+
+
+def test_ring_drops_cancelled_coefficients():
+    x1, x2 = x(2, 1), x(2, 2)
+    assert ((x1 + x2) - x2).terms == {(1, 0, 0): 1}
+    assert ((x1 - x2) * (x1 + x2)).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert (x1 + (-x1)).terms == {}
+    assert (x1 * 0).terms == {}
+    assert (x1 * Fraction(0)).terms == {}
+    half = RingElement(2, {(1, 0, 0): Fraction(1, 2)})
+    assert (half - x1 + half).terms == {}
+    assert parse_ring_element(2, "x1 + x1 - 2*x1").terms == {}
+    assert parse_ring_element(2, "1/2*x2 + 1/2*x2") == x2
+    rng = random.Random(9)
+    for n in (2, 3):
+        for _ in range(20):
+            f, g = random_element(rng, n), random_element(rng, n)
+            for value in (f + g, f - g, f * g, f * g - g * f, f - f):
+                assert all(value.terms.values())
+
+
+def test_exact_div_stays_integral():
+    rng = random.Random(10)
+    for n in (2, 3, 4):
+        for i in range(n):
+            alpha = simple_root(n, i)
+            for _ in range(10):
+                f = random_element(rng, n)
+                q = exact_div(f * alpha, alpha)
+                assert q == f
+                assert all(type(c) is int for c in q.terms.values())
+                assert all(type(c) is int for c in demazure(i, f).terms.values())
+    x1 = x(2, 1)
+    q = exact_div(x1, 2 * x1)
+    assert q == RingElement.constant(2, Fraction(1, 2))
+    assert q.constant_coefficient() == Fraction(1, 2)
+    assert exact_div(x1 * x1 + x1 * d(2), 2 * x1) * 2 == x1 + d(2)
+    with pytest.raises(ArithmeticError):
+        exact_div(x1 * x1 + RingElement.one(2), x1)
+    with pytest.raises(ArithmeticError):
+        exact_div(x1 + x(2, 2), 2 * x1)
+
+
+def test_act_simple_is_a_ring_homomorphism():
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        for i in range(n):
+            for _ in range(5):
+                f, g = random_element(rng, n), random_element(rng, n)
+                assert act_simple(i, f * g) == act_simple(i, f) * act_simple(i, g)
+                assert act_simple(i, f + g) == act_simple(i, f) + act_simple(i, g)
