@@ -23,6 +23,9 @@ from .rings import LaurentPoly
 from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
 from .weyl import ExtendedWeylElement, from_word
 
+# largest n at which the exact bimodule complex is built and checked
+BIMODULE_EXACT_MAX = 5
+
 
 def _out_path(path, default_name):
     if path:
@@ -71,7 +74,7 @@ SUITES = (
 
 def _suite_d2(n, seed):
     cases = []
-    if n <= 5:
+    if n <= BIMODULE_EXACT_MAX:
         f = complexes.build_F(n, "bimodule")
         mu = f.monodromy()
         expected = complexes.monodromy_map(n, f)
@@ -278,7 +281,7 @@ def main(argv=None):
     p_build.add_argument("--n", type=int, required=True)
     p_build.add_argument("--backend", choices=("sign", "hecke", "bimodule"), default="sign")
     p_build.add_argument("--out", default=None)
-    p_build.add_argument("--bimodule-cap", type=int, default=5)
+    p_build.add_argument("--bimodule-cap", type=int, default=BIMODULE_EXACT_MAX)
     p_build.set_defaults(func=cmd_build_f)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

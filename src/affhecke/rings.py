@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
 from operator import add, sub
 
 
@@ -285,11 +284,6 @@ class RingElement:
             return RingElement._trusted(
                 n, _cleaned({m: c * other for m, c in self.terms.items()})
             )
-        if len(other.terms) == 1:
-            # a monomial factor moves every term to a distinct monomial
-            ((m2, c2),) = other.terms.items()
-            terms = {tuple(map(add, m, m2)): c * c2 for m, c in self.terms.items()}
-            return RingElement._trusted(n, _cleaned(terms))
         out = {}
         accumulate_product(out, self, other)
         return from_accumulated(n, out)
@@ -461,21 +455,12 @@ def act_simple(i, f):
             m[i - 1], m[i] = m[i], m[i - 1]
             out[tuple(m)] = c
         return RingElement._trusted(n, out)
+    images = [RingElement.x(n, j) for j in range(1, n + 1)] + [RingElement.delta(n)]
+    images[0] = RingElement.x(n, n) + RingElement.delta(n)  # s_0(x_1) = x_n + d
+    images[n - 1] = RingElement.x(n, 1) - RingElement.delta(n)  # s_0(x_n) = x_1 - d
     if n == 1:
         raise ValueError("n must be at least 2")
-    # s_0(x_1) = x_n + d and s_0(x_n) = x_1 - d: expand both binomials
-    out = {}
-    for mono, c in f.terms.items():
-        a, b, e = mono[0], mono[n - 1], mono[n]
-        for j in range(a + 1):
-            cj = c * comb(a, j)
-            for k in range(b + 1):
-                m = list(mono)
-                m[0], m[n - 1], m[n] = b - k, a - j, e + j + k
-                m = tuple(m)
-                t = cj * comb(b, k)
-                out[m] = out.get(m, 0) + (-t if k & 1 else t)
-    return from_accumulated(n, out)
+    return _apply_variable_map(f, images)
 
 
 def act_tau(f):

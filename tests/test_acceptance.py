@@ -252,6 +252,7 @@ def test_criterion_09_pseudocomplex_engine():
 
 
 def test_criterion_10_categorical_showcases():
+    start = time.monotonic()
     for n in (2, 3, 4):
         assert verify_x1_commutation(n)
     from affhecke.twist import verify_phi_squares_n2
@@ -260,4 +261,6 @@ def test_criterion_10_categorical_showcases():
     assert len(rep) == 4
     for value in rep.values():
         assert value["kernel_dim"] == value["boundary_dim"]
+    elapsed = time.monotonic() - start
+    assert elapsed < 60, f"criterion 10 took {elapsed:.1f}s"
     report(10, "x_1 nulhomotopy n=2,3,4 and the phi_s squares at n=2")
