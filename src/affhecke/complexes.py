@@ -76,6 +76,24 @@ def summand_subset(label):
     return frozenset(label)
 
 
+def adjacent_pairs(n, grading):
+    """The (k, X, Y) with X in grading[k], Y in grading[k + 1] and X, Y
+    differing by one index, in order of k, then X, then Y as listed.
+
+    grading maps k -> list of subsets of Z/n.  The neighbours of X are the
+    n subsets with one index toggled, looked up by position in the next
+    layer.
+    """
+    for k in sorted(grading):
+        if k + 1 not in grading:
+            continue
+        position = {Y: p for p, Y in enumerate(grading[k + 1])}
+        for X in grading[k]:
+            toggled = (X ^ {x} for x in range(n))
+            for Y in sorted((Z for Z in toggled if Z in position), key=position.get):
+                yield k, X, Y
+
+
 def _dot_entries(n, grading, backend):
     """Differential entries between adjacent layers of a grading dict.
 
@@ -91,19 +109,13 @@ def _dot_entries(n, grading, backend):
             label = X if backend == "sign" else preferred_word(n, X)
             summands.append(Summand(sid, label, k, k))
     diff = {}
-    for k in sorted(grading):
-        if k + 1 not in grading:
-            continue
-        for X in grading[k]:
-            for Y in grading[k + 1]:
-                if len(X ^ Y) != 1:
-                    continue
-                a, b = sids[(X, k)], sids[(Y, k + 1)]
-                small, big = (X, Y) if len(Y) > len(X) else (Y, X)
-                if backend == "sign":
-                    diff[(a, b)] = eps_sign(n, small, big)
-                else:
-                    diff[(a, b)] = signed_dot(n, X, Y)
+    for k, X, Y in adjacent_pairs(n, grading):
+        a, b = sids[(X, k)], sids[(Y, k + 1)]
+        small, big = (X, Y) if len(Y) > len(X) else (Y, X)
+        if backend == "sign":
+            diff[(a, b)] = eps_sign(n, small, big)
+        else:
+            diff[(a, b)] = signed_dot(n, X, Y)
     return summands, diff, sids
 
 
@@ -381,22 +393,22 @@ def verify_N_equals_M(n, I):
     J = frozenset((i + 1) % n for i in I)
     comps = tau_components(n, I)
     sets = n_sets(n, I)
+    # Y and (-1)^{a(X)} of each X, shared by every edge at X
+    per_X = {}
+    for members in sets.values():
+        for X in members:
+            if X not in per_X:
+                per_X[X] = (correspondent_Y(n, I, X), crossover_sign(n, I, X))
     edges = {}
-    for k in sorted(sets):
-        if k + 1 not in sets:
-            continue
-        for X in sets[k]:
-            for X2 in sets[k + 1]:
-                if len(X ^ X2) != 1:
-                    continue
-                (x,) = X ^ X2
-                Y = correspondent_Y(n, I, X)
-                Y2 = correspondent_Y(n, I, X2)
-                if len(Y ^ Y2) != 1:
-                    raise AssertionError("correspondents are not adjacent")
-                eps_n = eps_sign(n, *(sorted((X, X2), key=len)))
-                eps_m = eps_sign(n, *(sorted((Y, Y2), key=len)))
-                edges[((X, k), (X2, k + 1))] = (eps_n, eps_m, x, Y, Y2)
+    for k, X, X2 in adjacent_pairs(n, sets):
+        (x,) = X ^ X2
+        Y = per_X[X][0]
+        Y2 = per_X[X2][0]
+        if len(Y ^ Y2) != 1:
+            raise AssertionError("correspondents are not adjacent")
+        eps_n = eps_sign(n, *(sorted((X, X2), key=len)))
+        eps_m = eps_sign(n, *(sorted((Y, Y2), key=len)))
+        edges[((X, k), (X2, k + 1))] = (eps_n, eps_m, x, Y, Y2)
     # (a) solve the diagonal sign by propagation (the graph is connected
     # for every I since N_I is indecomposable)
     signs = {}
@@ -431,7 +443,7 @@ def verify_N_equals_M(n, I):
         big_x = X if x in X else X2
         full_min_move = len(comp) > 1 and set(comp) <= big_x and x == comp[0]
         predicted = (-1) ** (len(comp) - 1) if full_min_move else 1
-        a_ratio = crossover_sign(n, I, X) * crossover_sign(n, I, X2)
+        a_ratio = per_X[X][1] * per_X[X2][1]
         if a_ratio != predicted:
             raise AssertionError(
                 f"(-1)^a(X) does not solve the discrepancy at x={x}"

@@ -5,6 +5,7 @@ import pytest
 from affhecke import bimod, homalg
 from affhecke.bimod import eps_sign
 from affhecke.complexes import (
+    adjacent_pairs,
     build_F,
     build_Fstar,
     build_I,
@@ -271,7 +272,22 @@ def test_tensorBI_examples():
     assert len(cert["survivors"]) == 4
 
 
-@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_adjacent_pairs_match_pairwise_scan(n):
+    gradings = [build_P(n), build_Q(n)] + [n_sets(n, I) for I in proper_subsets(n)]
+    for grading in gradings:
+        expected = [
+            (k, X, Y)
+            for k in sorted(grading)
+            if k + 1 in grading
+            for X in grading[k]
+            for Y in grading[k + 1]
+            if len(X ^ Y) == 1
+        ]
+        assert list(adjacent_pairs(n, grading)) == expected
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_crossover(n):
     for I in proper_subsets(n):
         assert verify_N_equals_M(n, I)
