@@ -7,14 +7,13 @@ crossover signs, the object-level Gaussian-elimination certificate for
 tensoring with a longest element, the nulhomotopy H for left multiplication
 by x_1, and the n=2 commutation squares for the twisting map phi_s.
 
-Sign-level checks run at any small n; exact bimodule-matrix checks are kept
-to n <= 4 where ranks stay within 2^3.
+Sign-level checks run at any small n; exact bimodule-matrix checks run up
+to n = cli.BIMODULE_EXACT_MAX (5).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import bimod, homalg
 from .bimod import eps_sign, preferred_word, signed_dot
@@ -82,16 +81,23 @@ def adjacent_pairs(n, grading):
 
     grading maps k -> list of subsets of Z/n.  The neighbours of X are the
     n subsets with one index toggled, looked up by position in the next
-    layer.
+    layer; the Y yielded are the subset objects of that layer.
     """
     for k in sorted(grading):
         if k + 1 not in grading:
             continue
-        position = {Y: p for p, Y in enumerate(grading[k + 1])}
+        layer = grading[k + 1]
+        position = {Y: p for p, Y in enumerate(layer)}
         for X in grading[k]:
             toggled = (X ^ {x} for x in range(n))
-            for Y in sorted((Z for Z in toggled if Z in position), key=position.get):
-                yield k, X, Y
+            for p in sorted(position[Z] for Z in toggled if Z in position):
+                yield k, X, layer[p]
+
+
+def summand_label(n, X, backend):
+    """The label of the summand B_X: X itself at the sign level, the
+    preferred word of X over bimodules."""
+    return X if backend == "sign" else preferred_word(n, X)
 
 
 def _dot_entries(n, grading, backend):
@@ -106,8 +112,7 @@ def _dot_entries(n, grading, backend):
         for X in grading[k]:
             sid = len(summands)
             sids[(X, k)] = sid
-            label = X if backend == "sign" else preferred_word(n, X)
-            summands.append(Summand(sid, label, k, k))
+            summands.append(Summand(sid, summand_label(n, X, backend), k, k))
     diff = {}
     for k, X, Y in adjacent_pairs(n, grading):
         a, b = sids[(X, k)], sids[(Y, k + 1)]
@@ -140,13 +145,6 @@ def build_I(n, backend="sign"):
     return Pseudocomplex(arithmetic, summands, diff, validate=False)
 
 
-def _find_summand(p, X, degree):
-    for s in p.summands:
-        if s.degree == degree and summand_subset(s.label) == X:
-            return s
-    return None
-
-
 def inner_inclusion(n, F=None, I=None):
     """The inclusion I(1)[-1] -> F (identity on the selected summands)."""
     F = F if F is not None else build_F(n)
@@ -155,7 +153,8 @@ def inner_inclusion(n, F=None, I=None):
     ar = F.arithmetic
     entries = {}
     for s in shifted.summands:
-        tgt = _find_summand(F, summand_subset(s.label), s.degree)
+        label = summand_label(n, summand_subset(s.label), ar.name)
+        tgt = F.by_label.get((label, s.degree))
         if tgt is None:
             raise ValueError("inner complex summand missing from F")
         entries[(s.sid, tgt.sid)] = ar.identity(tgt.label)
@@ -170,7 +169,8 @@ def inner_projection(n, F=None, I=None):
     ar = F.arithmetic
     entries = {}
     for s in shifted.summands:
-        src = _find_summand(F, summand_subset(s.label), s.degree)
+        label = summand_label(n, summand_subset(s.label), ar.name)
+        src = F.by_label.get((label, s.degree))
         if src is None:
             raise ValueError("inner complex summand missing from F")
         entries[(src.sid, s.sid)] = ar.identity(src.label)
@@ -181,12 +181,10 @@ def monodromy_map(n, F=None):
     """mu: F -> F(-2)[2], the identity on each summand of P_k cap P_{k+2}."""
     F = F if F is not None else build_F(n)
     ar = F.arithmetic
-    p = build_P(n)
     entries = {}
     for s in F.summands:
-        X = summand_subset(s.label)
-        if s.degree + 2 in p and X in p[s.degree + 2]:
-            tgt = _find_summand(F, X, s.degree + 2)
+        tgt = F.by_label.get((s.label, s.degree + 2))
+        if tgt is not None:
             entries[(s.sid, tgt.sid)] = ar.identity(s.label)
     return ChainMap(F, F, entries, degree_shift=2, grading_shift=-2)
 
@@ -374,6 +372,35 @@ def _slot_parity(n, Z, x, aleph):
     return (-1) ** before
 
 
+def propagate_signs(nodes, edges):
+    """The +-1 on every node with sign(b) = ratio * sign(a) on each edge.
+
+    edges yields (a, b, ratio) with ratio +-1; the first node of each
+    connected component in the order of `nodes` gets +1, and the rest follow
+    by propagation.  Returns None when some cycle has ratio product -1.
+    """
+    adjacency = {}
+    for a, b, ratio in edges:
+        adjacency.setdefault(a, []).append((b, ratio))
+        adjacency.setdefault(b, []).append((a, ratio))
+    signs = {}
+    for start in nodes:
+        if start in signs:
+            continue
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for nb, ratio in adjacency.get(node, ()):
+                want = ratio * signs[node]
+                if nb not in signs:
+                    signs[nb] = want
+                    stack.append(nb)
+                elif signs[nb] != want:
+                    return None
+    return signs
+
+
 def verify_N_equals_M(n, I):
     """The signed crossover makes N_I and M_{tau(I)} isomorphic.
 
@@ -411,32 +438,14 @@ def verify_N_equals_M(n, I):
         edges[((X, k), (X2, k + 1))] = (eps_n, eps_m, x, Y, Y2)
     # (a) solve the diagonal sign by propagation (the graph is connected
     # for every I since N_I is indecomposable)
-    signs = {}
-    adjacency = {}
-    for (a, b) in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    nodes = sorted(adjacency, key=lambda nk: (nk[1], sorted(nk[0])))
-    for start in nodes:
-        if start in signs:
-            continue
-        signs[start] = 1
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nb in adjacency[node]:
-                key = (node, nb) if (node, nb) in edges else (nb, node)
-                eps_n, eps_m, *_ = edges[key]
-                ratio = eps_n * eps_m
-                if nb in signs:
-                    if signs[nb] != ratio * signs[node]:
-                        raise AssertionError(
-                            f"no diagonal sign isomorphism N_I = M_J for "
-                            f"I={sorted(I)}"
-                        )
-                else:
-                    signs[nb] = ratio * signs[node]
-                    stack.append(nb)
+    nodes = [(X, k) for k in sorted(sets) for X in sets[k]]
+    ratios = (
+        (a, b, eps_n * eps_m) for (a, b), (eps_n, eps_m, *_) in edges.items()
+    )
+    if propagate_signs(nodes, ratios) is None:
+        raise AssertionError(
+            f"no diagonal sign isomorphism N_I = M_J for I={sorted(I)}"
+        )
     # (b) + (c): the discrepancy mechanism and the a(X) bookkeeping
     for ((X, k), (X2, k2)), (eps_n, eps_m, x, Y, Y2) in edges.items():
         comp = next(c for c in comps if x in c)
@@ -620,47 +629,21 @@ def tau_equivariance_signs(n):
     consistent assignment exists.
     """
     p = build_P(n)
-    entries = {}
-    adjacency = {}
-    for k in sorted(p):
-        if k + 1 not in p:
-            continue
-        for X in p[k]:
-            for Y in p[k + 1]:
-                if len(X ^ Y) == 1:
-                    entries[(X, k, Y)] = eps_sign(n, *(sorted((X, Y), key=len)))
-                    adjacency.setdefault((X, k), []).append((Y, k + 1))
-                    adjacency.setdefault((Y, k + 1), []).append((X, k))
-    nodes = sorted(
-        {(X, k) for k in p for X in p[k]}, key=lambda nk: (nk[1], sorted(nk[0]))
+
+    def eps(X, Y):
+        return eps_sign(n, *(sorted((X, Y), key=len)))
+
+    def tau(X):
+        return frozenset((x + 1) % n for x in X)
+
+    # the ratio s_Y / s_X forced by matching tau-rotated differentials
+    edges = (
+        ((X, k), (Y, k + 1), eps(X, Y) * eps(tau(X), tau(Y)))
+        for k, X, Y in adjacent_pairs(n, p)
     )
-
-    def edge_ratio(a, b):
-        # ratio s_b / s_a forced by matching tau-rotated differentials
-        (X, kx), (Y, ky) = (a, b) if a[1] < b[1] else (b, a)
-        e = entries[(X, kx, Y)]
-        tX = frozenset((x + 1) % n for x in X)
-        tY = frozenset((y + 1) % n for y in Y)
-        return entries[(tX, kx, tY)] * e
-
-    signs = {}
-    for start in nodes:
-        if start in signs:
-            continue
-        signs[start] = 1
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nb in adjacency.get(node, []):
-                r = edge_ratio(node, nb)
-                if nb in signs:
-                    if signs[nb] != r * signs[node]:
-                        raise AssertionError(
-                            "no diagonal sign isomorphism tau(F) = F"
-                        )
-                else:
-                    signs[nb] = r * signs[node]
-                    stack.append(nb)
+    signs = propagate_signs([(X, k) for k in sorted(p) for X in p[k]], edges)
+    if signs is None:
+        raise AssertionError("no diagonal sign isomorphism tau(F) = F")
     return signs
 
 
@@ -710,12 +693,15 @@ def build_H_homotopy(n, F=None):
     subset of S \\ {1} in its maximal homological degree).
     """
     F = F if F is not None else build_F(n, "bimodule")
+
+    def sid(X, degree):
+        return F.by_label[(summand_label(n, X, F.arithmetic.name), degree)].sid
+
     entries = {}
     for s in F.summands:
         X = summand_subset(s.label)
         if 1 in X:
-            tgt = _find_summand(F, X - {1}, s.degree - 1)
-            entries[(s.sid, tgt.sid)] = signed_dot(n, X, X - {1})
+            entries[(s.sid, sid(X - {1}, s.degree - 1))] = signed_dot(n, X, X - {1})
         elif s.degree == n - 1 - len(X):
             for i in range(n):
                 if i == 1 or i in X:
@@ -723,9 +709,8 @@ def build_H_homotopy(n, F=None):
                 Y = X | {i}
                 if len(Y) >= n:
                     continue
-                tgt = _find_summand(F, Y, s.degree - 1)
                 mor = signed_dot(n, X, Y)
-                key = (s.sid, tgt.sid)
+                key = (s.sid, sid(Y, s.degree - 1))
                 entries[key] = -mor if key not in entries else entries[key] - mor
     return homalg.Homotopy(F, F, entries, grading_shift=2)
 

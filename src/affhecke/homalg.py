@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import bimod, polymat
 from .rings import RingElement, divide_by_delta, parse_ring_element
@@ -287,6 +286,36 @@ class BimoduleArithmetic:
         return tuple(data)
 
 
+def compose_entries(ar, later, earlier):
+    """later o earlier for sparse entry dicts (a, b) -> morphism.
+
+    `later` is indexed by source once, so each entry of `earlier` meets only
+    the entries of `later` leaving its target.  Products are summed per
+    (a, c); zero sums are dropped.
+    """
+    by_src = {}
+    for (b, c), mor in later.items():
+        by_src.setdefault(b, []).append((c, mor))
+    out = {}
+    for (a, b), first in earlier.items():
+        for c, second in by_src.get(b, ()):
+            term = ar.compose(second, first)
+            cur = out.get((a, c))
+            out[(a, c)] = term if cur is None else ar.add(cur, term)
+    return {k: v for k, v in out.items() if not ar.is_zero(v)}
+
+
+def add_entries(ar, first, second, sign=1):
+    """first + sign * second for sparse entry dicts; zero sums are dropped."""
+    out = dict(first)
+    for key, mor in second.items():
+        if sign < 0:
+            mor = ar.negate(mor)
+        cur = out.get(key)
+        out[key] = mor if cur is None else ar.add(cur, mor)
+    return {k: v for k, v in out.items() if not ar.is_zero(v)}
+
+
 class Pseudocomplex:
     """Summands plus a sparse differential; d^2 must be a multiple of delta."""
 
@@ -296,6 +325,9 @@ class Pseudocomplex:
         self.by_sid = {s.sid: s for s in self.summands}
         if len(self.by_sid) != len(self.summands):
             raise ValueError("duplicate summand ids")
+        # (label, degree) -> summand; looked up only in complexes whose
+        # labels are unique per degree, such as F and its tensor products
+        self.by_label = {(s.label, s.degree): s for s in self.summands}
         self.diff = {}
         for (a, b), mor in diff.items():
             if arithmetic.is_zero(mor):
@@ -329,21 +361,7 @@ class Pseudocomplex:
 
     def d_squared(self):
         """Sparse matrix of d^2 as a dict (a, c) -> morphism."""
-        ar = self.arithmetic
-        out = {}
-        by_src = {}
-        for (a, b), mor in self.diff.items():
-            by_src.setdefault(a, []).append((b, mor))
-        for (a, b), first in self.diff.items():
-            for c, second in by_src.get(b, []):
-                term = ar.compose(second, first)
-                if ar.is_zero(term):
-                    continue
-                if (a, c) in out:
-                    out[(a, c)] = ar.add(out[(a, c)], term)
-                else:
-                    out[(a, c)] = term
-        return {k: v for k, v in out.items() if not ar.is_zero(v)}
+        return compose_entries(self.arithmetic, self.diff, self.diff)
 
     def monodromy(self):
         """The unique mu with d^2 = mu . delta, as a ChainMap P -> P(-2)[2].
@@ -705,28 +723,15 @@ class ChainMap:
 
     def compose(self, other):
         """self after other."""
-        ar = self.src.arithmetic
-        out = {}
-        for (a, b), first in other.entries.items():
-            for (b2, c), second in self.entries.items():
-                if b2 != b:
-                    continue
-                term = ar.compose(second, first)
-                if ar.is_zero(term):
-                    continue
-                key = (a, c)
-                out[key] = term if key not in out else ar.add(out[key], term)
         return ChainMap(
-            other.src, self.tgt, out,
+            other.src, self.tgt,
+            compose_entries(self.src.arithmetic, self.entries, other.entries),
             self.degree_shift + other.degree_shift,
             self.grading_shift + other.grading_shift,
         )
 
     def add(self, other):
-        ar = self.src.arithmetic
-        out = dict(self.entries)
-        for k, m in other.entries.items():
-            out[k] = m if k not in out else ar.add(out[k], m)
+        out = add_entries(self.src.arithmetic, self.entries, other.entries)
         return ChainMap(self.src, self.tgt, out, self.degree_shift, self.grading_shift)
 
     def negate(self):
@@ -752,25 +757,12 @@ class ChainMap:
     def defect(self):
         """d_tgt f - (-1)^degree_shift f d_src, as raw entries."""
         ar = self.src.arithmetic
-        out = {}
-
-        def bump(key, mor, negate=False):
-            mor = ar.negate(mor) if negate else mor
-            if key in out:
-                out[key] = ar.add(out[key], mor)
-            else:
-                out[key] = mor
-
-        for (a, b), f in self.entries.items():
-            for (b2, c), d in self.tgt.diff.items():
-                if b2 == b:
-                    bump((a, c), ar.compose(d, f))
-        sign = self.degree_shift % 2 == 1
-        for (a, b), d in self.src.diff.items():
-            for (b2, c), f in self.entries.items():
-                if b2 == b:
-                    bump((a, c), ar.compose(f, d), negate=not sign)
-        return {k: v for k, v in out.items() if not ar.is_zero(v)}
+        return add_entries(
+            ar,
+            compose_entries(ar, self.tgt.diff, self.entries),
+            compose_entries(ar, self.entries, self.src.diff),
+            sign=-1 if self.degree_shift % 2 == 0 else 1,
+        )
 
     def nu(self):
         """The exact quotient of the defect by delta (pseudochain property)."""
@@ -802,22 +794,11 @@ class Homotopy(ChainMap):
     def nulhomotopic_map(self):
         """dh + hd as a ChainMap src -> tgt."""
         ar = self.src.arithmetic
-        out = {}
-
-        def bump(key, mor):
-            if key in out:
-                out[key] = ar.add(out[key], mor)
-            else:
-                out[key] = mor
-
-        for (a, b), h in self.entries.items():
-            for (b2, c), d in self.tgt.diff.items():
-                if b2 == b:
-                    bump((a, c), ar.compose(d, h))
-        for (a, b), d in self.src.diff.items():
-            for (b2, c), h in self.entries.items():
-                if b2 == b:
-                    bump((a, c), ar.compose(h, d))
+        out = add_entries(
+            ar,
+            compose_entries(ar, self.tgt.diff, self.entries),
+            compose_entries(ar, self.entries, self.src.diff),
+        )
         return ChainMap(self.src, self.tgt, out, 0, self.grading_shift)
 
 

@@ -2,6 +2,8 @@
 
 Matrices are tuples of tuples of RingElement, all sharing the same n.  Used
 by the bimodule model and by the matrix backend of the pseudocomplex engine.
+Also the one exact rational elimination routine (`echelon` with
+`back_substitute`): ranks, nullspaces, linear solutions and inverses.
 """
 
 from __future__ import annotations
@@ -115,24 +117,69 @@ def mat_constant_part(a):
     return [[x.constant_coefficient() for x in row] for row in a]
 
 
+def echelon(rows):
+    """Forward Gaussian elimination of sparse rational rows, in order.
+
+    A row is a dict column -> coefficient; columns are any mutually
+    comparable keys.  Each row is reduced against the pivots found so far, in
+    increasing column order; a nonzero remainder is scaled to a leading 1 at
+    its smallest column, which becomes a new pivot.  Returns {pivot column:
+    reduced row}, whose length is the rank; a reduced row has 0 at every
+    pivot found before it.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for col in sorted(pivots):
+            f = row.pop(col, 0)
+            if not f:
+                continue
+            for c, v in pivots[col].items():
+                if c != col:
+                    x = row.get(c, 0) - f * v
+                    if x:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
+        if row:
+            col = min(row)
+            inv = Fraction(1, row[col])
+            pivots[col] = {c: inv * v for c, v in row.items()}
+    return pivots
+
+
+def back_substitute(pivots, free):
+    """The solution x of the reduced rows of `echelon` (each row dotted with
+    x is 0) whose non-pivot columns take the values in `free` (0 where
+    absent), as a dict of its nonzero values.
+
+    Setting one free column to 1 gives a nullspace basis vector; a
+    right-hand side kept as a last column and set to -1 gives a particular
+    solution.
+    """
+    x = {c: v for c, v in free.items() if v}
+    for col in sorted(pivots, reverse=True):
+        val = 0
+        for c, v in pivots[col].items():
+            if c != col and c in x:
+                val -= v * x[c]
+        if val:
+            x[col] = val
+    return x
+
+
 def _rational_inverse(rows):
+    """The inverse of a square rational matrix, from [A | I]; raises
+    ArithmeticError when A is singular."""
     size = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(size)]
-        for r, row in enumerate(rows)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("constant part is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+    pivots = echelon(
+        {**dict(enumerate(row)), size + r: 1} for r, row in enumerate(rows)
+    )
+    if any(col >= size for col in pivots):
+        raise ArithmeticError("constant part is singular")
+    columns = [back_substitute(pivots, {size + c: -1}) for c in range(size)]
+    zero = Fraction(0)
+    return [[columns[c].get(r, zero) for c in range(size)] for r in range(size)]
 
 
 def mat_invert(a):

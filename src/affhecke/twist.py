@@ -11,30 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import bimod, homalg
+from . import bimod, homalg, polymat
 from .bimod import Morphism, basis_degree, rank
 from .complexes import build_F
-from .homalg import BimoduleArithmetic, one_term_complex
+from .homalg import BimoduleArithmetic, add_entries, compose_entries, one_term_complex
 from .rings import RingElement
 
 
 def _delta_zero_complex(p):
     diff = {k: bimod.subs_delta_zero(m) for k, m in p.diff.items()}
     return homalg.Pseudocomplex(p.arithmetic, p.summands, diff, validate=False)
-
-
-def _compose_entry_maps(q_complex, later, earlier, arithmetic):
-    out = {}
-    for (a, b), first in earlier.items():
-        for (b2, c), second in later.items():
-            if b2 != b:
-                continue
-            term = second.compose(first)
-            if term.is_zero():
-                continue
-            key = (a, c)
-            out[key] = term if key not in out else out[key] + term
-    return out
 
 
 def side_complexes(s):
@@ -59,25 +45,9 @@ def phi_s(s):
     t = (s + 1) % n
     F, BsF, FBt = side_complexes(s)
 
-    def f_sid(prod, X, degree, left=None, right=None):
-        for summand in prod.summands:
-            if summand.degree != degree:
-                continue
-            word = tuple(summand.label)
-            if left is not None:
-                if word[:1] != (left,):
-                    continue
-                core = word[1:]
-            else:
-                if word[-1:] != (right,):
-                    continue
-                core = word[:-1]
-            if frozenset(core) == X:
-                return summand.sid
-        raise KeyError((X, degree))
+    def sid(p, label):
+        return p.by_label[(label, 0)].sid
 
-    sS = frozenset({s})
-    sT = frozenset({t})
     mor22 = bimod.startdot(n, (s,), 1, t).compose(bimod.merge(n, (s, s), 0))
     cap = bimod.enddot(n, (s,), 0).compose(bimod.merge(n, (s, s), 0))
     cup = bimod.split(n, (t,), 0).compose(bimod.startdot(n, (), 0, t))
@@ -85,10 +55,10 @@ def phi_s(s):
     mor23 = -Morphism.identity(n, (s, t))
     mor33 = bimod.split(n, (t,), 0).compose(bimod.enddot(n, (s, t), 0))
     entries = {
-        (f_sid(BsF, sS, 0, left=s), f_sid(FBt, sS, 0, right=t)): mor22,
-        (f_sid(BsF, sS, 0, left=s), f_sid(FBt, sT, 0, right=t)): mor32,
-        (f_sid(BsF, sT, 0, left=s), f_sid(FBt, sS, 0, right=t)): mor23,
-        (f_sid(BsF, sT, 0, left=s), f_sid(FBt, sT, 0, right=t)): mor33,
+        (sid(BsF, (s, s)), sid(FBt, (s, t))): mor22,
+        (sid(BsF, (s, s)), sid(FBt, (t, t))): mor32,
+        (sid(BsF, (s, t)), sid(FBt, (s, t))): mor23,
+        (sid(BsF, (s, t)), sid(FBt, (t, t))): mor33,
     }
     return homalg.ChainMap(BsF, FBt, entries)
 
@@ -102,55 +72,34 @@ def startdot_square_defect(s):
     top = {}
     bottom_first = {}
     for summand in F.summands:
-        word = tuple(summand.label)
-        # target is the pair (same F-summand, B_t); match by the full word
-        tgt = next(
-            p.sid
-            for p in FBt.summands
-            if p.degree == summand.degree and tuple(p.label) == word + (t,)
-        )
+        word, k = tuple(summand.label), summand.degree
+        tgt = FBt.by_label[(word + (t,), k)].sid
         top[(summand.sid, tgt)] = bimod.startdot(n, word, len(word), t)
-        src_pair = next(
-            p.sid
-            for p in BsF.summands
-            if p.degree == summand.degree and tuple(p.label) == (s,) + word
-        )
+        src_pair = BsF.by_label[((s,) + word, k)].sid
         bottom_first[(summand.sid, src_pair)] = bimod.startdot(n, word, 0, s)
-    bottom = _compose_entry_maps(FBt, phi.entries, bottom_first, F.arithmetic)
-    out = dict(top)
-    for key, mor in bottom.items():
-        out[key] = (out[key] - mor) if key in out else -mor
+    ar = F.arithmetic
+    bottom = compose_entries(ar, phi.entries, bottom_first)
+    out = add_entries(ar, top, bottom, sign=-1)
     return homalg.ChainMap(F, FBt, out, grading_shift=1), F, FBt
 
 
 def enddot_square_defect(s):
     """g' = (F (x) enddot_t) o phi_s - (enddot_s (x) F): B_s F -> F (1)."""
     n = 2
-    t = (s + 1) % n
     F, BsF, FBt = side_complexes(s)
     phi = phi_s(s)
     after = {}
     for summand in FBt.summands:
         word = tuple(summand.label)
-        tgt = next(
-            p.sid
-            for p in F.summands
-            if p.degree == summand.degree and tuple(p.label) == word[:-1]
-        )
+        tgt = F.by_label[(word[:-1], summand.degree)].sid
         after[(summand.sid, tgt)] = bimod.enddot(n, word, len(word) - 1)
-    first = _compose_entry_maps(F, after, phi.entries, F.arithmetic)
     second = {}
     for summand in BsF.summands:
         word = tuple(summand.label)
-        tgt = next(
-            p.sid
-            for p in F.summands
-            if p.degree == summand.degree and tuple(p.label) == word[1:]
-        )
+        tgt = F.by_label[(word[1:], summand.degree)].sid
         second[(summand.sid, tgt)] = bimod.enddot(n, word, 0)
-    out = dict(first)
-    for key, mor in second.items():
-        out[key] = (out[key] - mor) if key in out else -mor
+    ar = F.arithmetic
+    out = add_entries(ar, compose_entries(ar, after, phi.entries), second, sign=-1)
     return homalg.ChainMap(BsF, F, out, grading_shift=1), BsF, F
 
 
@@ -188,40 +137,26 @@ class _LinearSystem:
 
     def solve(self):
         """Returns (particular solution list or None, nullity)."""
-        rows = [dict(r) for r in self.rows]
-        rhs = list(self.rhs)
-        pivots = {}
-        for i in range(len(rows)):
-            row, b = rows[i], rhs[i]
-            for col, coeff in sorted(pivots.items()):
-                j = coeff
-                if col in row:
-                    f = row.pop(col)
-                    for c2, v2 in rows[j].items():
-                        if c2 != col:
-                            row[c2] = row.get(c2, Fraction(0)) + (-f) * v2
-                    b -= f * rhs[j]
-                    row = {c: v for c, v in row.items() if v}
-            if not row:
-                if b:
-                    return None, None
-                rows[i], rhs[i] = {}, Fraction(0)
-                continue
-            col = min(row)
-            inv = 1 / row[col]
-            row = {c: v * inv for c, v in row.items()}
-            b *= inv
-            rows[i], rhs[i] = row, b
-            pivots[col] = i
-        solution = [Fraction(0)] * self.nvars
-        for col in sorted(pivots, reverse=True):
-            i = pivots[col]
-            val = rhs[i]
-            for c, v in rows[i].items():
-                if c != col:
-                    val -= v * solution[c]
-            solution[col] = val
+        rhs = self.nvars  # the right-hand side, as a last column set to -1
+        pivots = polymat.echelon(
+            {**row, rhs: b} for row, b in zip(self.rows, self.rhs)
+        )
+        if rhs in pivots:
+            return None, None
+        x = polymat.back_substitute(pivots, {rhs: -1})
+        solution = [x.get(c, Fraction(0)) for c in range(self.nvars)]
         return solution, self.nvars - len(pivots)
+
+    def nullspace(self):
+        """A basis of the homogeneous solutions: one vector per non-pivot
+        column, which is set to 1 while the other non-pivot columns are 0."""
+        pivots = polymat.echelon(self.rows)
+        basis = []
+        for free in range(self.nvars):
+            if free not in pivots:
+                x = polymat.back_substitute(pivots, {free: 1})
+                basis.append([x.get(c, Fraction(0)) for c in range(self.nvars)])
+        return basis
 
 
 class HomotopyProblem:
@@ -443,98 +378,22 @@ class HomotopyProblem:
 
 
 def _boundary_dimension(p, q, drop, twist):
-    """Dimension of {dK - Kd} over the double-homotopy candidates."""
-    problem_k = HomotopyProblem(p, q, drop + 1, twist)
-    sol, nullity = problem_k.solve()
-    if sol is None:
-        raise AssertionError("double homotopy space is inconsistent")
-    # basis of the K-space: solve the homogeneous system and read off the
-    # free directions; then compute the rank of K -> dK - Kd
-    kp = _delta_zero_complex(p)
-    kq = _delta_zero_complex(q)
+    """Dimension of {dK - Kd} over the double-homotopy candidates K.
+
+    The candidates solve homogeneous equations only, so the K-space is a
+    nullspace; its rank under K -> dK - Kd is taken mod delta.
+    """
+    problem = HomotopyProblem(p, q, drop + 1, twist)
+    kp, kq = problem.p, problem.q
+    ar = kp.arithmetic
     images = []
-    free_cols = _free_columns(problem_k.system)
-    for col in free_cols:
-        vec = _homogeneous_solution(problem_k.system, col)
-        entries = problem_k.solution_to_entries(vec)
-        boundary = _boundary_of(kp, kq, entries)
-        images.append(boundary)
+    for vec in problem.system.nullspace():
+        entries = problem.solution_to_entries(vec)
+        images.append(add_entries(
+            ar, compose_entries(ar, kq.diff, entries),
+            compose_entries(ar, entries, kp.diff), sign=-1,
+        ))
     return _rank_of_entry_maps(images)
-
-
-def _free_columns(system):
-    rows = [dict(r) for r in system.rows]
-    pivots = {}
-    for i in range(len(rows)):
-        row = rows[i]
-        for col in sorted(pivots):
-            j = pivots[col]
-            if col in row:
-                f = row.pop(col)
-                for c2, v2 in rows[j].items():
-                    if c2 != col:
-                        row[c2] = row.get(c2, Fraction(0)) + (-f) * v2
-                row = {c: v for c, v in row.items() if v}
-        if row:
-            col = min(row)
-            inv = 1 / row[col]
-            rows[i] = {c: v * inv for c, v in row.items()}
-            pivots[col] = i
-        else:
-            rows[i] = {}
-    return [c for c in range(system.nvars) if c not in pivots]
-
-
-def _homogeneous_solution(system, free_col):
-    """The homogeneous solution with the given free variable set to 1."""
-    rows = [dict(r) for r in system.rows]
-    pivots = {}
-    for i in range(len(rows)):
-        row = rows[i]
-        for col in sorted(pivots):
-            j = pivots[col]
-            if col in row:
-                f = row.pop(col)
-                for c2, v2 in rows[j].items():
-                    if c2 != col:
-                        row[c2] = row.get(c2, Fraction(0)) + (-f) * v2
-                row = {c: v for c, v in row.items() if v}
-        if row:
-            col = min(row)
-            inv = 1 / row[col]
-            rows[i] = {c: v * inv for c, v in row.items()}
-            pivots[col] = i
-        else:
-            rows[i] = {}
-    solution = [Fraction(0)] * system.nvars
-    solution[free_col] = Fraction(1)
-    for col in sorted(pivots, reverse=True):
-        i = pivots[col]
-        val = Fraction(0)
-        for c, v in rows[i].items():
-            if c != col:
-                val -= v * solution[c]
-        solution[col] = val
-    return solution
-
-
-def _boundary_of(p, q, entries):
-    """dK - Kd for a drop-2 entry dict: the homotopies of the zero map."""
-    out = {}
-
-    def bump(key, mor, sign=1):
-        mor = -mor if sign < 0 else mor
-        out[key] = mor if key not in out else out[key] + mor
-
-    for (a, b), k_mor in entries.items():
-        for (b2, c), d in q.diff.items():
-            if b2 == b:
-                bump((a, c), d.compose(k_mor))
-    for (a, b), d in p.diff.items():
-        for (b2, c), k_mor in entries.items():
-            if b2 == b:
-                bump((a, c), k_mor.compose(d), sign=-1)
-    return {k: m for k, m in out.items() if not m.is_zero()}
 
 
 def _rank_of_entry_maps(maps):
@@ -548,22 +407,7 @@ def _rank_of_entry_maps(maps):
                     for mono, coeff in x.terms.items():
                         vec[(a, b, r, c, mono)] = coeff
         coords.append(vec)
-    rank_count = 0
-    basis = []
-    for vec in coords:
-        vec = dict(vec)
-        for b in basis:
-            lead = b["lead"]
-            if lead in vec and vec[lead]:
-                f = Fraction(vec[lead]) / b["vec"][lead]
-                for k, v in b["vec"].items():
-                    vec[k] = vec.get(k, Fraction(0)) - f * v
-                vec = {k: v for k, v in vec.items() if v}
-        vec = {k: v for k, v in vec.items() if v}
-        if vec:
-            basis.append({"vec": vec, "lead": min(vec, key=repr)})
-            rank_count += 1
-    return rank_count
+    return len(polymat.echelon(coords))
 
 
 def verify_phi_squares_n2():

@@ -21,6 +21,7 @@ from affhecke.complexes import (
     monodromy_map,
     n_sets,
     n_symbol,
+    propagate_signs,
     summand_subset,
     tau_equivariance_signs,
     tensorBI_object_GE,
@@ -329,6 +330,27 @@ def test_tau_equivariance(n):
     # already enforced; additionally the orbit structure covers all summands
     p = build_P(n)
     assert len(signs) == sum(len(v) for v in p.values())
+    # every differential of F, rotated by tau, matches up to the signs
+    for k, X, Y in adjacent_pairs(n, p):
+        tX = frozenset((x + 1) % n for x in X)
+        tY = frozenset((y + 1) % n for y in Y)
+        eps = eps_sign(n, *sorted((X, Y), key=len))
+        eps_tau = eps_sign(n, *sorted((tX, tY), key=len))
+        assert signs[(Y, k + 1)] * eps_tau == eps * signs[(X, k)]
+
+
+def test_propagate_signs():
+    edges = [("a", "b", -1), ("b", "c", 1), ("d", "e", -1)]
+    # the first node of each component, in the given order, gets +1
+    assert propagate_signs(["b", "e", "a", "c", "d", "f"], edges) == {
+        "b": 1, "a": -1, "c": 1, "e": 1, "d": -1, "f": 1,
+    }
+    assert propagate_signs(["a", "d"], edges) == {
+        "a": 1, "b": -1, "c": -1, "d": 1, "e": -1,
+    }
+    # a cycle whose ratios multiply to -1 has no solution
+    assert propagate_signs(["a"], edges + [("c", "a", 1)]) is None
+    assert propagate_signs(["a"], edges + [("c", "a", -1)])["c"] == -1
 
 
 def test_fstar():

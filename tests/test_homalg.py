@@ -13,6 +13,7 @@ from affhecke.homalg import (
     Pseudocomplex,
     SignArithmetic,
     Summand,
+    compose_entries,
     one_term_complex,
 )
 from affhecke.polymat import mat_add, mat_scale
@@ -264,3 +265,58 @@ def test_degree_validation():
 def test_ge_suite_wrapper():
     for name, ok in ge_property_cases(seed=1, count=20):
         assert ok, name
+
+
+def pairwise_compose(ar, later, earlier):
+    """later o earlier by scanning every pair of entries; also returns the
+    number of (a, c) whose products cancel to zero."""
+    out = {}
+    for (a, b), first in earlier.items():
+        for (b2, c), second in later.items():
+            if b2 == b:
+                term = ar.compose(second, first)
+                out[(a, c)] = term if (a, c) not in out else ar.add(out[(a, c)], term)
+    kept = {k: v for k, v in out.items() if not ar.is_zero(v)}
+    return kept, len(out) - len(kept)
+
+
+def random_entries(rng, ranks, sources, targets, make):
+    return {
+        (a, b): make(ranks[b], ranks[a])
+        for a in sources
+        for b in targets
+        if rng.random() < 0.6
+    }
+
+
+@pytest.mark.parametrize("backend", ("sign", "matrix"))
+def test_compose_entries_matches_pairwise_scan(backend):
+    rng = random.Random(f"compose-entries/{backend}")
+    cancelled = 0
+    for _ in range(60):
+        ranks = [rng.randint(1, 2) for _ in range(12)]
+        if backend == "sign":
+            ar = SignArithmetic()
+
+            def make(rows, cols):
+                return rng.choice((1, -1, 1, -1, 2))
+        else:
+            ar = MatrixArithmetic(0)
+
+            def make(rows, cols):
+                def entry():
+                    return RingElement(0, {(rng.randint(0, 1),): rng.randint(-1, 1)})
+
+                return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+        a_ids, b_ids, c_ids = range(0, 4), range(4, 8), range(8, 12)
+        earlier = random_entries(rng, ranks, a_ids, b_ids, make)
+        later = random_entries(rng, ranks, b_ids, c_ids, make)
+        # entries of `later` whose source `earlier` never reaches
+        later.update(random_entries(rng, ranks, c_ids, a_ids, make))
+        expected, zeros = pairwise_compose(ar, later, earlier)
+        cancelled += zeros
+        got = compose_entries(ar, later, earlier)
+        assert got.keys() == expected.keys()
+        assert all(ar.equal(got[k], expected[k]) for k in got)
+        assert not any(ar.is_zero(v) for v in got.values())
+    assert cancelled >= 5

@@ -1,8 +1,10 @@
 import pytest
 
 from affhecke import bimod
+from affhecke.complexes import build_F
 from affhecke.twist import (
     HomotopyProblem,
+    _boundary_dimension,
     enddot_square_defect,
     phi_s,
     side_complexes,
@@ -51,7 +53,7 @@ def test_squares_commute_up_to_homotopy():
             assert sol is not None
             entries = problem.solution_to_entries(sol)
             # the solved homotopy really satisfies dh + hd = defect mod delta
-            from affhecke.twist import _boundary_of, _delta_zero_complex
+            from affhecke.twist import _delta_zero_complex
 
             null_map = {}
             p0, q0 = _delta_zero_complex(src), _delta_zero_complex(tgt)
@@ -80,16 +82,28 @@ def test_squares_commute_up_to_homotopy():
 
 def test_full_report():
     report = verify_phi_squares_n2()
-    assert len(report) == 4
-    for value in report.values():
-        assert value["kernel_dim"] == value["boundary_dim"]
+    expected = {"homotopy_entries": 2, "kernel_dim": 0, "boundary_dim": 0}
+    assert report == {
+        (s, name): expected for s in (0, 1) for name in ("startdot", "enddot")
+    }
+
+
+def test_homotopy_spaces_with_kernels():
+    # every kernel of the phi_s squares is 0, so only these spaces of
+    # self-maps of F reach the nullspace basis and the rank of K -> dK - Kd
+    f = build_F(2, "bimodule")
+    for (drop, twist), nullity, boundary in (
+        ((0, 2), 16, 3),
+        ((1, 2), 4, 1),
+        ((1, 4), 8, 2),
+    ):
+        assert HomotopyProblem(f, f, drop, twist).solve()[1] == nullity
+        assert _boundary_dimension(f, f, drop, twist) == boundary
 
 
 def test_perverse_homotopy_space_is_empty():
     # between perverse complexes every homotopy entry would be a bimodule
     # map of degree -1, and there are none: the solved space is zero
-    from affhecke.complexes import build_F
-
     for n in (2, 3):
         f = build_F(n, "bimodule")
         problem = HomotopyProblem(f, f, 1, 0)
