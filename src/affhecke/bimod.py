@@ -432,9 +432,20 @@ def preferred_word(n, X):
 
 
 @lru_cache(maxsize=None)
-def _eps_cached(n, X, Y):
+def eps_sign(n, X, Y):
+    """The total sign of the signed dot between B_X and B_Y (|Y| = |X|+1).
+
+    X and Y must be hashable (the callers pass frozensets): the cache is
+    keyed by them as given, so a hit costs one lookup, and indices are
+    reduced mod n and the pair validated only on a miss.  A bad pair raises
+    on every call, since exceptions are not cached.
+    """
+    X = frozenset(x % n for x in X)
+    Y = frozenset(y % n for y in Y)
+    if not (X < Y and len(Y) == len(X) + 1):
+        raise ValueError("subsets must differ by one added index")
     wy = preferred_word(n, Y)
-    (i,) = set(Y) - set(X)
+    (i,) = Y - X
     k = wy.index(i)
     reduced = wy[:k] + wy[k + 1:]
     sign = (-1) ** k
@@ -448,15 +459,6 @@ def _eps_cached(n, X, Y):
         if perm[a] > perm[b]
     )
     return sign * (-1) ** inversions
-
-
-def eps_sign(n, X, Y):
-    """The total sign of the signed dot between B_X and B_Y (|Y| = |X|+1)."""
-    X = frozenset(x % n for x in X)
-    Y = frozenset(y % n for y in Y)
-    if not (X < Y and len(Y) == len(X) + 1):
-        raise ValueError("subsets must differ by one added index")
-    return _eps_cached(n, X, Y)
 
 
 def signed_dot(n, A, B):

@@ -41,22 +41,29 @@ from .weyl import (
 )
 
 
-def build_P(n):
-    """P_k: proper subsets X with |X| <= n-1-|k| and n-1-k-|X| even."""
+def _graded_supersets(n, J):
+    """k -> the X in P_k containing J, in the order of build_P; layers
+    without such an X are left out."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    rest = [x for x in range(n) if x not in J]
     out = {}
     for k in range(-(n - 1), n):
         sets = []
-        for m in range(0, n - abs(k)):
+        for m in range(len(J), n - abs(k)):
             if (n - 1 - k - m) % 2:
                 continue
             sets.extend(
-                frozenset(c) for c in itertools.combinations(range(n), m)
+                J.union(c) for c in itertools.combinations(rest, m - len(J))
             )
         if sets:
             out[k] = sorted(sets, key=sorted)
     return out
+
+
+def build_P(n):
+    """P_k: proper subsets X with |X| <= n-1-|k| and n-1-k-|X| even."""
+    return _graded_supersets(n, frozenset())
 
 
 def build_Q(n):
@@ -209,34 +216,25 @@ def build_Fstar(n, backend="sign"):
 def check_d2_signs(n):
     """Sign-level d^2 check on F.
 
-    Off-diagonal entries must cancel in pairs; each diagonal entry
-    B_X(k) -> B_X(k+2) must be a sum of n positively-signed double dots (the
-    barbell sum equal to delta times the identity).
+    The dot signs, keyed ((X, k), (Y, k+1)), are composed with
+    homalg.compose_entries, which drops zero sums.  Off-diagonal entries
+    must cancel, so none may be left.  Each diagonal entry
+    B_X(k) -> B_X(k+2), for X in P_k and P_{k+2}, must equal n (the barbell
+    sum equal to delta times the identity): at most n paths join X to itself,
+    one per toggled index, so a sum of n holds exactly when all n paths exist
+    and each is +1.
     """
     p = build_P(n)
-    for k in sorted(p):
-        if k + 2 not in p:
-            continue
-        for X in p[k]:
-            mids = [
-                M
-                for M in p.get(k + 1, [])
-                if len(M ^ X) == 1
-            ]
-            for Y in p[k + 2]:
-                paths = []
-                for M in mids:
-                    if len(M ^ Y) != 1:
-                        continue
-                    s1 = eps_sign(n, *(sorted((X, M), key=len)))
-                    s2 = eps_sign(n, *(sorted((M, Y), key=len)))
-                    paths.append(s1 * s2)
-                if Y == X:
-                    if not (len(paths) == n and all(s == 1 for s in paths)):
-                        return False
-                elif paths and sum(paths) != 0:
-                    return False
-    return True
+    dots = {
+        ((X, k), (Y, k + 1)): eps_sign(n, *(sorted((X, Y), key=len)))
+        for k, X, Y in adjacent_pairs(n, p)
+    }
+    d2 = homalg.compose_entries(SignArithmetic(), dots, dots)
+    if any(X != Z or total != n for ((X, _), (Z, _)), total in d2.items()):
+        return False
+    return len(d2) == sum(
+        len(set(p[k]).intersection(p[k + 2])) for k in p if k + 2 in p
+    )
 
 
 def wakimoto_assignment(n):
@@ -312,22 +310,12 @@ def f_symbol(n, F=None, length_cap=DEFAULT_LENGTH_CAP):
 
 def n_sets(n, I):
     """N^I_k: the X in P_k containing tau(I)."""
-    J = frozenset((i + 1) % n for i in I)
-    return {
-        k: [X for X in sets if J <= X]
-        for k, sets in build_P(n).items()
-        if any(J <= X for X in sets)
-    }
+    return _graded_supersets(n, frozenset((i + 1) % n for i in I))
 
 
 def m_sets(n, J):
     """M^J_k: the Y in P_k containing I = tau^{-1}(J)."""
-    I = frozenset((j - 1) % n for j in J)
-    return {
-        k: [Y for Y in sets if I <= Y]
-        for k, sets in build_P(n).items()
-        if any(I <= Y for Y in sets)
-    }
+    return _graded_supersets(n, frozenset((j - 1) % n for j in J))
 
 
 def build_N(n, I):

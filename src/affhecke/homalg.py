@@ -15,6 +15,7 @@ multiplicatively), and exact Bott-Samelson bimodule morphisms.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -316,6 +317,70 @@ def add_entries(ar, first, second, sign=1):
     return {k: v for k, v in out.items() if not ar.is_zero(v)}
 
 
+def _check_entry_degree(ar, sa, sb, mor):
+    """Raise unless the entry sa -> sb has the degree of the grading shifts."""
+    deg = ar.degree_of(mor, sa.label, sb.label)
+    if deg is not None and deg != sb.shift - sa.shift:
+        raise ValueError(
+            f"entry {sa.sid}->{sb.sid} has degree {deg}, expected "
+            f"{sb.shift - sa.shift} from the grading shifts"
+        )
+
+
+def _entry_index(diff):
+    """The targets of each source and the sources of each target of diff."""
+    out_of, into = {}, {}
+    for a, b in diff:
+        out_of.setdefault(a, set()).add(b)
+        into.setdefault(b, set()).add(a)
+    return out_of, into
+
+
+def _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id):
+    """Gaussian elimination of the invertible entry phi: F -> F', in place.
+
+    diff is a mutable sparse differential with the indices of _entry_index.
+    For every d: b -> F' and e: F -> c with b != F, c != F', the entry b -> c
+    becomes d(b, c) - e phi^{-1} d; zero sums are dropped, every other
+    written entry passes the degree check of the constructor, and the rows
+    and columns of F and F' are removed.  Only the neighbours of the pair are
+    visited.  Returns (phi^{-1}, [(b, phi^{-1} d)], [(c, e)], written keys).
+    """
+    phi_inv = ar.invert(diff[(f_id, fp_id)])
+    lefts = [
+        (b, ar.compose(phi_inv, diff[(b, fp_id)]))
+        for b in into.get(fp_id, ()) if b != f_id
+    ]
+    rights = [(c, diff[(f_id, c)]) for c in out_of.get(f_id, ()) if c != fp_id]
+    for sid in (f_id, fp_id):
+        for b in into.pop(sid, ()):
+            del diff[(b, sid)]
+            out_of[b].discard(sid)
+        for c in out_of.pop(sid, ()):
+            del diff[(sid, c)]
+            into[c].discard(sid)
+    written = []
+    for b, left in lefts:
+        sb = by_sid[b]
+        for c, e in rights:
+            key = (b, c)
+            term = ar.negate(ar.compose(e, left))
+            cur = diff.get(key)
+            mor = term if cur is None else ar.add(cur, term)
+            if ar.is_zero(mor):
+                if cur is not None:
+                    del diff[key]
+                    out_of[b].discard(c)
+                    into[c].discard(b)
+                continue
+            _check_entry_degree(ar, sb, by_sid[c], mor)
+            diff[key] = mor
+            out_of.setdefault(b, set()).add(c)
+            into.setdefault(c, set()).add(b)
+            written.append(key)
+    return phi_inv, lefts, rights, written
+
+
 class Pseudocomplex:
     """Summands plus a sparse differential; d^2 must be a multiple of delta."""
 
@@ -337,12 +402,7 @@ class Pseudocomplex:
                 raise ValueError(
                     f"differential entry {a}->{b} does not raise degree by 1"
                 )
-            deg = arithmetic.degree_of(mor, sa.label, sb.label)
-            if deg is not None and deg != sb.shift - sa.shift:
-                raise ValueError(
-                    f"entry {a}->{b} has degree {deg}, expected "
-                    f"{sb.shift - sa.shift} from the grading shifts"
-                )
+            _check_entry_degree(arithmetic, sa, sb, mor)
             self.diff[(a, b)] = mor
         if validate:
             self.monodromy()
@@ -453,42 +513,20 @@ class Pseudocomplex:
         sf, sfp = self.by_sid[f_id], self.by_sid[fp_id]
         if phi is None or not ar.is_isomorphism(phi, sf.label, sfp.label):
             raise ValueError(f"entry {f_id}->{fp_id} is not an isomorphism")
-        phi_inv = ar.invert(phi)
+        diff = dict(self.diff)
+        out_of, into = _entry_index(diff)
+        phi_inv, lefts, rights, _ = _eliminate_pair(
+            ar, self.by_sid, diff, out_of, into, f_id, fp_id
+        )
         survivors = [s for s in self.summands if s.sid not in (f_id, fp_id)]
-        new_diff = {}
-        for (a, b), mor in self.diff.items():
-            if f_id in (a, b) or fp_id in (a, b):
-                continue
-            new_diff[(a, b)] = mor
-        for b in self.in_degree(sf.degree):
-            if b.sid == f_id or (b.sid, fp_id) not in self.diff:
-                continue
-            d_entry = self.diff[(b.sid, fp_id)]
-            for c in self.in_degree(sfp.degree):
-                if c.sid == fp_id or (f_id, c.sid) not in self.diff:
-                    continue
-                e_entry = self.diff[(f_id, c.sid)]
-                zig = ar.compose(e_entry, ar.compose(phi_inv, d_entry))
-                key = (b.sid, c.sid)
-                cur = new_diff.get(key)
-                term = ar.negate(zig)
-                new_diff[key] = term if cur is None else ar.add(cur, term)
-        q = Pseudocomplex(ar, survivors, new_diff, validate=False)
-        alpha_entries = {}
-        beta_entries = {}
-        for s in survivors:
-            alpha_entries[(s.sid, s.sid)] = ar.identity(s.label)
-            beta_entries[(s.sid, s.sid)] = ar.identity(s.label)
-        for c in self.in_degree(sfp.degree):
-            if c.sid != fp_id and (f_id, c.sid) in self.diff:
-                alpha_entries[(fp_id, c.sid)] = ar.negate(
-                    ar.compose(self.diff[(f_id, c.sid)], phi_inv)
-                )
-        for b in self.in_degree(sf.degree):
-            if b.sid != f_id and (b.sid, fp_id) in self.diff:
-                beta_entries[(b.sid, f_id)] = ar.negate(
-                    ar.compose(phi_inv, self.diff[(b.sid, fp_id)])
-                )
+        q = Pseudocomplex(ar, survivors, diff, validate=False)
+        identities = {(s.sid, s.sid): ar.identity(s.label) for s in survivors}
+        alpha_entries = dict(identities)
+        beta_entries = dict(identities)
+        for c, e in rights:
+            alpha_entries[(fp_id, c)] = ar.negate(ar.compose(e, phi_inv))
+        for b, left in lefts:
+            beta_entries[(b, f_id)] = ar.negate(left)
         alpha = ChainMap(self, q, alpha_entries)
         beta = ChainMap(q, self, beta_entries)
         homotopy = Homotopy(self, self, {(fp_id, f_id): phi_inv})
@@ -592,19 +630,34 @@ class Pseudocomplex:
         return current, trace
 
     def minimal_complex(self):
-        """Iterated single Gaussian elimination, deterministic order."""
-        current = self
-        while True:
-            candidate = None
-            for (a, b), mor in sorted(current.diff.items()):
-                sa, sb = current.by_sid[a], current.by_sid[b]
-                if current.arithmetic.is_isomorphism(mor, sa.label, sb.label):
-                    key = (sa.degree, a, b)
-                    if candidate is None or key < candidate[0]:
-                        candidate = (key, (a, b))
-            if candidate is None:
-                return current
-            current = current.gaussian_eliminate(candidate[1])[0]
+        """Iterated single Gaussian elimination, in place on one differential.
+
+        Each step eliminates the invertible entry with the least key
+        (degree, source, target).  Keys wait in a heap and an entry is tested
+        for invertibility when its key is popped; every entry an elimination
+        writes is pushed again, so each invertible entry has a key in the
+        heap and the order is that of rescanning all entries after each step.
+        """
+        ar = self.arithmetic
+        by_sid = self.by_sid
+        diff = dict(self.diff)
+        out_of, into = _entry_index(diff)
+        heap = [(by_sid[a].degree, a, b) for a, b in diff]
+        heapq.heapify(heap)
+        removed = set()
+        while heap:
+            _, a, b = heapq.heappop(heap)
+            mor = diff.get((a, b))
+            if mor is None or not ar.is_isomorphism(
+                mor, by_sid[a].label, by_sid[b].label
+            ):
+                continue
+            written = _eliminate_pair(ar, by_sid, diff, out_of, into, a, b)[3]
+            removed.update((a, b))
+            for key in written:
+                heapq.heappush(heap, (by_sid[key[0]].degree, *key))
+        survivors = [s for s in self.summands if s.sid not in removed]
+        return Pseudocomplex(ar, survivors, diff, validate=False)
 
     def split_summand(self, sid, pieces):
         """Replace a summand by direct-sum pieces.

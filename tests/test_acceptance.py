@@ -62,11 +62,11 @@ def test_criterion_01_d2_equals_mu_delta():
     start = time.monotonic()
     for n in (2, 3, 4, 5):
         assert_exact_d2(n)
-    for n in (5, 6):
+    for n in (5, 6, 7, 8):
         assert check_d2_signs(n)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s"
-    report(1, "d^2 = mu.delta, exact to n=5, sign level to n=6")
+    report(1, "d^2 = mu.delta, exact to n=5, sign level to n=8")
 
 
 @pytest.mark.slow

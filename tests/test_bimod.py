@@ -262,6 +262,33 @@ def test_not_same_sign_identities_eps_only(n):
             assert lhs == -rhs
 
 
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_eps_sign_reduces_indices_mod_n(n):
+    for X in proper_subsets(n):
+        for i in range(n):
+            if i in X or len(X) + 1 >= n:
+                continue
+            Y = X | {i}
+            shifted = eps_sign(
+                n, frozenset(x + n for x in X), frozenset(y + n for y in Y)
+            )
+            assert shifted == eps_sign(n, X, Y)
+
+
+def test_eps_sign_rejects_non_adjacent_pairs():
+    bad = [
+        (frozenset({0}), frozenset({0, 1, 2})),  # two indices added
+        (frozenset({0}), frozenset({1})),        # not a subset
+        (frozenset({0, 1}), frozenset({0})),     # removed, not added
+        (frozenset({1}), frozenset({5})),        # {5} is {1} mod 4
+    ]
+    for X, Y in bad:
+        # exceptions are not cached, so a repeated call raises again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                eps_sign(4, X, Y)
+
+
 def test_same_lemma():
     # sum of double dots = delta . id on B_X for |X| <= n-2
     for n in (2, 3, 4):

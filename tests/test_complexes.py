@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from affhecke import bimod, homalg
+from affhecke import bimod, complexes, homalg
 from affhecke.bimod import eps_sign
 from affhecke.complexes import (
     adjacent_pairs,
@@ -18,6 +18,7 @@ from affhecke.complexes import (
     f_symbol,
     inner_inclusion,
     inner_projection,
+    m_sets,
     monodromy_map,
     n_sets,
     n_symbol,
@@ -155,9 +156,45 @@ def test_d2_is_mu_delta_bimodule(n):
         assert bimod.subs_delta_zero(value).is_zero()
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
 def test_d2_sign_level(n):
     assert check_d2_signs(n)
+
+
+def test_d2_signs_detects_a_flipped_dot(monkeypatch):
+    # the dot {0} -> {0, 1} lies on squares {0} -> {0, 1} -> {0, 1, j} whose
+    # other path keeps its sign, so those off-diagonal entries stop cancelling
+    flipped = (frozenset({0}), frozenset({0, 1}))
+
+    def eps(n, X, Y):
+        return -eps_sign(n, X, Y) if (X, Y) == flipped else eps_sign(n, X, Y)
+
+    monkeypatch.setattr(complexes, "eps_sign", eps)
+    assert not check_d2_signs(4)
+
+
+EMPTY, ZERO, ONE = frozenset(), frozenset({0}), frozenset({1})
+
+
+@pytest.mark.parametrize(
+    "n, zeroed",
+    (
+        # {} -> {0} lies on the diagonal path {}(-1) -> {0}(0) -> {}(1),
+        # whose sum drops to n - 1; at n = 2, F has no off-diagonal d^2
+        # entry, so only the diagonal criterion can fail there
+        (2, {(EMPTY, ZERO)}),
+        (4, {(EMPTY, ZERO)}),
+        # both paths from {}(-1) to {}(1) vanish, so the diagonal entry is
+        # missing altogether
+        (2, {(EMPTY, ZERO), (EMPTY, ONE)}),
+    ),
+)
+def test_d2_signs_detects_a_missing_path(monkeypatch, n, zeroed):
+    def eps(n, X, Y):
+        return 0 if (X, Y) in zeroed else eps_sign(n, X, Y)
+
+    monkeypatch.setattr(complexes, "eps_sign", eps)
+    assert not check_d2_signs(n)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
@@ -570,9 +607,13 @@ def test_BsF_minimal_complex_n2():
 
 
 def test_n_sets_match_P():
-    for n in (2, 3, 4):
+    for n in range(2, 8):
         p = build_P(n)
         for I in proper_subsets(n):
             J = frozenset((i + 1) % n for i in I)
-            for k, sets in n_sets(n, I).items():
-                assert sets == [X for X in p[k] if J <= X]
+            for sets, contained in ((n_sets(n, I), J), (m_sets(n, J), I)):
+                expected = {
+                    k: [X for X in layer if contained <= X]
+                    for k, layer in p.items()
+                }
+                assert sets == {k: v for k, v in expected.items() if v}

@@ -6,7 +6,7 @@ import pytest
 
 from affhecke import homalg
 from affhecke.bimod import Morphism, enddot_core, merge_core, split_core, startdot_core, tensor as btensor
-from affhecke.complexes import build_F
+from affhecke.complexes import build_F, build_Fstar
 from affhecke.homalg import (
     BimoduleArithmetic,
     MatrixArithmetic,
@@ -185,31 +185,135 @@ def test_dualize_matrix_backend():
     assert dual.summands[0].shift == -2 and dual.summands[0].degree == -1
 
 
-def test_split_summand_bimodule():
-    n = 2
-    ar = BimoduleArithmetic(n)
+def split_pieces(n, s):
+    """The splitting B_s B_s = B_s(-1) + B_s(+1) as (label, shift offset,
+    iota, pi) pieces for Pseudocomplex.split_summand."""
+    sd, ed = startdot_core(n, s), enddot_core(n, s)
+    m, sp = merge_core(n, s), split_core(n, s)
+    ids = Morphism.identity(n, (s,))
+    e_plus_p = btensor(ids, ed)
+    iota_minus = (Morphism.identity(n, (s, s)) - sp.compose(e_plus_p)).compose(
+        btensor(ids, sd)
+    )
+    return [((s,), -1, iota_minus, m), ((s,), +1, sp, e_plus_p)]
+
+
+def bs_tensor_f(n, s, side):
+    """F B_s (side "right") or B_s F (side "left") and the id of its B_s B_s
+    summand."""
     f = build_F(n, "bimodule")
-    b1 = one_term_complex(ar, (1,))
-    fb1 = homalg.tensor(f, b1)
-    target = next(s for s in fb1.summands if tuple(s.label) == (1, 1))
-    sd, ed = startdot_core(n, 1), enddot_core(n, 1)
-    m, sp = merge_core(n, 1), split_core(n, 1)
-    id1 = Morphism.identity(n, (1,))
-    e_plus_p = btensor(id1, ed)
-    iota_minus = (Morphism.identity(n, (1, 1)) - sp.compose(e_plus_p)).compose(
-        btensor(id1, sd)
-    )
-    split_complex = fb1.split_summand(
-        target.sid,
-        [((1,), -1, iota_minus, m), ((1,), +1, sp, e_plus_p)],
-    )
-    minimal = split_complex.minimal_complex()
+    bs = one_term_complex(BimoduleArithmetic(n), (s,))
+    p = homalg.tensor(f, bs) if side == "right" else homalg.tensor(bs, f)
+    return p, next(x.sid for x in p.summands if tuple(x.label) == (s, s))
+
+
+def test_split_summand_bimodule():
+    fb1, sid = bs_tensor_f(2, 1, "right")
+    minimal = fb1.split_summand(sid, split_pieces(2, 1)).minimal_complex()
     assert [(tuple(s.label), s.shift, s.degree) for s in minimal.summands] == [
         ((0, 1), 0, 0)
     ]
     # bad splitting data is rejected
     with pytest.raises(ValueError):
-        fb1.split_summand(target.sid, [((1,), -1, iota_minus, m)])
+        fb1.split_summand(sid, split_pieces(2, 1)[:1])
+
+
+def rescan_minimal_complex(p):
+    """Iterated gaussian_eliminate in the order of minimal_complex, found by
+    rescanning every entry after each step: the invertible entry with the
+    least (degree, source, target) goes first."""
+    current = p
+    while True:
+        ar = current.arithmetic
+        keys = [
+            (current.by_sid[a].degree, a, b)
+            for (a, b), mor in current.diff.items()
+            if ar.is_isomorphism(
+                mor, current.by_sid[a].label, current.by_sid[b].label
+            )
+        ]
+        if not keys:
+            return current
+        _, a, b = min(keys)
+        current = current.gaussian_eliminate((a, b))[0]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_minimal_complex_matches_rescan_sign(n):
+    for p in (build_F(n), build_Fstar(n)):
+        assert p.minimal_complex().to_json(n) == rescan_minimal_complex(p).to_json(n)
+
+
+def test_minimal_complex_eliminates_written_isomorphisms():
+    # eliminating F -> F' writes the new invertible entry B -> C = -1, which
+    # has to be eliminated in turn
+    F, B, Fp, C = range(4)
+    summands = [Summand(F, "F", 0, 0), Summand(B, "B", 0, 0),
+                Summand(Fp, "F'", 0, 1), Summand(C, "C", 0, 1)]
+    p = Pseudocomplex(SignArithmetic(), summands,
+                      {(F, Fp): 1, (B, Fp): 1, (F, C): 1}, validate=False)
+    assert p.gaussian_eliminate((F, Fp))[0].diff == {(B, C): -1}
+    assert not p.minimal_complex().summands
+    assert not rescan_minimal_complex(p).summands
+
+
+def test_minimal_complex_eliminates_lowest_degree_first():
+    # F -> F' -> G with both entries invertible and ids against degree
+    # order: F -> F' goes first and leaves G, not F
+    G, Fp, F = range(3)
+    summands = [Summand(G, "G", 0, 2), Summand(Fp, "F'", 0, 1),
+                Summand(F, "F", 0, 0)]
+    p = Pseudocomplex(SignArithmetic(), summands, {(F, Fp): 1, (Fp, G): 1},
+                      validate=False)
+    for minimal in (p.minimal_complex(), rescan_minimal_complex(p)):
+        assert [s.sid for s in minimal.summands] == [G]
+
+
+@pytest.mark.parametrize("s, side", ((1, "right"), (0, "left")))
+def test_minimal_complex_matches_rescan_bimodule(s, side):
+    # the split complexes of test_split_summand_bimodule and
+    # test_complexes.test_BsF_minimal_complex_n2
+    p, sid = bs_tensor_f(2, s, side)
+    p = p.split_summand(sid, split_pieces(2, s))
+    assert p.minimal_complex().to_json(2) == rescan_minimal_complex(p).to_json(2)
+
+
+def test_minimal_complex_matches_rescan_random():
+    checked = 0
+    for seed in range(1000):
+        p = random_pseudocomplex(random.Random(f"minimal/{seed}"))
+        ar = p.arithmetic
+        if not any(ar.is_isomorphism(m, None, None) for m in p.diff.values()):
+            continue
+        minimal = p.minimal_complex()
+        assert len(minimal.summands) < len(p.summands)
+        assert minimal.to_json(0) == rescan_minimal_complex(p).to_json(0)
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
+
+
+class UnitDegreeSigns(SignArithmetic):
+    """Sign bookkeeping where only the markers +-1 have degree 0."""
+
+    def degree_of(self, f, src, tgt):
+        return 0 if f in (1, -1) else 1
+
+
+def test_elimination_checks_degrees_of_written_entries():
+    # eliminating F -> F' writes B -> C = 1 - (-1) = 2, of degree 1 against
+    # shifts 0; minimal_complex then eliminates C -> D, which removes B -> C,
+    # so only the check inside the update can see it
+    F, B, Fp, C, D = range(5)
+    summands = [Summand(F, "F", 0, 0), Summand(B, "B", 0, 0),
+                Summand(Fp, "F'", 0, 1), Summand(C, "C", 0, 1),
+                Summand(D, "D", 0, 2)]
+    diff = {(F, Fp): 1, (B, Fp): 1, (F, C): -1, (B, C): 1, (C, D): 1}
+    p = Pseudocomplex(UnitDegreeSigns(), summands, diff, validate=False)
+    for eliminate in (lambda: p.gaussian_eliminate((F, Fp)), p.minimal_complex):
+        with pytest.raises(ValueError, match="entry 1->3 has degree 1"):
+            eliminate()
 
 
 def test_json_round_trip_sign():
