@@ -3,9 +3,13 @@
 Elements are finite maps from ExtendedWeylElement to Laurent polynomials in
 the standard basis {H_w}.  Multiplication uses the quadratic relation
 H_s^2 = (v^-1 - v) H_s + 1 and omega-conjugation H_w H_omega =
-H_{omega} H_{tau^{-1}(w)}.  Kazhdan-Lusztig elements b_w are computed by the
-standard recursion, with the self-dual interval sum Sigma_w as an
-independent oracle on smooth elements.
+H_{omega} H_{tau^{-1}(w)}.  Right multiplication by H_s, H_s^-1 and
+b_s = H_s + v is one step H_w -> H_{ws} + c H_w with c chosen by the
+descent; for b_s, c is v or v^-1, so the step only shifts exponents.
+Kazhdan-Lusztig elements b_w are computed by the mu-rule
+b_w = b_{ws} b_s - sum mu(y, ws) b_y, with the self-dual interval sum
+Sigma_w as an independent oracle on smooth elements.  The base case
+b_{w_I} b_{h_X} of c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X.
 
 The omega power is carried exactly in Z; reduce_omega_mod_n on elements
 gives the quotient algebra H_exts when needed.
@@ -16,8 +20,8 @@ from __future__ import annotations
 from .rings import LaurentPoly, gauss
 from .weyl import (
     ExtendedWeylElement,
+    anticyclic_word,
     bruhat_interval_below,
-    h_of,
     longest_element,
     tau_components,
 )
@@ -43,9 +47,19 @@ def _add_term(out, w, p):
 
 
 def _add_scaled(out, coeffs, scale):
-    """out += scale * coeffs in place; scale is a nonzero LaurentPoly."""
+    """out += scale * coeffs in place; scale is a nonzero LaurentPoly or int."""
     for w, p in coeffs.items():
         _add_term(out, w, p * scale)
+
+
+def _times_v(p):
+    """v * p, by shifting exponents."""
+    return LaurentPoly._trusted({e + 1: c for e, c in p.coeffs.items()})
+
+
+def _times_v_inv(p):
+    """v^-1 * p, by shifting exponents."""
+    return LaurentPoly._trusted({e - 1: c for e, c in p.coeffs.items()})
 
 
 class HeckeElement:
@@ -120,17 +134,26 @@ class HeckeElement:
     def __hash__(self):
         return hash((self.n, frozenset(self.coeffs.items())))
 
+    def _step(self, k, descent, ascent):
+        """Right multiplication by H_{s_k} + c, with c a Laurent polynomial.
+
+        Every such product sends p H_w to p H_{ws} + f(p) H_w, where f is
+        descent(p) when ws < w and ascent(p) otherwise; None stands for f = 0.
+        """
+        out = {}
+        for w, p in self.coeffs.items():
+            _add_term(out, w.times_simple(k), p)
+            f = descent if w.has_right_descent(k) else ascent
+            if f is not None:
+                _add_term(out, w, f(p))
+        return HeckeElement._trusted(self.n, out)
+
     def times_simple(self, k):
         """Right multiplication by H_{s_k}.
 
         H_w H_s = H_{ws} when ws > w, and H_{ws} + (v^-1 - v) H_w otherwise.
         """
-        out = {}
-        for w, p in self.coeffs.items():
-            _add_term(out, w.times_simple(k), p)
-            if w.has_right_descent(k):
-                _add_term(out, w, p * _V_INV_MINUS_V)
-        return HeckeElement._trusted(self.n, out)
+        return self._step(k, lambda p: p * _V_INV_MINUS_V, None)
 
     def times_simple_inverse(self, k):
         """Right multiplication by H_{s_k}^{-1} = H_{s_k} + (v - v^{-1}).
@@ -138,12 +161,15 @@ class HeckeElement:
         H_w H_s^{-1} = H_{ws} when ws < w, and H_{ws} + (v - v^-1) H_w
         otherwise.
         """
-        out = {}
-        for w, p in self.coeffs.items():
-            _add_term(out, w.times_simple(k), p)
-            if not w.has_right_descent(k):
-                _add_term(out, w, p * _V_MINUS_V_INV)
-        return HeckeElement._trusted(self.n, out)
+        return self._step(k, None, lambda p: p * _V_MINUS_V_INV)
+
+    def times_b_simple(self, k):
+        """Right multiplication by b_{s_k} = H_{s_k} + v.
+
+        H_w b_s = H_{ws} + v H_w when ws > w, and H_{ws} + v^-1 H_w
+        otherwise, so the step only shifts exponents.
+        """
+        return self._step(k, _times_v_inv, _times_v)
 
     def times_omega(self, e=1):
         """Right multiplication by H_omega^e."""
@@ -232,15 +258,23 @@ _KL_CACHE = {}
 def kl_basis(w, length_cap=DEFAULT_LENGTH_CAP):
     """The Kazhdan-Lusztig basis element b_w.
 
-    Computed by the recursion b_{w's} = b_{w'} b_s minus bar-invariant
-    corrections; coefficients of b_w below the top lie in vZ[v].
+    For a right descent s of w, the mu-rule (Kazhdan-Lusztig 1979, in the
+    normalization b_s = H_s + v) gives
+
+        b_w = b_{ws} b_s - sum of mu(y, ws) b_y over y < ws with ys < y,
+
+    where mu(y, ws) is the v^1-coefficient of b_{ws} at H_y.  The product
+    b_{ws} b_s is one times_b_simple step; coefficients of b_w below the top
+    lie in vZ[v].
     """
     if w.length() > length_cap:
         raise ValueError(f"length {w.length()} exceeds cap {length_cap}")
     n = w.n
     if w.omega:
+        # H_omega has length 0, so H_{omega^e} H_y = H_{omega^e y}
+        om = ExtendedWeylElement.rotation(n, w.omega)
         base = kl_basis(ExtendedWeylElement(0, w.window), length_cap)
-        return HeckeElement.std(ExtendedWeylElement.rotation(n, w.omega)) * base
+        return HeckeElement._trusted(n, {om * y: p for y, p in base.coeffs.items()})
     key = (n, w)
     cached = _KL_CACHE.get(key)
     if cached is not None:
@@ -250,19 +284,12 @@ def kl_basis(w, length_cap=DEFAULT_LENGTH_CAP):
         _KL_CACHE[key] = out
         return out
     k = next(k for k in range(n) if w.has_right_descent(k))
-    coeffs = dict((kl_basis(w.times_simple(k), length_cap) * b_simple(n, k)).coeffs)
-    # subtract bar-invariant multiples of lower b_y until all lower
-    # coefficients lie in vZ[v]
-    while True:
-        bad = [
-            (y, p)
-            for y, p in coeffs.items()
-            if y != w and not p.in_positive_v()
-        ]
-        if not bad:
-            break
-        y, p = max(bad, key=lambda item: item[0].length())
-        _add_scaled(coeffs, kl_basis(y, length_cap).coeffs, -p.symmetric_part())
+    lower = kl_basis(w.times_simple(k), length_cap)
+    coeffs = lower.times_b_simple(k).coeffs
+    for y, p in lower.coeffs.items():
+        mu = p.coeffs.get(1)
+        if mu and y.has_right_descent(k):
+            _add_scaled(coeffs, kl_basis(y, length_cap).coeffs, -mu)
     c = HeckeElement._trusted(n, coeffs)
     _KL_CACHE[key] = c
     return c
@@ -406,8 +433,15 @@ def _c_element(n, I, X, Y, comps, length_cap, memo):
     if got is not None:
         return got
     if not Y:
-        wI = longest_element(n, I)
-        out = kl_basis(wI, length_cap) * kl_basis(h_of(n, X), length_cap)
+        # h_X is a product of distinct simple reflections, so its Bruhat
+        # interval is Boolean: the Bott-Samelson product of the b_s along
+        # its word is bar-invariant with lower coefficients in vZ[v], hence
+        # equal to b_{h_X}, and b_{w_I} b_{h_X} is b_{w_I} stepped by b_s.
+        if len(X) > length_cap:
+            raise ValueError(f"length {len(X)} exceeds cap {length_cap}")
+        out = kl_basis(longest_element(n, I), length_cap)
+        for k in anticyclic_word(n, X, min(set(range(n)) - X)):
+            out = out.times_b_simple(k)
         memo[key] = out
         return out
     # peel the last-absorbed index of some component suffix

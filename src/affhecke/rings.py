@@ -108,21 +108,6 @@ class LaurentPoly:
         """True when the support lies in v Z[v] (strictly positive powers)."""
         return all(e > 0 for e in self.coeffs)
 
-    def symmetric_part(self):
-        """The unique bar-invariant p with p = self mod vZ[v].
-
-        Used by the Kazhdan-Lusztig correction step.
-        """
-        out = {}
-        c0 = self.coeffs.get(0, 0)
-        if c0:
-            out[0] = c0
-        for e, c in self.coeffs.items():
-            if e < 0:
-                out[e] = out.get(e, 0) + c
-                out[-e] = out.get(-e, 0) + c
-        return LaurentPoly(out)
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -10,6 +10,8 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 
 def window_apply(window, i):
     """Value at any integer of the periodic extension of the window."""
@@ -52,20 +54,20 @@ def window_times_simple(u, k):
 def window_length(u):
     n = len(u)
     total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += abs((u[j] - u[i]) // n)
+    for a, b in combinations(u, 2):
+        total += abs((b - a) // n)
     return total
 
 
 class ExtendedWeylElement:
     """omega^k times an affine permutation in window notation."""
 
-    __slots__ = ("omega", "window")
+    __slots__ = ("omega", "window", "_length")
 
     def __init__(self, omega, window):
         self.omega = int(omega)
         self.window = tuple(window)
+        self._length = None
         n = len(self.window)
         if sorted(v % n for v in self.window) != list(range(n)):
             raise ValueError(f"window {window} entries not distinct mod {n}")
@@ -78,6 +80,7 @@ class ExtendedWeylElement:
         out = object.__new__(cls)
         out.omega = omega
         out.window = window
+        out._length = None
         return out
 
     @property
@@ -139,8 +142,13 @@ class ExtendedWeylElement:
         return self.omega == 0 and self.window == tuple(range(1, self.n + 1))
 
     def length(self):
-        """Coxeter length of the affine part; omega contributes 0."""
-        return window_length(self.window)
+        """Coxeter length of the affine part; omega contributes 0.
+
+        Computed on first use and kept, since the window never changes.
+        """
+        if self._length is None:
+            self._length = window_length(self.window)
+        return self._length
 
     def has_right_descent(self, k):
         u = self.window
@@ -188,9 +196,6 @@ class ExtendedWeylElement:
         """Image in S_n: the tuple (f(1) mod n, ...) shifted by omega, 1-based."""
         n = self.n
         return tuple((v + self.omega - 1) % n + 1 for v in self.window)
-
-    def is_finite(self):
-        return self.omega == 0 and all(1 <= v <= self.n for v in self.window)
 
     def reduce_omega_mod_n(self):
         """The representative in W_exts (omega^n = 1): omega power mod n."""

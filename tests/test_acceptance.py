@@ -32,14 +32,16 @@ from affhecke.hecke import (
     braid_hecke_image,
     c_element,
     c_godown_rhs,
+    center_character,
     flatten_hecke,
     godown_applicable,
+    is_central,
     is_tau_suffix,
     kl_basis,
 )
 from affhecke.rings import LaurentPoly, gauss
 from affhecke.suites import descent_lemma_cases, ge_property_cases, proper_subsets
-from affhecke.weyl import h_of, longest_element, tau_components
+from affhecke.weyl import ExtendedWeylElement, h_of, longest_element, tau_components
 
 
 def report(number, name):
@@ -264,3 +266,27 @@ def test_criterion_10_categorical_showcases():
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"criterion 10 took {elapsed:.1f}s"
     report(10, "x_1 nulhomotopy n=2,3,4 and the phi_s squares at n=2")
+
+
+def test_criterion_11_twisted_centrality():
+    start = time.monotonic()
+    for n in (2, 3, 4, 5, 6):
+        fsym = f_symbol(n)
+        # [F] is tau-twisted central, not central
+        for s in range(n):
+            assert b_simple(n, s) * fsym == fsym * b_simple(n, s + 1)
+        assert not is_central(fsym)
+        # absorbing omega gives the Bernstein central element sum_i [y_i]
+        om = HeckeElement.std(ExtendedWeylElement.rotation(n, 1))
+        z = center_character(n, 1)
+        assert fsym * om == z
+        assert om * fsym == z
+        assert is_central(z)
+        if n <= 5:
+            jm_sum = HeckeElement.zero(n)
+            for i in range(1, n + 1):
+                jm_sum = jm_sum + braid_hecke_image(jm_braid(n, i))
+            assert flatten_hecke(z) == jm_sum
+    elapsed = time.monotonic() - start
+    assert elapsed < 60, f"criterion 11 took {elapsed:.1f}s"
+    report(11, "b_s.[F] = [F].b_(s+1), [F].H_omega = z_1 central, [F] not central, n<=6")

@@ -111,6 +111,55 @@ def test_kl_omega():
     assert b == HeckeElement.std(ExtendedWeylElement.rotation(3, 2)) * b_simple(3, 1)
 
 
+def symmetric_part(p):
+    """The unique bar-invariant q with q = p mod vZ[v]."""
+    out = {0: p.coefficient(0)}
+    for e, c in p.coeffs.items():
+        if e < 0:
+            out[e] = out.get(e, 0) + c
+            out[-e] = out.get(-e, 0) + c
+    return LaurentPoly(out)
+
+
+def reference_kl_basis(w, cache):
+    """b_w by a correction loop: b_{ws} b_s through the general
+    product, then subtract bar-invariant multiples of lower b_y, longest
+    offending y first, until every lower coefficient lies in vZ[v]."""
+    n = w.n
+    if w.omega:
+        base = reference_kl_basis(ExtendedWeylElement(0, w.window), cache)
+        return HeckeElement.std(ExtendedWeylElement.rotation(n, w.omega)) * base
+    got = cache.get(w)
+    if got is not None:
+        return got
+    if w.is_identity():
+        got = HeckeElement.unit(n)
+    else:
+        k = next(k for k in range(n) if w.has_right_descent(k))
+        got = reference_kl_basis(w.times_simple(k), cache) * b_simple(n, k)
+        while True:
+            bad = [(y, p) for y, p in got.coeffs.items() if y != w and not p.in_positive_v()]
+            if not bad:
+                break
+            y, p = max(bad, key=lambda item: item[0].length())
+            got = got - reference_kl_basis(y, cache).scale(symmetric_part(p))
+    cache[w] = got
+    return got
+
+
+@pytest.mark.parametrize("n, max_length", ((3, 9), (4, 7), (5, 5)))
+def test_kl_basis_matches_correction_loop(n, max_length):
+    cache = {}
+    level = {ExtendedWeylElement.identity(n)}
+    for _ in range(max_length + 1):
+        for w in level:
+            for e in (-1, 0, 1):
+                x = ExtendedWeylElement.rotation(n, e) * w
+                expected = reference_kl_basis(x, cache)
+                assert kl_basis(x).serialize() == expected.serialize()
+        level = {w.times_simple(k) for w in level for k in range(n) if not w.has_right_descent(k)}
+
+
 def test_c_element_base_and_errors():
     n = 3
     I = frozenset({0})
@@ -152,6 +201,15 @@ def test_c_element_consistency(n):
                 cxx = c_element(n, I, X, X, cap, memo)
                 assert cxx == kl_basis(longest_element(n, I) * h_of(n, X), cap)
                 assert cxx.bar() == cxx
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_c_element_base_is_product_of_kl_elements(n):
+    for I in proper_subsets(n):
+        bw = kl_basis(longest_element(n, I))
+        memo = {}
+        for X in proper_subsets(n):
+            assert c_element(n, I, X, (), _memo=memo) == bw * kl_basis(h_of(n, X))
 
 
 def test_godown_needs_absorbed_block():
@@ -278,3 +336,29 @@ def test_cancellation_stores_no_zero():
     hs = H(2, 1)
     prod = hs * (hs + HeckeElement.unit(2).scale(LaurentPoly({1: 1, -1: -1})))
     assert prod.coeffs == HeckeElement.unit(2).coeffs
+
+
+def annihilated_by_b(u, k):
+    """H_x - v H_{xs} with x < xs, for x in {u, us}: (H_s + v)(H_s - v^-1) = 0
+    makes its product with b_s vanish."""
+    if u.has_right_descent(k):
+        u = u.times_simple(k)
+    return HeckeElement.std(u) - HeckeElement.std(u.times_simple(k), LaurentPoly.v(1))
+
+
+def test_times_b_simple_matches_product():
+    rng = random.Random(23)
+    for n in (2, 3, 4):
+        for _ in range(20):
+            a = random_element(rng, n)
+            k = rng.randrange(n)
+            u = next(iter(random_element(rng, n).coeffs))
+            cancel = annihilated_by_b(u, k)
+            assert cancel.times_b_simple(k).coeffs == {}
+            # a term of a meets the cancelling pair, so sums cancel across terms
+            w = rng.choice(sorted(a.coeffs, key=str))
+            mixed = a + annihilated_by_b(w, k).scale(LaurentPoly({rng.randint(-2, 2): rng.choice((-1, 2))}))
+            for x in (a, mixed, cancel):
+                got = x.times_b_simple(k)
+                assert got == x * b_simple(n, k)
+                assert all(not p.is_zero() for p in got.coeffs.values())
