@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import braid, complexes, hecke, homalg, twist
 from .hecke import HeckeElement, b_simple, kl_basis
@@ -113,6 +114,8 @@ def run_suite(args):
     elif args.suite == "homotopy-h":
         cases = [(f"x1 commutation n={n}", complexes.verify_x1_commutation(n))]
     elif args.suite == "phi-n2":
+        if n != 2:
+            raise ValueError(f"phi-n2 checks n = 2 only, got n={n}")
         report = twist.verify_phi_squares_n2()
         cases = [(f"square {k}", True) for k in sorted(report)]
     elif args.suite == "ge-props":
@@ -125,8 +128,10 @@ def run_suite(args):
 def cmd_verify(args):
     try:
         cases = run_suite(args)
-    except AssertionError as exc:
-        print(f"FAIL: {exc}")
+    except Exception as exc:  # every input ends in a verdict
+        traceback.print_exc()
+        reason = f"{type(exc).__name__}: {exc}"
+        print(f"FAIL: {reason}")
         _emit_certificate(
             args,
             {
@@ -134,7 +139,7 @@ def cmd_verify(args):
                 "n": args.n,
                 "parameters": {"seed": args.seed},
                 "steps": [],
-                "verdict": f"fail: {exc}",
+                "verdict": f"fail: {reason}",
             },
         )
         return 1
@@ -260,15 +265,15 @@ def cmd_load_verify(args):
         mu = p.monodromy()
         print(f"d^2 divisible by delta: PASS ({len(mu.entries)} mu entries)")
         return 0
-    # sign level, from the loaded differential: off-diagonal path sums
-    # cancel, diagonal entries are n positively-signed double dots
-    ok = True
-    for (a, c), paths in p.d_squared().items():
-        same = p.by_sid[a].label == p.by_sid[c].label
-        if same and paths != n:
-            ok = False
-        if not same and paths != 0:
-            ok = False
+    # sign level, from the loaded differential (the criterion of
+    # check_d2_signs): off-diagonal path sums cancel, and every B_X(k) with
+    # a B_X(k + 2) has n positively-signed double dots into it
+    diagonal = {}
+    for a in p.summands:
+        c = p.by_label.get((a.label, a.degree + 2))
+        if c is not None:
+            diagonal[(a.sid, c.sid)] = n
+    ok = p.d_squared() == diagonal
     print(f"sign-level d^2 on the loaded data: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -195,3 +195,38 @@ def test_deterministic_output(tmp_path):
     r2 = run_cli("verify", "--suite", "ge-props", "--n", "2", "--count", "10",
                  "--cert", str(tmp_path / "c2.jsonl"))
     assert r1.stdout == r2.stdout
+
+
+def test_verify_phi_n2_refuses_other_n(tmp_path):
+    cert = tmp_path / "c.jsonl"
+    result = run_cli("verify", "--suite", "phi-n2", "--n", "3", "--cert", str(cert))
+    assert result.returncode == 1
+    assert result.stdout == "FAIL: ValueError: phi-n2 checks n = 2 only, got n=3\n"
+    record = json.loads(cert.read_text())
+    assert record["n"] == 3 and record["verdict"].startswith("fail: ValueError")
+    result = run_cli("verify", "--suite", "phi-n2", "--n", "2", "--cert", str(cert))
+    assert result.returncode == 0
+    assert result.stdout.endswith("suite phi-n2: 4/4 cases pass\n")
+
+
+def test_verify_exception_is_a_verdict(tmp_path):
+    cert = tmp_path / "c.jsonl"
+    result = run_cli("verify", "--suite", "wakimoto", "--n", "0", "--cert", str(cert))
+    assert result.returncode == 1
+    assert result.stdout == "FAIL: ValueError: n must be at least 2\n"
+    record = json.loads(cert.read_text())
+    assert record["verdict"] == "fail: ValueError: n must be at least 2"
+
+
+def test_check_file_requires_every_diagonal(tmp_path):
+    out = tmp_path / "f3.json"
+    assert run_cli("build-f", "--n", "3", "--out", str(out)).returncode == 0
+    result = run_cli("check-file", str(out))
+    assert result.returncode == 0
+    assert result.stdout == "sign-level d^2 on the loaded data: PASS\n"
+    data = json.loads(out.read_text())
+    data["diff"] = []
+    out.write_text(json.dumps(data))
+    result = run_cli("check-file", str(out))
+    assert result.returncode == 1
+    assert result.stdout == "sign-level d^2 on the loaded data: FAIL\n"
