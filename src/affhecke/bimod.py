@@ -29,6 +29,12 @@ from .rings import (
 )
 from .weyl import anticyclic_word
 
+# slots of every memo in this module.  Each holds its working set for
+# n <= 8 in one process: eps_sign about 1 760 adjacent pairs, the per-word
+# memos 505 preferred words, and the forced left multiplications of the
+# exact checks at n = 2..7 about 2 200 blocks.
+CACHE_SIZE = 4096
+
 
 def xi(n, i):
     """The chosen degree-2 element with d_i(xi_i) = 1."""
@@ -180,18 +186,29 @@ class Morphism:
 
 
 def left_mult_matrix(n, word, f):
-    """Matrix of left multiplication by f on BS(word), by forcing rightward."""
+    """Matrix of left multiplication by f on BS(word), by forcing rightward.
+
+    word may be any sequence of letters; it is reduced mod n once and the
+    matrix, an immutable tuple of tuples, comes from the memo.
+    """
+    return _forced(n, tuple(k % n for k in word), f)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _forced(n, word, f):
+    """left_mult_matrix on a reduced tuple word: each suffix block is memoized
+    too, so words sharing a tail share its blocks."""
     if not word:
         return ((f,),)
-    i = word[0] % n
+    i = word[0]
     rest = word[1:]
     x = xi(n, i)
     blocks = {}
     for eps, g in ((0, f), (1, f * x)):
         q = demazure(i, g)
         p = g - x * q
-        blocks[(0, eps)] = left_mult_matrix(n, rest, p)
-        blocks[(1, eps)] = left_mult_matrix(n, rest, q)
+        blocks[(0, eps)] = _forced(n, rest, p)
+        blocks[(1, eps)] = _forced(n, rest, q)
     half = rank(rest)
     out = [[None] * (2 * half) for _ in range(2 * half)]
     for (row_bit, col_bit), block in blocks.items():
@@ -253,11 +270,32 @@ def tensor(a, b):
     return Morphism(n, src, tgt, out, deg, check=False)
 
 
-def tensor_many(mors):
-    out = mors[0]
-    for m in mors[1:]:
-        out = tensor(out, m)
-    return out
+def _whisker(n, left, core, right):
+    """id_left (x) core (x) id_right, with no ring arithmetic.
+
+    Every nonzero entry f of core at (r, c) contributes, for each basis
+    index u of BS(left), the block of left multiplication by f on BS(right)
+    at rows (u, r, .) and columns (u, c, .): the same matrix as the two
+    general tensor products, whose identity factors only multiply by 1.
+    """
+    rl, rr = rank(left), rank(right)
+    rows, cols = rank(core.tgt), rank(core.src)
+    zero = RingElement.zero(n)
+    out = [[zero] * (rl * cols * rr) for _ in range(rl * rows * rr)]
+    for r, row in enumerate(core.matrix):
+        for c, f in enumerate(row):
+            if not f.terms:
+                continue
+            block = left_mult_matrix(n, right, f)
+            for u in range(rl):
+                r0 = (u * rows + r) * rr
+                c0 = (u * cols + c) * rr
+                for k, brow in enumerate(block):
+                    out[r0 + k][c0:c0 + rr] = brow
+    return Morphism(
+        n, left + core.src + right, left + core.tgt + right, out, core.degree,
+        check=False,
+    )
 
 
 def startdot_core(n, i):
@@ -321,25 +359,13 @@ def identity_word(n, word):
 def startdot(n, word, p, i):
     """Insert an i-colored startdot at slot p of word (0-indexed)."""
     word = tuple(k % n for k in word)
-    return tensor_many(
-        [
-            identity_word(n, word[:p]),
-            startdot_core(n, i),
-            identity_word(n, word[p:]),
-        ]
-    )
+    return _whisker(n, word[:p], startdot_core(n, i), word[p:])
 
 
 def enddot(n, word, p):
     """Remove the letter at slot p of word by an enddot."""
     word = tuple(k % n for k in word)
-    return tensor_many(
-        [
-            identity_word(n, word[:p]),
-            enddot_core(n, word[p]),
-            identity_word(n, word[p + 1:]),
-        ]
-    )
+    return _whisker(n, word[:p], enddot_core(n, word[p]), word[p + 1:])
 
 
 def merge(n, word, p):
@@ -347,37 +373,19 @@ def merge(n, word, p):
     word = tuple(k % n for k in word)
     if word[p] != word[p + 1]:
         raise ValueError("merge needs equal adjacent letters")
-    return tensor_many(
-        [
-            identity_word(n, word[:p]),
-            merge_core(n, word[p]),
-            identity_word(n, word[p + 2:]),
-        ]
-    )
+    return _whisker(n, word[:p], merge_core(n, word[p]), word[p + 2:])
 
 
 def split(n, word, p):
     """Split the letter at slot p into a doubled letter."""
     word = tuple(k % n for k in word)
-    return tensor_many(
-        [
-            identity_word(n, word[:p]),
-            split_core(n, word[p]),
-            identity_word(n, word[p + 1:]),
-        ]
-    )
+    return _whisker(n, word[:p], split_core(n, word[p]), word[p + 1:])
 
 
 def crossing(n, word, p):
     """Swap the distant letters at slots p, p+1."""
     word = tuple(k % n for k in word)
-    return tensor_many(
-        [
-            identity_word(n, word[:p]),
-            crossing_core(n, word[p], word[p + 1]),
-            identity_word(n, word[p + 2:]),
-        ]
-    )
+    return _whisker(n, word[:p], crossing_core(n, word[p], word[p + 1]), word[p + 2:])
 
 
 def distant(n, i, j):
@@ -431,7 +439,7 @@ def preferred_word(n, X):
     return anticyclic_word(n, X, aleph)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def eps_sign(n, X, Y):
     """The total sign of the signed dot between B_X and B_Y (|Y| = |X|+1).
 
@@ -500,7 +508,7 @@ def is_bimodule_map(mor, generators=None):
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def gram_matrix(n, word):
     """The intersection form on BS(word) in the mask basis.
 
@@ -526,7 +534,7 @@ def gram_matrix(n, word):
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def gram_inverse(n, word):
     return polymat.mat_invert(gram_matrix(n, word))
 
@@ -549,7 +557,7 @@ def sigma_word(n, word):
     return tuple((-k) % n for k in word)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _sigma_basis_change(n, word):
     """Matrix expressing the sigma image of the mask basis of BS(word) in the
     canonical mask basis of BS(sigma(word)).

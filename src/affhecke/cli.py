@@ -25,7 +25,7 @@ from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
 from .weyl import ExtendedWeylElement, from_word
 
 # largest n at which the exact bimodule complex is built and checked
-BIMODULE_EXACT_MAX = 5
+BIMODULE_EXACT_MAX = 6
 
 
 def _out_path(path, default_name):
@@ -126,6 +126,8 @@ def run_suite(args):
 
 
 def cmd_verify(args):
+    if args.n is None:  # phi-n2 covers n = 2 only
+        args.n = 2 if args.suite == "phi-n2" else 3
     try:
         cases = run_suite(args)
     except Exception as exc:  # every input ends in a verdict
@@ -253,8 +255,22 @@ def cmd_kl(args):
 
 
 def cmd_load_verify(args):
-    """Reload a serialized complex and re-check d^2 without rebuilding."""
-    with open(args.path, encoding="utf-8") as handle:
+    """Reload a serialized complex and re-check d^2 without rebuilding.
+
+    Every input ends in a verdict: an unreadable or inconsistent file, such
+    as truncated JSON or a differential entry naming no summand, is a FAIL
+    with its reason, not a traceback.
+    """
+    try:
+        return _load_verify(args.path)
+    except Exception as exc:  # every input ends in a verdict
+        traceback.print_exc()
+        print(f"FAIL: {type(exc).__name__}: {exc}")
+        return 1
+
+
+def _load_verify(path):
+    with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     n = data.get("n")
     if n is None:
@@ -291,7 +307,9 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--n", type=int, default=3)
+    p_verify.add_argument(
+        "--n", type=int, default=None, help="default: 2 for phi-n2, 3 for the other suites"
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=100)
     p_verify.add_argument("--cert", default=None)

@@ -8,7 +8,7 @@ tensoring with a longest element, the nulhomotopy H for left multiplication
 by x_1, and the n=2 commutation squares for the twisting map phi_s.
 
 Sign-level checks run at any small n; exact bimodule-matrix checks run up
-to n = cli.BIMODULE_EXACT_MAX (5).
+to n = cli.BIMODULE_EXACT_MAX (6).
 """
 
 from __future__ import annotations

@@ -4,17 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from affhecke import bimod
 from affhecke.bimod import (
     Morphism,
     adjoint,
     basis_degree,
+    crossing,
     crossing_core,
+    distant,
     enddot,
     enddot_core,
     eps_sign,
     gram_matrix,
+    identity_word,
     is_bimodule_map,
     left_mult,
+    left_mult_matrix,
     merge,
     merge_core,
     preferred_word,
@@ -32,6 +37,7 @@ from affhecke.bimod import (
     theta,
     xi,
 )
+from affhecke.complexes import build_F
 from affhecke.rings import RingElement, act_sigma, demazure, simple_root
 from affhecke.suites import proper_subsets
 
@@ -351,3 +357,113 @@ def test_xi_demazure_normalization():
     for n in (2, 3, 4):
         for i in range(n):
             assert demazure(i, xi(n, i)) == RingElement.one(n)
+
+
+def _left_mult_reference(n, word, f):
+    """The recursive forcing without a memo: the oracle for left_mult_matrix."""
+    if not word:
+        return ((f,),)
+    i = word[0] % n
+    rest = word[1:]
+    x = xi(n, i)
+    blocks = {}
+    for eps, g in ((0, f), (1, f * x)):
+        q = demazure(i, g)
+        p = g - x * q
+        blocks[(0, eps)] = _left_mult_reference(n, rest, p)
+        blocks[(1, eps)] = _left_mult_reference(n, rest, q)
+    half = 1 << len(rest)
+    out = [[None] * (2 * half) for _ in range(2 * half)]
+    for (row_bit, col_bit), block in blocks.items():
+        for r in range(half):
+            for c in range(half):
+                out[row_bit * half + r][col_bit * half + c] = block[r][c]
+    return tuple(tuple(row) for row in out)
+
+
+def _forcing_inputs(rng, n):
+    """0, a constant, each x_i, delta and two mixed-degree sums."""
+    fs = [RingElement.zero(n), RingElement.constant(n, Fraction(rng.randint(1, 5), 3))]
+    fs += [RingElement.x(n, i) for i in range(1, n + 1)]
+    fs.append(RingElement.delta(n))
+    fs += [rand_poly(rng, n) + RingElement.one(n) for _ in range(2)]
+    return fs
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_left_mult_matrix_matches_uncached_forcing(n):
+    rng = random.Random(100 + n)
+    fs = _forcing_inputs(rng, n)
+    words = [w for k in range(5) for w in itertools.product(range(n), repeat=k)]
+    for idx, word in enumerate(words):
+        f = fs[idx % len(fs)]
+        assert left_mult_matrix(n, word, f) == _left_mult_reference(n, word, f), (word, f)
+    for word in ((), (0,), tuple(range(n))[:4]):
+        for f in fs:
+            assert left_mult_matrix(n, word, f) == _left_mult_reference(n, word, f)
+
+
+def test_left_mult_matrix_repeat_and_list_word():
+    n = 4
+    f = rand_poly(random.Random(7), n) + RingElement.x(n, 2)
+    first = left_mult_matrix(n, (1, 0, 3), f)
+    assert isinstance(first, tuple) and all(isinstance(row, tuple) for row in first)
+    assert left_mult_matrix(n, (1, 0, 3), f) == first
+    assert left_mult_matrix(n, [1, 0, 3], f) == first
+    # letters are read mod n
+    assert left_mult_matrix(n, [5, 4, -1], f) == first
+
+
+def _whisker_reference(n, word, p, core, width):
+    """id_{word[:p]} (x) core (x) id_{word[p + width:]} by two general tensors."""
+    left = identity_word(n, word[:p])
+    right = identity_word(n, word[p + width:])
+    return tensor(tensor(left, core), right)
+
+
+def _assert_same_morphism(got, expected):
+    assert got == expected
+    assert got.degree == expected.degree
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_whiskered_generators_match_tensor_products(n):
+    words = {s.label for s in build_F(n, "bimodule").summands}
+    for word in sorted(words):
+        for p in range(len(word) + 1):
+            for i in range(n):
+                _assert_same_morphism(
+                    startdot(n, word, p, i),
+                    _whisker_reference(n, word, p, startdot_core(n, i), 0),
+                )
+        for p in range(len(word)):
+            _assert_same_morphism(
+                enddot(n, word, p), _whisker_reference(n, word, p, enddot_core(n, word[p]), 1)
+            )
+            sp = split(n, word, p)
+            _assert_same_morphism(sp, _whisker_reference(n, word, p, split_core(n, word[p]), 1))
+            _assert_same_morphism(
+                merge(n, sp.tgt, p),
+                _whisker_reference(n, sp.tgt, p, merge_core(n, word[p]), 2),
+            )
+        for p in range(len(word) - 1):
+            if distant(n, word[p], word[p + 1]):
+                _assert_same_morphism(
+                    crossing(n, word, p),
+                    _whisker_reference(
+                        n, word, p, crossing_core(n, word[p], word[p + 1]), 2
+                    ),
+                )
+
+
+def test_every_cache_is_bounded():
+    caches = {
+        name: value for name, value in vars(bimod).items() if hasattr(value, "cache_info")
+    }
+    assert {"_forced", "eps_sign", "gram_matrix", "gram_inverse", "_sigma_basis_change"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
+    build_F(6, "bimodule")
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, name

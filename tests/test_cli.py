@@ -167,12 +167,22 @@ def test_verify_d2_exact_at_n5(tmp_path):
     assert "3/3 cases pass" in result.stdout
 
 
+def test_verify_d2_exact_at_n6(tmp_path):
+    result = run_cli(
+        "verify", "--suite", "d2", "--n", "6", "--cert", str(tmp_path / "c.jsonl")
+    )
+    assert result.returncode == 0
+    assert "PASS: bimodule d^2 = mu.delta at n=6" in result.stdout
+    assert "PASS: d^2 = 0 after delta -> 0 at n=6" in result.stdout
+    assert "3/3 cases pass" in result.stdout
+
+
 def test_build_f_bimodule_cap(tmp_path):
     result = run_cli(
-        "build-f", "--n", "6", "--backend", "bimodule", "--out", str(tmp_path / "x.json")
+        "build-f", "--n", "7", "--backend", "bimodule", "--out", str(tmp_path / "x.json")
     )
     assert result.returncode == 2
-    assert "capped at n <= 5" in result.stderr
+    assert "capped at n <= 6" in result.stderr
 
 
 def test_verify_ge_props(tmp_path):
@@ -209,6 +219,18 @@ def test_verify_phi_n2_refuses_other_n(tmp_path):
     assert result.stdout.endswith("suite phi-n2: 4/4 cases pass\n")
 
 
+def test_verify_phi_n2_defaults_to_n2(tmp_path):
+    cert = tmp_path / "c.jsonl"
+    result = run_cli("verify", "--suite", "phi-n2", "--cert", str(cert))
+    assert result.returncode == 0
+    assert result.stdout.endswith("suite phi-n2: 4/4 cases pass\n")
+    assert json.loads(cert.read_text())["n"] == 2
+    # the other suites keep n = 3
+    result = run_cli("verify", "--suite", "descent", "--cert", str(cert))
+    assert result.returncode == 0
+    assert json.loads(cert.read_text().splitlines()[1])["n"] == 3
+
+
 def test_verify_exception_is_a_verdict(tmp_path):
     cert = tmp_path / "c.jsonl"
     result = run_cli("verify", "--suite", "wakimoto", "--n", "0", "--cert", str(cert))
@@ -230,3 +252,29 @@ def test_check_file_requires_every_diagonal(tmp_path):
     result = run_cli("check-file", str(out))
     assert result.returncode == 1
     assert result.stdout == "sign-level d^2 on the loaded data: FAIL\n"
+
+
+def test_check_file_truncated_is_a_verdict(tmp_path):
+    for backend in ("sign", "bimodule"):
+        out = tmp_path / f"f3_{backend}.json"
+        assert run_cli("build-f", "--n", "3", "--backend", backend, "--out", str(out)).returncode == 0
+        text = out.read_text()
+        out.write_text(text[: len(text) // 2])
+        result = run_cli("check-file", str(out))
+        assert result.returncode == 1
+        assert result.stdout.startswith("FAIL: JSONDecodeError: "), result.stdout
+        assert result.stdout.count("\n") == 1
+
+
+def test_check_file_dangling_summand_is_a_verdict(tmp_path):
+    for backend in ("sign", "bimodule"):
+        out = tmp_path / f"f3_{backend}.json"
+        assert run_cli("build-f", "--n", "3", "--backend", backend, "--out", str(out)).returncode == 0
+        data = json.loads(out.read_text())
+        ids = {s["id"] for s in data["summands"]}
+        data["diff"][0]["to"] = max(ids) + 1
+        out.write_text(json.dumps(data))
+        result = run_cli("check-file", str(out))
+        assert result.returncode == 1
+        assert result.stdout.startswith("FAIL: "), result.stdout
+        assert "PASS" not in result.stdout
