@@ -18,7 +18,7 @@ import os
 import sys
 import traceback
 
-from . import braid, complexes, hecke, homalg, twist
+from . import braid, complexes, homalg, twist
 from .hecke import HeckeElement, b_simple, kl_basis
 from .rings import LaurentPoly
 from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
@@ -79,9 +79,7 @@ def _suite_d2(n, seed):
         f = complexes.build_F(n, "bimodule")
         mu = f.monodromy()
         expected = complexes.monodromy_map(n, f)
-        ok = set(mu.entries) == set(expected.entries) and all(
-            (mu.entries[k] - expected.entries[k]).is_zero() for k in mu.entries
-        )
+        ok = mu.add(expected.negate()).is_zero()
         cases.append((f"bimodule d^2 = mu.delta at n={n}", ok))
         zero = all(
             complexes.bimod.subs_delta_zero(v).is_zero()
@@ -279,17 +277,12 @@ def _load_verify(path):
     p = homalg.Pseudocomplex.from_json(data)
     if data["backend"] == "bimodule":
         mu = p.monodromy()
+        if not mu.add(complexes.monodromy_map(n, p).negate()).is_zero():
+            print(f"FAIL: mu differs from monodromy_map ({len(mu.entries)} mu entries)")
+            return 1
         print(f"d^2 divisible by delta: PASS ({len(mu.entries)} mu entries)")
         return 0
-    # sign level, from the loaded differential (the criterion of
-    # check_d2_signs): off-diagonal path sums cancel, and every B_X(k) with
-    # a B_X(k + 2) has n positively-signed double dots into it
-    diagonal = {}
-    for a in p.summands:
-        c = p.by_label.get((a.label, a.degree + 2))
-        if c is not None:
-            diagonal[(a.sid, c.sid)] = n
-    ok = p.d_squared() == diagonal
+    ok = complexes.check_d2_signs(n, p)
     print(f"sign-level d^2 on the loaded data: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

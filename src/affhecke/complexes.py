@@ -101,6 +101,11 @@ def adjacent_pairs(n, grading):
                 yield k, X, layer[p]
 
 
+def _dot_sign(n, X, Y):
+    """The sign of the dot between subsets X, Y that differ by one index."""
+    return eps_sign(n, *sorted((X, Y), key=len))
+
+
 def summand_label(n, X, backend):
     """The label of the summand B_X: X itself at the sign level, the
     preferred word of X over bimodules."""
@@ -123,9 +128,8 @@ def _dot_entries(n, grading, backend):
     diff = {}
     for k, X, Y in adjacent_pairs(n, grading):
         a, b = sids[(X, k)], sids[(Y, k + 1)]
-        small, big = (X, Y) if len(Y) > len(X) else (Y, X)
         if backend == "sign":
-            diff[(a, b)] = eps_sign(n, small, big)
+            diff[(a, b)] = _dot_sign(n, X, Y)
         else:
             diff[(a, b)] = signed_dot(n, X, Y)
     return summands, diff, sids
@@ -213,28 +217,17 @@ def build_Fstar(n, backend="sign"):
     return Pseudocomplex(F.arithmetic, summands, diff, validate=False)
 
 
-def check_d2_signs(n):
-    """Sign-level d^2 check on F.
+def check_d2_signs(n, F=None):
+    """Sign-level d^2 check on F (built when not given).
 
-    The dot signs, keyed ((X, k), (Y, k+1)), are composed with
-    homalg.compose_entries, which drops zero sums.  Off-diagonal entries
-    must cancel, so none may be left.  Each diagonal entry
-    B_X(k) -> B_X(k+2), for X in P_k and P_{k+2}, must equal n (the barbell
-    sum equal to delta times the identity): at most n paths join X to itself,
-    one per toggled index, so a sum of n holds exactly when all n paths exist
-    and each is +1.
+    d^2 must be n times monodromy_map: off-diagonal entries must cancel, so
+    none may be left, and each diagonal entry B_X(k) -> B_X(k+2), for X in
+    P_k and P_{k+2}, must equal n (the barbell sum equal to delta times the
+    identity): at most n paths join X to itself, one per toggled index, so a
+    sum of n holds exactly when all n paths exist and each is +1.
     """
-    p = build_P(n)
-    dots = {
-        ((X, k), (Y, k + 1)): eps_sign(n, *(sorted((X, Y), key=len)))
-        for k, X, Y in adjacent_pairs(n, p)
-    }
-    d2 = homalg.compose_entries(SignArithmetic(), dots, dots)
-    if any(X != Z or total != n for ((X, _), (Z, _)), total in d2.items()):
-        return False
-    return len(d2) == sum(
-        len(set(p[k]).intersection(p[k + 2])) for k in p if k + 2 in p
-    )
+    F = F if F is not None else build_F(n)
+    return F.d_squared() == {key: n for key in monodromy_map(n, F).entries}
 
 
 def wakimoto_assignment(n):
@@ -421,8 +414,8 @@ def verify_N_equals_M(n, I):
         Y2 = per_X[X2][0]
         if len(Y ^ Y2) != 1:
             raise AssertionError("correspondents are not adjacent")
-        eps_n = eps_sign(n, *(sorted((X, X2), key=len)))
-        eps_m = eps_sign(n, *(sorted((Y, Y2), key=len)))
+        eps_n = _dot_sign(n, X, X2)
+        eps_m = _dot_sign(n, Y, Y2)
         edges[((X, k), (X2, k + 1))] = (eps_n, eps_m, x, Y, Y2)
     # (a) solve the diagonal sign by propagation (the graph is connected
     # for every I since N_I is indecomposable)
@@ -618,15 +611,12 @@ def tau_equivariance_signs(n):
     """
     p = build_P(n)
 
-    def eps(X, Y):
-        return eps_sign(n, *(sorted((X, Y), key=len)))
-
     def tau(X):
         return frozenset((x + 1) % n for x in X)
 
     # the ratio s_Y / s_X forced by matching tau-rotated differentials
     edges = (
-        ((X, k), (Y, k + 1), eps(X, Y) * eps(tau(X), tau(Y)))
+        ((X, k), (Y, k + 1), _dot_sign(n, X, Y) * _dot_sign(n, tau(X), tau(Y)))
         for k, X, Y in adjacent_pairs(n, p)
     )
     signs = propagate_signs([(X, k) for k in sorted(p) for X in p[k]], edges)
@@ -697,9 +687,7 @@ def build_H_homotopy(n, F=None):
                 Y = X | {i}
                 if len(Y) >= n:
                     continue
-                mor = signed_dot(n, X, Y)
-                key = (s.sid, sid(Y, s.degree - 1))
-                entries[key] = -mor if key not in entries else entries[key] - mor
+                entries[(s.sid, sid(Y, s.degree - 1))] = -signed_dot(n, X, Y)
     return homalg.Homotopy(F, F, entries, grading_shift=2)
 
 

@@ -87,9 +87,6 @@ class MatrixArithmetic:
     def dual(self, f):
         return polymat.mat_transpose(f)
 
-    def dual_label(self, label):
-        return label
-
     def degree_of(self, f, src, tgt):
         return None
 
@@ -166,9 +163,6 @@ class SignArithmetic:
     def dual(self, f):
         return f
 
-    def dual_label(self, label):
-        return label
-
     def degree_of(self, f, src, tgt):
         return None
 
@@ -227,9 +221,6 @@ class BimoduleArithmetic:
     def equal(self, f, g):
         return f == g
 
-    def scale_delta(self, f):
-        return f.scale(RingElement.delta(self.n))
-
     def divide_delta(self, f):
         matrix = tuple(
             tuple(divide_by_delta(x) for x in row) for row in f.matrix
@@ -251,9 +242,6 @@ class BimoduleArithmetic:
 
     def dual(self, f):
         return bimod.adjoint(f)
-
-    def dual_label(self, label):
-        return label
 
     def degree_of(self, f, src, tgt):
         return f.degree
@@ -395,9 +383,11 @@ class Pseudocomplex:
         self.by_label = {(s.label, s.degree): s for s in self.summands}
         self.diff = {}
         for (a, b), mor in diff.items():
+            sa, sb = self.by_sid.get(a), self.by_sid.get(b)
+            if sa is None or sb is None:
+                raise ValueError(f"differential entry {a}->{b} names no summand")
             if arithmetic.is_zero(mor):
                 continue
-            sa, sb = self.by_sid[a], self.by_sid[b]
             if sb.degree != sa.degree + 1:
                 raise ValueError(
                     f"differential entry {a}->{b} does not raise degree by 1"
@@ -443,7 +433,7 @@ class Pseudocomplex:
         """Transpose all differentials, negate degrees and shifts; DD = id."""
         ar = self.arithmetic
         summands = [
-            Summand(s.sid, ar.dual_label(s.label), -s.shift, -s.degree)
+            Summand(s.sid, s.label, -s.shift, -s.degree)
             for s in self.summands
         ]
         diff = {(b, a): ar.dual(m) for (a, b), m in self.diff.items()}
@@ -845,14 +835,8 @@ class Homotopy(ChainMap):
         super().__init__(src, tgt, entries, degree_shift=-1, grading_shift=grading_shift)
 
     def nulhomotopic_map(self):
-        """dh + hd as a ChainMap src -> tgt."""
-        ar = self.src.arithmetic
-        out = add_entries(
-            ar,
-            compose_entries(ar, self.tgt.diff, self.entries),
-            compose_entries(ar, self.entries, self.src.diff),
-        )
-        return ChainMap(self.src, self.tgt, out, 0, self.grading_shift)
+        """dh + hd as a ChainMap src -> tgt: the defect of an odd map."""
+        return ChainMap(self.src, self.tgt, self.defect(), 0, self.grading_shift)
 
 
 def identity_chain_map(p):

@@ -8,14 +8,16 @@ from fractions import Fraction
 
 from . import homalg
 from .bimod import distant
-from .homalg import MatrixArithmetic, Pseudocomplex, Summand
-from .polymat import _rational_inverse, mat_add, mat_mul, mat_scale
+from .homalg import MatrixArithmetic, Pseudocomplex, Summand, add_entries
+from .polymat import mat_invert, mat_mul
 from .rings import RingElement
 from .weyl import (
     ExtendedWeylElement,
+    anticyclic_word,
     correspondent_Y,
     h_of,
     longest_element,
+    longest_word,
     rewrite_wIhX,
 )
 
@@ -99,17 +101,6 @@ def commutation_reachable(n, word_from, word_to):
     return not remaining
 
 
-def _compatible_wI_word(n, I):
-    """The reduced word of w_I concatenating per-run triangle words."""
-    from .weyl import cyclic_runs
-
-    word = []
-    for run in cyclic_runs(n, I) if I else []:
-        for t in range(len(run)):
-            word.extend(reversed(run[: t + 1]))
-    return word
-
-
 def rewrite_cases(n, alephs=None):
     """The rewriting factorization multiplies back, keeps the letters of the
     compatible concatenation w_I . h_X, and is reachable from it using only
@@ -118,7 +109,7 @@ def rewrite_cases(n, alephs=None):
     ok_letters = True
     ok_commutation = True
     for I in proper_subsets(n):
-        base_wI = _compatible_wI_word(n, I)
+        base_wI = longest_word(n, I)
         for X in proper_subsets(n):
             for aleph in range(n) if alephs is None else alephs:
                 if aleph in X:
@@ -131,10 +122,7 @@ def rewrite_cases(n, alephs=None):
                 expected = longest_element(n, I) * h_of(n, X, aleph)
                 if prod != expected:
                     ok_product = False
-                base = base_wI + [
-                    v
-                    for v in sorted(X, key=lambda v: (v - aleph) % n, reverse=True)
-                ]
+                base = base_wI + anticyclic_word(n, X, aleph)
                 if sorted(letters) != sorted(base):
                     ok_letters = False
                 if not commutation_reachable(n, base, letters):
@@ -176,6 +164,7 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2), delta_deform=True):
     of delta.
     """
     ar = MatrixArithmetic(0)
+    const = RingElement.constant
     # direct sum of elementary pieces: either a lone summand in one degree
     # or a contractible pair connected by a scalar isomorphism, so that the
     # undeformed differential squares to zero on the nose
@@ -184,7 +173,7 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2), delta_deform=True):
     for _ in range(rng.randint(2, 2 * max_rank)):
         k = rng.choice(degrees)
         if k + 1 in slots and rng.random() < 0.6:
-            pieces.append((k, slots[k], slots[k + 1], Fraction(rng.choice([1, -1, 2]))))
+            pieces.append((k, slots[k], slots[k + 1], const(0, rng.choice([1, -1, 2]))))
             slots[k] += 1
             slots[k + 1] += 1
         else:
@@ -195,7 +184,7 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2), delta_deform=True):
         if k + 1 not in ranks:
             continue
         rows, cols = ranks[k + 1], ranks[k]
-        mat = [[Fraction(0)] * cols for _ in range(rows)]
+        mat = [[const(0, 0)] * cols for _ in range(rows)]
         for (deg, col, row, scalar) in pieces:
             if deg == k:
                 mat[row][col] = scalar
@@ -203,120 +192,64 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2), delta_deform=True):
     # random invertible change of basis per degree (unitriangular times perm)
     changes = {}
     for k, r in ranks.items():
-        mat = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        mat = [[const(0, int(i == j)) for j in range(r)] for i in range(r)]
         for i in range(r):
             for j in range(i + 1, r):
-                mat[i][j] = Fraction(rng.randint(-2, 2))
+                mat[i][j] = const(0, rng.randint(-2, 2))
         perm = list(range(r))
         rng.shuffle(perm)
         changes[k] = [[mat[i][perm[j]] for j in range(r)] for i in range(r)]
     summands = [Summand(k, ranks[k], 0, k) for k in degrees]
-    diff = {}
-    for k, mat in base.items():
-        u_next = changes[k + 1]
-        u_inv = _rational_inverse(changes[k])
-        prod = _fraction_mul(_fraction_mul(u_next, mat), u_inv)
-        entry = tuple(
-            tuple(RingElement(0, {(0,): c}) for c in row) for row in prod
-        )
-        diff[(k, k + 1)] = entry
+    diff = {
+        (k, k + 1): mat_mul(mat_mul(changes[k + 1], mat), mat_invert(changes[k]))
+        for k, mat in base.items()
+    }
     if delta_deform:
         for k in degrees:
             if k + 1 not in ranks or rng.random() < 0.4:
                 continue
             e = _random_matrix(rng, ranks[k + 1], ranks[k], ar, scale=2)
-            key = (k, k + 1)
-            deform = ar.scale_delta(e)
-            diff[key] = (
-                mat_add(diff[key], deform) if key in diff else deform
-            )
+            diff[(k, k + 1)] = ar.add(diff[(k, k + 1)], ar.scale_delta(e))
     diff = {k: v for k, v in diff.items() if not ar.is_zero(v)}
     return Pseudocomplex(ar, summands, diff, validate=True)
 
 
-def _fraction_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    return [
-        [sum((a[r][k] * b[k][c] for k in range(mid)), Fraction(0)) for c in range(cols)]
-        for r in range(rows)
-    ]
-
-
-def chainmap_entries_equal(ar, left, right):
-    keys = set(left) | set(right)
-    for key in keys:
-        a = left.get(key)
-        b = right.get(key)
-        if a is None:
-            if not ar.is_zero(b):
-                return False
-        elif b is None:
-            if not ar.is_zero(a):
-                return False
-        elif not ar.is_zero(mat_add(a, mat_scale(b, Fraction(-1)))):
-            return False
-    return True
+def _first_isomorphism(p):
+    """The least differential entry (a, b) that is invertible, or None."""
+    for a, b in sorted(p.diff):
+        mor = p.diff[(a, b)]
+        if p.arithmetic.is_isomorphism(mor, p.by_sid[a].label, p.by_sid[b].label):
+            return a, b
+    return None
 
 
 def ge_round_trip_case(rng):
     """One random GE: alpha beta = id and beta alpha - id = dq + qd exactly."""
     p = random_pseudocomplex(rng)
-    iso = None
-    for (a, b), mor in sorted(p.diff.items()):
-        if p.arithmetic.is_isomorphism(mor, p.by_sid[a].label, p.by_sid[b].label):
-            iso = (a, b)
-            break
+    iso = _first_isomorphism(p)
     if iso is None:
         return True  # nothing to eliminate; vacuous case
     q, alpha, beta, homotopy = p.gaussian_eliminate(iso)
     if not alpha.compose(beta).is_identity():
         return False
-    ar = p.arithmetic
-    left = beta.compose(alpha).entries
-    ident = homalg.identity_chain_map(p).entries
-    diffpart = homotopy.nulhomotopic_map().entries
     # beta alpha + (dq + qd) = id, exactly, pseudocomplex or not
-    combined = dict(ident)
-    for key, m in diffpart.items():
-        m = mat_scale(m, Fraction(-1))
-        combined[key] = mat_add(combined[key], m) if key in combined else m
-    if not chainmap_entries_equal(ar, left, combined):
+    expected = homalg.identity_chain_map(p).add(homotopy.nulhomotopic_map().negate())
+    left = beta.compose(alpha).entries
+    if add_entries(p.arithmetic, left, expected.entries, sign=-1):
         return False
-    if not alpha.is_pseudo_chain_map() or not beta.is_pseudo_chain_map():
-        return False
-    return True
+    return alpha.is_pseudo_chain_map() and beta.is_pseudo_chain_map()
 
 
 def monodromy_naturality_case(rng):
     """mu_Q f - f mu_P = d nu_f + nu_f d, exactly, for the GE witness f."""
     p = random_pseudocomplex(rng)
-    iso = None
-    for (a, b), mor in sorted(p.diff.items()):
-        if p.arithmetic.is_isomorphism(mor, p.by_sid[a].label, p.by_sid[b].label):
-            iso = (a, b)
-            break
+    iso = _first_isomorphism(p)
     if iso is None:
         return True
     q, alpha, beta, _h = p.gaussian_eliminate(iso)
-    ar = p.arithmetic
-    mu_p = p.monodromy()
-    mu_q = q.monodromy()
-    nu = alpha.nu()
-    lhs = mu_q.compose(alpha).add(alpha.compose(mu_p).negate()).entries
-    rhs = {}
-    for (a, b), m in nu.entries.items():
-        for (b2, c), d in q.diff.items():
-            if b2 == b:
-                key = (a, c)
-                term = mat_mul(d, m)
-                rhs[key] = mat_add(rhs[key], term) if key in rhs else term
-    for (a, b), d in p.diff.items():
-        for (b2, c), m in nu.entries.items():
-            if b2 == b:
-                key = (a, c)
-                term = mat_mul(m, d)
-                rhs[key] = mat_add(rhs[key], term) if key in rhs else term
-    return chainmap_entries_equal(ar, lhs, rhs)
+    lhs = q.monodromy().compose(alpha).add(alpha.compose(p.monodromy()).negate())
+    # nu_f has odd degree shift, so its defect is d nu_f + nu_f d
+    return not add_entries(p.arithmetic, lhs.entries, alpha.nu().defect(), sign=-1)
 
 
 def simultaneous_vs_iterated_case(rng):
@@ -362,16 +295,7 @@ def simultaneous_vs_iterated_case(rng):
         iterated = iterated.gaussian_eliminate(pair)[0]
     if {s.sid for s in simul.summands} != {s.sid for s in iterated.summands}:
         return False
-    keys = set(simul.diff) | set(iterated.diff)
-    for key in keys:
-        a = simul.diff.get(key)
-        b = iterated.diff.get(key)
-        if a is None or b is None:
-            if not ar.is_zero(a if a is not None else b):
-                return False
-        elif not ar.is_zero(mat_add(a, mat_scale(b, Fraction(-1)))):
-            return False
-    return True
+    return not add_entries(ar, simul.diff, iterated.diff, sign=-1)
 
 
 def pitfall_case():
@@ -417,17 +341,13 @@ def tensor_monodromy_case(rng):
         for b in q.summands:
             key = (index[(a1, b.sid)], index[(a2, b.sid)])
             term = ar.tensor(m, ar.identity(b.label))
-            expected[key] = (
-                mat_add(expected[key], term) if key in expected else term
-            )
+            expected[key] = ar.add(expected[key], term) if key in expected else term
     for (b1, b2), m in mu_q.items():
         for a in p.summands:
             key = (index[(a.sid, b1)], index[(a.sid, b2)])
             term = ar.tensor(ar.identity(a.label), m)
-            expected[key] = (
-                mat_add(expected[key], term) if key in expected else term
-            )
-    return chainmap_entries_equal(ar, mu_t, expected)
+            expected[key] = ar.add(expected[key], term) if key in expected else term
+    return not add_entries(ar, mu_t, expected, sign=-1)
 
 
 def ge_property_cases(seed=0, count=100):

@@ -144,9 +144,9 @@ class HomotopyProblem:
     The unknowns are elementary morphisms: one per entry (a, b), matrix cell
     and monomial, with that monomial in that cell and 0 elsewhere.  The
     column of an unknown holds the rational coordinates, mod delta, of its
-    images: under the commutator with left multiplication by each x_i (tag
-    i), which vanishes on bimodule maps, and, when a right-hand side is
-    given, under h -> dh + hd (tag 0).
+    images: under the commutator with left multiplication by each x_i,
+    i < n (tag i), which vanishes on bimodule maps, and, when a right-hand
+    side is given, under h -> dh + hd (tag 0).
     """
 
     def __init__(self, p, q, drop, twist):
@@ -168,7 +168,7 @@ class HomotopyProblem:
                                 (a.sid, b.sid, row, col, mono)
                                 for mono in _monomials(self.n, edeg // 2)
                             )
-        self._left = {}  # word -> left multiplications by x_1..x_n, mod delta
+        self._left = {}  # word -> left multiplications by x_1..x_{n-1}, mod delta
         self._bimodule_rows = list(self._rows(self._commutators).values())
 
     def _words(self, a, b):
@@ -191,9 +191,13 @@ class HomotopyProblem:
     def _left_mults(self, word):
         if word not in self._left:
             n = self.n
+            # x_1 + ... + x_n is invariant under every s_i (s_0 included), so
+            # left and right multiplication by it agree on every Bott-Samelson
+            # bimodule: its commutator vanishes and the x_n rows follow from
+            # the others
             self._left[word] = [
                 bimod.subs_delta_zero(bimod.left_mult(n, word, RingElement.x(n, i)))
-                for i in range(1, n + 1)
+                for i in range(1, n)
             ]
         return self._left[word]
 

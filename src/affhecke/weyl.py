@@ -284,13 +284,22 @@ def cyclic_runs(n, members):
     return runs
 
 
+def longest_word(n, I):
+    """A reduced word of w_I, I a proper subset: per cyclic run
+    (a, a+1, ..., b), the triangle s_a . s_{a+1} s_a . ... . s_b ... s_a."""
+    return tuple(
+        k
+        for run in cyclic_runs(n, I)
+        for t in range(len(run))
+        for k in reversed(run[: t + 1])
+    )
+
+
 def longest_element(n, I):
     """The longest element w_I of the parabolic W_I, I a proper subset."""
     out = ExtendedWeylElement.identity(n)
-    for run in cyclic_runs(n, I):
-        for t in range(len(run)):
-            for k in reversed(run[: t + 1]):
-                out = out.times_simple(k)
+    for k in longest_word(n, I):
+        out = out.times_simple(k)
     return out
 
 
@@ -340,23 +349,12 @@ def rewrite_wIhX(n, I, X, aleph):
     pos = {v: t for t, v in enumerate(a0)}
     below = [v for v in a0 if pos[v] < pos[aleph]]
     above = [v for v in a0 if pos[v] > pos[aleph]]
-
-    def w_word(members):
-        word = []
-        for run in cyclic_runs(n, members) if members else []:
-            for t in range(len(run)):
-                word.extend(reversed(run[: t + 1]))
-        return tuple(word)
-
-    def h_word(members):
-        return tuple(
-            sorted((v for v in members), key=lambda v: (v - aleph) % n, reverse=True)
-        )
-
-    factors = [w_word(I & set(a0)) + h_word(X & set(below))]
+    factors = [longest_word(n, I & set(a0)) + anticyclic_word(n, X & set(below), aleph)]
     for comp in reversed(rest):
-        factors.append(w_word(I & set(comp)) + h_word(X & set(comp)))
-    factors.append(h_word(X & set(above)))
+        factors.append(
+            longest_word(n, I & set(comp)) + anticyclic_word(n, X & set(comp), aleph)
+        )
+    factors.append(anticyclic_word(n, X & set(above), aleph))
     return [f for f in factors if f] or [()]
 
 

@@ -254,6 +254,19 @@ def test_check_file_requires_every_diagonal(tmp_path):
     assert result.stdout == "sign-level d^2 on the loaded data: FAIL\n"
 
 
+def test_check_file_compares_bimodule_mu_with_monodromy_map(tmp_path):
+    # an emptied differential has d^2 = 0, so mu = 0 misses every identity
+    # B_X(k) -> B_X(k + 2) of monodromy_map
+    out = tmp_path / "f3.json"
+    assert run_cli("build-f", "--n", "3", "--backend", "bimodule", "--out", str(out)).returncode == 0
+    data = json.loads(out.read_text())
+    data["diff"] = []
+    out.write_text(json.dumps(data))
+    result = run_cli("check-file", str(out))
+    assert result.returncode == 1
+    assert result.stdout == "FAIL: mu differs from monodromy_map (0 mu entries)\n"
+
+
 def test_check_file_truncated_is_a_verdict(tmp_path):
     for backend in ("sign", "bimodule"):
         out = tmp_path / f"f3_{backend}.json"
@@ -272,9 +285,12 @@ def test_check_file_dangling_summand_is_a_verdict(tmp_path):
         assert run_cli("build-f", "--n", "3", "--backend", backend, "--out", str(out)).returncode == 0
         data = json.loads(out.read_text())
         ids = {s["id"] for s in data["summands"]}
-        data["diff"][0]["to"] = max(ids) + 1
+        entry = data["diff"][0]
+        entry["to"] = max(ids) + 1
         out.write_text(json.dumps(data))
         result = run_cli("check-file", str(out))
         assert result.returncode == 1
-        assert result.stdout.startswith("FAIL: "), result.stdout
-        assert "PASS" not in result.stdout
+        assert result.stdout == (
+            f"FAIL: ValueError: differential entry {entry['from']}->{entry['to']} "
+            "names no summand\n"
+        )

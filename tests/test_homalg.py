@@ -13,13 +13,13 @@ from affhecke.homalg import (
     Pseudocomplex,
     SignArithmetic,
     Summand,
+    add_entries,
     compose_entries,
     one_term_complex,
 )
 from affhecke.polymat import mat_add, mat_scale
 from affhecke.rings import RingElement
 from affhecke.suites import (
-    chainmap_entries_equal,
     ge_property_cases,
     ge_round_trip_case,
     monodromy_naturality_case,
@@ -73,7 +73,7 @@ def test_ge_on_a_complex_with_survivors():
         for key, m in homotopy.nulhomotopic_map().entries.items():
             m = mat_scale(m, Fraction(-1))
             combined[key] = mat_add(combined[key], m) if key in combined else m
-        assert chainmap_entries_equal(ar, beta.compose(alpha).entries, combined)
+        assert not add_entries(ar, beta.compose(alpha).entries, combined, sign=-1)
         assert alpha.is_pseudo_chain_map() and beta.is_pseudo_chain_map()
         reduced.monodromy()
 
@@ -92,6 +92,36 @@ def test_randomized_ge_batteries():
         assert simultaneous_vs_iterated_case(rng)
     for _ in range(20):
         assert tensor_monodromy_case(rng)
+
+
+def test_ge_round_trip_fails_without_the_homotopy(monkeypatch):
+    # with dh + hd zeroed, beta alpha = id must fail on every case that
+    # eliminates something; most seeded cases are vacuous, so draw many
+    def zero(self):
+        return homalg.ChainMap(self.src, self.tgt, {}, 0, self.grading_shift)
+
+    monkeypatch.setattr(homalg.Homotopy, "nulhomotopic_map", zero)
+    rng = random.Random(0)
+    assert not all(ge_round_trip_case(rng) for _ in range(200))
+
+
+def test_monodromy_naturality_fails_without_nu(monkeypatch):
+    def zero(self):
+        return homalg.ChainMap(
+            self.src, self.tgt, {}, self.degree_shift + 1, self.grading_shift - 2
+        )
+
+    monkeypatch.setattr(homalg.ChainMap, "nu", zero)
+    rng = random.Random(0)
+    assert not all(monodromy_naturality_case(rng) for _ in range(200))
+
+
+@pytest.mark.parametrize("mor", (0, 1))
+def test_dangling_summand_id_is_named(mor):
+    # a zero entry is checked too, before it is dropped
+    summands = [Summand(0, frozenset(), 0, 0), Summand(1, frozenset({0}), 0, 1)]
+    with pytest.raises(ValueError, match="^differential entry 0->99 names no summand$"):
+        Pseudocomplex(SignArithmetic(), summands, {(0, 1): 1, (0, 99): mor}, validate=False)
 
 
 def test_monodromy_error_names_entry():

@@ -14,6 +14,7 @@ from affhecke.weyl import (
     from_word,
     h_of,
     longest_element,
+    longest_word,
     rewrite_wIhX,
     tau_components,
     window_length,
@@ -43,6 +44,12 @@ def test_length():
     om = ExtendedWeylElement.rotation(5, 2)
     u = from_word(5, [0, 3])
     assert (om * u).length() == u.length()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_longest_word_is_reduced(n):
+    for I in proper_subsets(n):
+        assert len(longest_word(n, I)) == longest_element(n, I).length()
 
 
 def test_descents():
