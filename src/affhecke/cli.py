@@ -255,9 +255,11 @@ def cmd_kl(args):
 def cmd_load_verify(args):
     """Reload a serialized complex and re-check d^2 without rebuilding.
 
-    Every input ends in a verdict: an unreadable or inconsistent file, such
-    as truncated JSON or a differential entry naming no summand, is a FAIL
-    with its reason, not a traceback.
+    The summands must be those of F_n for the file's n and backend (sign or
+    bimodule); no morphism is built for the comparison.  Every input ends in
+    a verdict: an unreadable or inconsistent file, such as truncated JSON or
+    a differential entry naming no summand, is a FAIL with its reason, not a
+    traceback.
     """
     try:
         return _load_verify(args.path)
@@ -270,12 +272,28 @@ def cmd_load_verify(args):
 def _load_verify(path):
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    n = data.get("n")
-    if n is None:
-        print('FAIL: missing field "n"')
+    for field in ("n", "backend"):
+        if data.get(field) is None:
+            print(f'FAIL: missing field "{field}"')
+            return 1
+    n, backend = data["n"], data["backend"]
+    if backend not in ("sign", "bimodule"):
+        print(f"FAIL: check-file reads sign and bimodule files, not backend {backend!r}")
         return 1
     p = homalg.Pseudocomplex.from_json(data)
-    if data["backend"] == "bimodule":
+    # F_n has a summand B_X(k) for each proper X of Z/n and each of the
+    # n - |X| degrees k with X in P_k, n 2^(n-1) in all; the count goes
+    # first, so P_n is enumerated only for a file that holds that many
+    count = n * 2 ** (n - 1)
+    loaded = [(s.label, s.shift, s.degree) for s in p.summands]
+    if len(loaded) != count or set(loaded) != {
+        (complexes.summand_label(n, X, backend), k, k)
+        for k, layer in complexes.build_P(n).items()
+        for X in layer
+    }:
+        print(f"FAIL: summands differ from F_{n} ({len(loaded)} loaded, {count} expected)")
+        return 1
+    if backend == "bimodule":
         mu = p.monodromy()
         if not mu.add(complexes.monodromy_map(n, p).negate()).is_zero():
             print(f"FAIL: mu differs from monodromy_map ({len(mu.entries)} mu entries)")
@@ -293,7 +311,7 @@ def main(argv=None):
 
     p_build = sub.add_parser("build-f", help="build and serialize the standard complex")
     p_build.add_argument("--n", type=int, required=True)
-    p_build.add_argument("--backend", choices=("sign", "hecke", "bimodule"), default="sign")
+    p_build.add_argument("--backend", choices=("sign", "bimodule"), default="sign")
     p_build.add_argument("--out", default=None)
     p_build.add_argument("--bimodule-cap", type=int, default=BIMODULE_EXACT_MAX)
     p_build.set_defaults(func=cmd_build_f)

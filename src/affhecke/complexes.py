@@ -118,6 +118,8 @@ def _dot_entries(n, grading, backend):
     grading maps k -> list of subsets; an entry appears whenever subsets in
     degrees k, k+1 differ by one index.  Returns dict keyed by (sid, sid).
     """
+    if backend not in ("sign", "bimodule"):
+        raise ValueError(f"unknown backend {backend!r}")
     sids = {}
     summands = []
     for k in sorted(grading):
@@ -137,10 +139,6 @@ def _dot_entries(n, grading, backend):
 
 def build_F(n, backend="sign"):
     """The twisted standard complex: summands B_X(k) for X in P_k, signed dots."""
-    if backend == "hecke":
-        backend = "sign"
-    if backend not in ("sign", "bimodule"):
-        raise ValueError(f"unknown backend {backend!r}")
     summands, diff, _ = _dot_entries(n, build_P(n), backend)
     arithmetic = SignArithmetic() if backend == "sign" else BimoduleArithmetic(n)
     return Pseudocomplex(arithmetic, summands, diff, validate=False)
@@ -148,8 +146,6 @@ def build_F(n, backend="sign"):
 
 def build_I(n, backend="sign"):
     """The inner complex with summands over Q_k; differential is minus dots."""
-    if backend == "hecke":
-        backend = "sign"
     summands, diff, _ = _dot_entries(n, build_Q(n), backend)
     arithmetic = SignArithmetic() if backend == "sign" else BimoduleArithmetic(n)
     diff = {k: arithmetic.negate(m) for k, m in diff.items()}
@@ -203,7 +199,7 @@ def monodromy_map(n, F=None):
 def build_Fstar(n, backend="sign"):
     """F* = sigma(F): sigma applied summand-wise and to all differentials."""
     F = build_F(n, backend)
-    if backend in ("sign", "hecke"):
+    if backend == "sign":
         summands = [
             Summand(s.sid, frozenset((-x) % n for x in s.label), s.shift, s.degree)
             for s in F.summands

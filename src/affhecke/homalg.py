@@ -16,7 +16,6 @@ multiplicatively), and exact Bott-Samelson bimodule morphisms.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from . import bimod, polymat
@@ -324,17 +323,17 @@ def _entry_index(diff):
     return out_of, into
 
 
-def _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id):
+def _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id, phi_inv):
     """Gaussian elimination of the invertible entry phi: F -> F', in place.
 
-    diff is a mutable sparse differential with the indices of _entry_index.
-    For every d: b -> F' and e: F -> c with b != F, c != F', the entry b -> c
-    becomes d(b, c) - e phi^{-1} d; zero sums are dropped, every other
-    written entry passes the degree check of the constructor, and the rows
-    and columns of F and F' are removed.  Only the neighbours of the pair are
-    visited.  Returns (phi^{-1}, [(b, phi^{-1} d)], [(c, e)], written keys).
+    diff is a mutable sparse differential with the indices of _entry_index;
+    the caller inverts phi.  For every d: b -> F' and e: F -> c with b != F,
+    c != F', the entry b -> c becomes d(b, c) - e phi_inv d; zero sums are
+    dropped, every other written entry passes the degree check of the
+    constructor, and the rows and columns of F and F' are removed.  Only the
+    neighbours of the pair are visited.  Returns ([(b, phi_inv d)], [(c, e)],
+    written keys).
     """
-    phi_inv = ar.invert(diff[(f_id, fp_id)])
     lefts = [
         (b, ar.compose(phi_inv, diff[(b, fp_id)]))
         for b in into.get(fp_id, ()) if b != f_id
@@ -366,7 +365,7 @@ def _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id):
             out_of.setdefault(b, set()).add(c)
             into.setdefault(c, set()).add(b)
             written.append(key)
-    return phi_inv, lefts, rights, written
+    return lefts, rights, written
 
 
 class Pseudocomplex:
@@ -396,12 +395,6 @@ class Pseudocomplex:
             self.diff[(a, b)] = mor
         if validate:
             self.monodromy()
-
-    def degrees(self):
-        return sorted({s.degree for s in self.summands})
-
-    def in_degree(self, k):
-        return [s for s in self.summands if s.degree == k]
 
     def entry(self, a, b):
         got = self.diff.get((a, b))
@@ -505,8 +498,9 @@ class Pseudocomplex:
             raise ValueError(f"entry {f_id}->{fp_id} is not an isomorphism")
         diff = dict(self.diff)
         out_of, into = _entry_index(diff)
-        phi_inv, lefts, rights, _ = _eliminate_pair(
-            ar, self.by_sid, diff, out_of, into, f_id, fp_id
+        phi_inv = ar.invert(phi)
+        lefts, rights, _ = _eliminate_pair(
+            ar, self.by_sid, diff, out_of, into, f_id, fp_id, phi_inv
         )
         survivors = [s for s in self.summands if s.sid not in (f_id, fp_id)]
         q = Pseudocomplex(ar, survivors, diff, validate=False)
@@ -522,102 +516,66 @@ class Pseudocomplex:
         homotopy = Homotopy(self, self, {(fp_id, f_id): phi_inv})
         return q, alpha, beta, homotopy
 
-    def zigzags(self, pairs):
-        """All nonrepeating zigzag morphisms for a same-degree family.
-
-        Returns a dict mapping (source sid, target sid, tuple of pair
-        indices) -> morphism, where source/target run over the non-eliminated
-        summands as well as the F_j / F'_j themselves.
-        """
-        ar = self.arithmetic
-        m = len(pairs)
-        phis = []
-        for f_id, fp_id in pairs:
-            phi = self.diff.get((f_id, fp_id))
-            if phi is None or not ar.is_isomorphism(
-                phi, self.by_sid[f_id].label, self.by_sid[fp_id].label
-            ):
-                raise ValueError(f"entry {f_id}->{fp_id} is not an isomorphism")
-            phis.append(ar.invert(phi))
-        out = {}
-        f_ids = [p[0] for p in pairs]
-        fp_ids = [p[1] for p in pairs]
-        deg = self.by_sid[f_ids[0]].degree
-        sources = [s.sid for s in self.in_degree(deg) if s.sid not in f_ids]
-        targets = [s.sid for s in self.in_degree(deg + 1) if s.sid not in fp_ids]
-        for r in range(1, m + 1):
-            for seq in itertools.permutations(range(m), r):
-                core = phis[seq[0]]
-                ok = True
-                for t in range(1, r):
-                    theta = self.diff.get((f_ids[seq[t - 1]], fp_ids[seq[t]]))
-                    if theta is None:
-                        ok = False
-                        break
-                    core = ar.compose(phis[seq[t]], ar.compose(theta, core))
-                if not ok:
-                    continue
-                for src in sources + [f_ids[j] for j in range(m) if j not in seq]:
-                    start = self.diff.get((src, fp_ids[seq[0]]))
-                    if start is None:
-                        continue
-                    half = ar.compose(core, start)
-                    for tgt in targets + [
-                        fp_ids[j] for j in range(m) if j not in seq
-                    ]:
-                        end = self.diff.get((f_ids[seq[-1]], tgt))
-                        if end is None:
-                            continue
-                        z = ar.compose(end, half)
-                        if not ar.is_zero(z):
-                            out[(src, tgt, seq)] = z
-        return out
-
     def simultaneous_eliminate(self, pairs):
         """Simultaneous Gaussian elimination of an independent family.
 
-        The family must pass the independence certificate: every nonrepeating
-        zigzag F_j -> F'_j vanishes.  On failure the offending zigzag is
-        reported.  The surviving differential picks up
-        sum over r of (-1)^r (zigzags of length r).
+        Degree groups go in increasing degree on one differential.  A group
+        must pass the independence certificate as its entries stand: every
+        nonrepeating closed zigzag F_j -> F'_{s_0} -> F_{s_0} -> ... -> F'_j
+        (j not in s) vanishes, else the first nonzero one is reported
+        (shortest s first, each length in lexicographic order, then j).  Its
+        pairs are then eliminated one at a time: the closed zigzags that
+        would change a later pivot vanish, so each phi_j is inverted once,
+        and the steps give the block Schur complement.
         """
-        ar = self.arithmetic
         if not pairs:
             return self, []
+        ar = self.arithmetic
+        by_sid = self.by_sid
+        diff = dict(self.diff)
+        out_of, into = _entry_index(diff)
         by_deg = {}
         for pair in pairs:
-            by_deg.setdefault(self.by_sid[pair[0]].degree, []).append(pair)
-        current = self
+            by_deg.setdefault(by_sid[pair[0]].degree, []).append(pair)
         trace = []
         for deg in sorted(by_deg):
             group = by_deg[deg]
-            zz = current.zigzags(group)
-            f_ids = [p[0] for p in group]
-            fp_ids = [p[1] for p in group]
-            for (src, tgt, seq), z in zz.items():
-                for j in range(len(group)):
-                    if src == f_ids[j] and tgt == fp_ids[j]:
-                        raise ValueError(
-                            f"family is not independent: nonzero zigzag "
-                            f"{src}->{tgt} through {seq}"
-                        )
-            removed = set(f_ids) | set(fp_ids)
-            survivors = [s for s in current.summands if s.sid not in removed]
-            new_diff = {
-                (a, b): mor
-                for (a, b), mor in current.diff.items()
-                if a not in removed and b not in removed
-            }
-            for (src, tgt, seq), z in zz.items():
-                if src in removed or tgt in removed:
-                    continue
-                term = z if len(seq) % 2 == 0 else ar.negate(z)
-                cur = new_diff.get((src, tgt))
-                new_diff[(src, tgt)] = term if cur is None else ar.add(cur, term)
-            new_diff = {k: v for k, v in new_diff.items() if not ar.is_zero(v)}
-            current = Pseudocomplex(ar, survivors, new_diff, validate=False)
+            inverses = []
+            for f_id, fp_id in group:
+                phi = diff.get((f_id, fp_id))
+                if phi is None or not ar.is_isomorphism(
+                    phi, by_sid[f_id].label, by_sid[fp_id].label
+                ):
+                    raise ValueError(f"entry {f_id}->{fp_id} is not an isomorphism")
+                inverses.append(ar.invert(phi))
+            # (sequence s, phi_{s_last}^{-1} theta ... theta phi_{s_0}^{-1})
+            level = [((j,), inv) for j, inv in enumerate(inverses)]
+            while level:
+                longer = []
+                for seq, core in level:
+                    last = group[seq[-1]][0]
+                    for j, (f_id, fp_id) in enumerate(group):
+                        start = diff.get((f_id, group[seq[0]][1]))
+                        end = diff.get((last, fp_id))
+                        if j in seq or start is None or end is None:
+                            continue
+                        if not ar.is_zero(ar.compose(end, ar.compose(core, start))):
+                            raise ValueError(
+                                f"family is not independent: nonzero zigzag "
+                                f"{f_id}->{fp_id} through {seq}"
+                            )
+                    for k, inv in enumerate(inverses):
+                        theta = diff.get((last, group[k][1]))
+                        if k not in seq and theta is not None:
+                            core_k = ar.compose(inv, ar.compose(theta, core))
+                            longer.append((seq + (k,), core_k))
+                level = longer
+            for (f_id, fp_id), inv in zip(group, inverses):
+                _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id, inv)
             trace.append((deg, list(group)))
-        return current, trace
+        removed = {sid for pair in pairs for sid in pair}
+        survivors = [s for s in self.summands if s.sid not in removed]
+        return Pseudocomplex(ar, survivors, diff, validate=False), trace
 
     def minimal_complex(self):
         """Iterated single Gaussian elimination, in place on one differential.
@@ -642,7 +600,9 @@ class Pseudocomplex:
                 mor, by_sid[a].label, by_sid[b].label
             ):
                 continue
-            written = _eliminate_pair(ar, by_sid, diff, out_of, into, a, b)[3]
+            written = _eliminate_pair(
+                ar, by_sid, diff, out_of, into, a, b, ar.invert(mor)
+            )[2]
             removed.update((a, b))
             for key in written:
                 heapq.heappush(heap, (by_sid[key[0]].degree, *key))

@@ -3,6 +3,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from affhecke import homalg
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -294,3 +298,62 @@ def test_check_file_dangling_summand_is_a_verdict(tmp_path):
             f"FAIL: ValueError: differential entry {entry['from']}->{entry['to']} "
             "names no summand\n"
         )
+
+
+@pytest.fixture(scope="module")
+def f3_files(tmp_path_factory):
+    """The sign and bimodule serializations of F_3, by backend."""
+    out = {}
+    for backend in ("sign", "bimodule"):
+        path = tmp_path_factory.mktemp(backend) / "f3.json"
+        assert run_cli("build-f", "--n", "3", "--backend", backend, "--out", str(path)).returncode == 0
+        out[backend] = json.loads(path.read_text())
+    return out
+
+
+def cut_to_one_summand(data):
+    return dict(data, summands=data["summands"][:1], diff=[])
+
+
+def without_backend(data):
+    return {k: v for k, v in data.items() if k != "backend"}
+
+
+def shifted_summand(data):
+    summands = [dict(s) for s in data["summands"]]
+    summands[0]["shift"] += 2
+    return dict(data, summands=summands)
+
+
+def large_n(data):
+    # F_40 would have 40 * 2^39 summands: the count fails before P_40 is
+    # enumerated
+    return dict(data, n=40)
+
+
+def matrix_file(data):
+    # a one-summand complex over Q[d] has d^2 = 0 and no diagonal, so the
+    # sign-level criterion alone would pass it
+    return homalg.one_term_complex(homalg.MatrixArithmetic(0), 1).to_json(3)
+
+
+# each tampered F_3 file and the one line check-file prints for it
+TAMPERED = (
+    ("sign", cut_to_one_summand, "FAIL: summands differ from F_3 (1 loaded, 12 expected)"),
+    ("bimodule", cut_to_one_summand, "FAIL: summands differ from F_3 (1 loaded, 12 expected)"),
+    ("sign", shifted_summand, "FAIL: summands differ from F_3 (12 loaded, 12 expected)"),
+    ("bimodule", large_n, "FAIL: summands differ from F_40 (12 loaded, 21990232555520 expected)"),
+    ("sign", matrix_file, "FAIL: check-file reads sign and bimodule files, not backend 'matrix'"),
+    ("bimodule", without_backend, 'FAIL: missing field "backend"'),
+)
+
+
+@pytest.mark.parametrize(
+    "backend, tamper, line", TAMPERED, ids=[f"{b}-{t.__name__}" for b, t, _ in TAMPERED]
+)
+def test_check_file_rejects_tampered_file(tmp_path, f3_files, backend, tamper, line):
+    out = tmp_path / "f3.json"
+    out.write_text(json.dumps(tamper(f3_files[backend])))
+    result = run_cli("check-file", str(out))
+    assert result.returncode == 1
+    assert result.stdout == line + "\n"

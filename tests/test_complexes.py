@@ -67,6 +67,14 @@ def test_build_Q():
     assert q[-1] == p[-2]
 
 
+@pytest.mark.parametrize("build", (build_F, build_I, build_Fstar))
+def test_builders_take_sign_and_bimodule_only(build):
+    # "hecke" was an alias of "sign"; like any other name it is now refused
+    for backend in ("hecke", "matrix"):
+        with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
+            build(3, backend)
+
+
 def test_summand_counts():
     assert len(build_F(2).summands) == 4
     assert len(build_F(3).summands) == 12

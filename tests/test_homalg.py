@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -454,3 +455,206 @@ def test_compose_entries_matches_pairwise_scan(backend):
         assert all(ar.equal(got[k], expected[k]) for k in got)
         assert not any(ar.is_zero(v) for v in got.values())
     assert cancelled >= 5
+
+
+def reference_simultaneous_eliminate(p, pairs):
+    """Simultaneous elimination by the zigzag formula, an independent oracle.
+
+    Per degree group, every nonrepeating zigzag src -> F'_{s_0} -> F_{s_0}
+    -> ... -> F_{s_last} -> tgt is enumerated over itertools.permutations,
+    for every source and target of the group's degrees.  A nonzero closed
+    one F_j -> F'_j refuses the family; otherwise the survivor differential
+    picks up the sum over r of (-1)^r (zigzags of length r).
+    """
+    ar = p.arithmetic
+    if not pairs:
+        return p, []
+    by_deg = {}
+    for pair in pairs:
+        by_deg.setdefault(p.by_sid[pair[0]].degree, []).append(pair)
+    current, trace = p, []
+    for deg in sorted(by_deg):
+        group = by_deg[deg]
+        m = len(group)
+        f_ids = [f for f, _ in group]
+        fp_ids = [fp for _, fp in group]
+        phis = []
+        for f_id, fp_id in group:
+            phi = current.diff.get((f_id, fp_id))
+            if phi is None or not ar.is_isomorphism(
+                phi, current.by_sid[f_id].label, current.by_sid[fp_id].label
+            ):
+                raise ValueError(f"entry {f_id}->{fp_id} is not an isomorphism")
+            phis.append(ar.invert(phi))
+        sources = [s.sid for s in current.summands
+                   if s.degree == deg and s.sid not in f_ids]
+        targets = [s.sid for s in current.summands
+                   if s.degree == deg + 1 and s.sid not in fp_ids]
+        zz = {}
+        for r in range(1, m + 1):
+            for seq in itertools.permutations(range(m), r):
+                core = phis[seq[0]]
+                for t in range(1, r):
+                    theta = current.diff.get((f_ids[seq[t - 1]], fp_ids[seq[t]]))
+                    if theta is None:
+                        break
+                    core = ar.compose(phis[seq[t]], ar.compose(theta, core))
+                else:
+                    rest = [j for j in range(m) if j not in seq]
+                    for src in sources + [f_ids[j] for j in rest]:
+                        start = current.diff.get((src, fp_ids[seq[0]]))
+                        if start is None:
+                            continue
+                        half = ar.compose(core, start)
+                        for tgt in targets + [fp_ids[j] for j in rest]:
+                            end = current.diff.get((f_ids[seq[-1]], tgt))
+                            if end is not None:
+                                z = ar.compose(end, half)
+                                if not ar.is_zero(z):
+                                    zz[(src, tgt, seq)] = z
+        for (src, tgt, seq) in zz:
+            if (src, tgt) in group:
+                raise ValueError(
+                    f"family is not independent: nonzero zigzag "
+                    f"{src}->{tgt} through {seq}"
+                )
+        removed = set(f_ids) | set(fp_ids)
+        survivors = [s for s in current.summands if s.sid not in removed]
+        new_diff = {
+            (a, b): mor
+            for (a, b), mor in current.diff.items()
+            if a not in removed and b not in removed
+        }
+        for (src, tgt, seq), z in zz.items():
+            if src in removed or tgt in removed:
+                continue
+            term = z if len(seq) % 2 == 0 else ar.negate(z)
+            cur = new_diff.get((src, tgt))
+            new_diff[(src, tgt)] = term if cur is None else ar.add(cur, term)
+        new_diff = {k: v for k, v in new_diff.items() if not ar.is_zero(v)}
+        current = Pseudocomplex(ar, survivors, new_diff, validate=False)
+        trace.append((deg, list(group)))
+    return current, trace
+
+
+def random_family(rng):
+    """A Q[d] pseudocomplex with a family of m = 2..4 rank-one pairs
+    F_j -> F'_j in degrees 0 -> 1, theta entries F_j -> F'_k between them,
+    and sometimes a second pair G -> G' in degrees 1 -> 2.
+
+    The theta entries mostly follow a random order of the pairs, so that no
+    closed zigzag can form; a back edge, added to about half the families,
+    may close one.  About one pivot in 40 is the non-unit d.  Entries
+    leaving degree 1 (but G -> G') and entering G or leaving degree -1 are
+    multiples of d, so d^2 is divisible by d.
+    """
+    ar = MatrixArithmetic(0)
+
+    def q(a, b=0):
+        """a + b d"""
+        return RingElement(0, {(0,): a, (1,): b})
+
+    def mat(rows, cols, scale_d=False):
+        def entry():
+            a, b = rng.choices(range(-2, 3), k=2)
+            return q(0, b) if scale_d else q(a, b)
+
+        return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+    summands, ranks = [], {}
+
+    def add(degree, rank=1):
+        sid = len(summands)
+        summands.append(Summand(sid, rank, 0, degree))
+        ranks[sid] = rank
+        return sid
+
+    m = rng.randint(2, 4)
+    f_ids = [add(0) for _ in range(m)]
+    fp_ids = [add(1) for _ in range(m)]
+    sources = [add(0, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    targets = [add(1, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    diff = {}
+    for j in range(m):
+        pivot = rng.choice((1, -1, 2, -3)) if rng.random() > 0.025 else 0
+        diff[(f_ids[j], fp_ids[j])] = ((q(pivot, 0 if pivot else 1),),)
+    order = list(range(m))
+    rng.shuffle(order)
+    for a, j in enumerate(order):
+        for k in order[a + 1:]:
+            if rng.random() < 0.5:
+                diff[(f_ids[j], fp_ids[k])] = mat(1, 1)
+    if rng.random() < 0.5:
+        a, b = sorted(rng.sample(range(m), 2))
+        diff[(f_ids[order[b]], fp_ids[order[a]])] = mat(1, 1)
+    for a in sources + f_ids:
+        for b in targets + fp_ids:
+            if (a, b) not in diff and (a in sources or b in targets) and rng.random() < 0.7:
+                diff[(a, b)] = mat(ranks[b], ranks[a])
+    pairs = list(zip(f_ids, fp_ids))
+    if rng.random() < 0.5:
+        g, gp = add(1), add(2)
+        diff[(g, gp)] = ((q(rng.choice((1, -1, 2))),),)
+        for a in sources + f_ids:
+            if rng.random() < 0.5:
+                diff[(a, g)] = mat(1, ranks[a], scale_d=True)
+        for a in targets + fp_ids:
+            if rng.random() < 0.5:
+                diff[(a, gp)] = mat(1, ranks[a], scale_d=True)
+        pairs.append((g, gp))
+    if rng.random() < 0.5:
+        e = add(-1)
+        for b in sources + f_ids:
+            if rng.random() < 0.5:
+                diff[(e, b)] = mat(ranks[b], 1, scale_d=True)
+    rng.shuffle(pairs)
+    diff = {k: v for k, v in diff.items() if not ar.is_zero(v)}
+    return Pseudocomplex(ar, summands, diff, validate=True), pairs
+
+
+def eliminate_or_refuse(eliminate, p, pairs):
+    try:
+        q, trace = eliminate(p, pairs)
+    except ValueError as exc:
+        return str(exc)
+    return q.to_json(0), trace
+
+
+def test_simultaneous_eliminate_matches_zigzag_formula():
+    # same survivor complexes, traces and refusal messages as the zigzag
+    # formula on seeded families, many of them refused
+    refused = eliminated = 0
+    for seed in range(1000):
+        p, pairs = random_family(random.Random(f"family/{seed}"))
+        got = eliminate_or_refuse(Pseudocomplex.simultaneous_eliminate, p, pairs)
+        assert got == eliminate_or_refuse(reference_simultaneous_eliminate, p, pairs)
+        if isinstance(got, str):
+            refused += got.startswith("family is not independent")
+        else:
+            eliminated += 1
+    assert refused >= 100 and eliminated >= 500
+
+
+def test_simultaneous_eliminate_refuses_invertible_dependent_family():
+    # phi_1 = phi_2 = 1 with theta(F_1 -> F'_2) = 1 and theta(F_2 -> F'_1)
+    # = 2: the block [[1, 2], [1, 1]] has determinant -1, yet the closed
+    # zigzag F_1 -> F'_2 -> F_2 -> F'_1 is 2, so the family is refused
+    ar = MatrixArithmetic(0)
+
+    def c(x):
+        return ((RingElement.constant(0, x),),)
+
+    F1, F2, Fp1, Fp2 = range(4)
+    summands = [Summand(F1, 1, 0, 0), Summand(F2, 1, 0, 0),
+                Summand(Fp1, 1, 0, 1), Summand(Fp2, 1, 0, 1)]
+    diff = {(F1, Fp1): c(1), (F2, Fp2): c(1), (F1, Fp2): c(1), (F2, Fp1): c(2)}
+    p = Pseudocomplex(ar, summands, diff)
+    block = ((RingElement.one(0), RingElement.constant(0, 2)),
+             (RingElement.one(0), RingElement.one(0)))
+    assert ar.is_isomorphism(block, None, None)
+    message = "family is not independent: nonzero zigzag 1->3 through (0,)"
+    for eliminate in (Pseudocomplex.simultaneous_eliminate,
+                      reference_simultaneous_eliminate):
+        with pytest.raises(ValueError) as exc:
+            eliminate(p, [(F1, Fp1), (F2, Fp2)])
+        assert str(exc.value) == message

@@ -1,6 +1,7 @@
-"""Import hygiene of the package, checked on the syntax tree (no linter is
-needed): every imported name is used, and no module reaches into another
-affhecke module for one of its private (underscore) names."""
+"""Import and definition hygiene of the package, checked on the syntax tree
+(no linter is needed): every imported name is used, no module reaches into
+another affhecke module for one of its private (underscore) names, and no
+definition is left orphaned."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 import affhecke
 
 MODULES = sorted(pathlib.Path(affhecke.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def imports(tree):
@@ -36,3 +38,43 @@ def test_no_unused_or_private_imports(path):
         # a re-export of the package namespace is marked as such
         if bound not in used and "noqa: F401" not in lines[line - 1]:
             pytest.fail(f"{path.name}:{line} imports {bound} but never uses it")
+
+
+def definitions(tree):
+    """(name, node, is a method) of every function and class, nested ones
+    included; dunders are left out."""
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                yield node.name, node, isinstance(parent, ast.ClassDef)
+
+
+def test_no_orphaned_definitions():
+    # every function, class and method of the package is referenced outside
+    # its own definition somewhere in src/, tests/ or bench/: a method by an
+    # attribute, anything else by a name or an attribute
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    uses = {}  # (name, is an attribute) -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault((node.id, False), []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault((node.attr, True), []).append((path, node.lineno))
+    orphans = []
+    for path in sorted((ROOT / "src" / "affhecke").glob("*.py")):
+        for name, node, method in definitions(trees[path]):
+            kinds = (True,) if method else (True, False)
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for kind in kinds
+                for where, line in uses.get((name, kind), ())
+            ):
+                orphans.append(f"{path.name}:{node.lineno} {name}")
+    assert not orphans, f"defined but never referenced: {orphans}"
