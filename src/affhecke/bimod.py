@@ -103,8 +103,8 @@ class Morphism:
         self.degree = degree
 
     @classmethod
-    def zero(cls, n, src, tgt, degree=None):
-        return cls(n, src, tgt, polymat.mat_zero(n, rank(tgt), rank(src)), degree, check=False)
+    def zero(cls, n, src, tgt):
+        return cls(n, src, tgt, polymat.mat_zero(n, rank(tgt), rank(src)), check=False)
 
     @classmethod
     def identity(cls, n, word):
@@ -494,12 +494,11 @@ def signed_dot(n, A, B):
     return mor if sign == 1 else -mor
 
 
-def is_bimodule_map(mor, generators=None):
+def is_bimodule_map(mor):
     """Check that the left action commutes with the morphism."""
     n = mor.n
-    if generators is None:
-        generators = [RingElement.x(n, i) for i in range(1, n + 1)]
-        generators.append(RingElement.delta(n))
+    generators = [RingElement.x(n, i) for i in range(1, n + 1)]
+    generators.append(RingElement.delta(n))
     for f in generators:
         lhs = left_mult(n, mor.tgt, f).compose(mor)
         rhs = mor.compose(left_mult(n, mor.src, f))

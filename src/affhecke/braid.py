@@ -77,7 +77,7 @@ class BraidWord:
         return " ".join(parts)
 
 
-def word(n, letters, flavor="cylindrical"):
+def word(n, letters):
     """Build a braid word from shorthand: 'w', 'w-', ('f', i, e), or int i (= f_i)."""
     out = []
     for tok in letters:
@@ -90,10 +90,10 @@ def word(n, letters, flavor="cylindrical"):
         else:
             kind, i, e = tok
             out.append(("f", i % n, e))
-    return BraidWord(n, tuple(out), flavor)
+    return BraidWord(n, tuple(out))
 
 
-def parse(n, text, flavor="cylindrical"):
+def parse(n, text):
     out = []
     for tok in text.split():
         if tok == "w":
@@ -109,7 +109,7 @@ def parse(n, text, flavor="cylindrical"):
             out.append(("f", int(body) % n, e))
         else:
             raise ValueError(f"bad token {tok!r}")
-    return BraidWord(n, tuple(out), flavor)
+    return BraidWord(n, tuple(out))
 
 
 def evaluate(b):

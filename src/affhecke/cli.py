@@ -61,19 +61,7 @@ def _emit_certificate(args, record):
         handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-SUITES = (
-    "d2",
-    "wakimoto",
-    "descent",
-    "tensorbi",
-    "crossover",
-    "homotopy-h",
-    "phi-n2",
-    "ge-props",
-)
-
-
-def _suite_d2(n, seed):
+def _suite_d2(n, args):
     cases = []
     if n <= BIMODULE_EXACT_MAX:
         f = complexes.build_F(n, "bimodule")
@@ -90,62 +78,51 @@ def _suite_d2(n, seed):
     return cases
 
 
-def run_suite(args):
-    n = args.n
-    seed = args.seed
-    cases = []
-    if args.suite == "d2":
-        cases = _suite_d2(n, seed)
-    elif args.suite == "wakimoto":
-        cases = [(f"wakimoto filtration n={n}", complexes.verify_wakimoto(n))]
-    elif args.suite == "descent":
-        cases = descent_lemma_cases(n)
-    elif args.suite == "tensorbi":
-        for members in proper_subsets(n):
-            cert = complexes.tensorBI_object_GE(n, members)
-            cases.append((f"I={sorted(members)}", cert["verdict"] == "pass"))
-    elif args.suite == "crossover":
-        for members in proper_subsets(n):
-            cases.append(
-                (f"I={sorted(members)}", complexes.verify_N_equals_M(n, members))
-            )
-    elif args.suite == "homotopy-h":
-        cases = [(f"x1 commutation n={n}", complexes.verify_x1_commutation(n))]
-    elif args.suite == "phi-n2":
-        if n != 2:
-            raise ValueError(f"phi-n2 checks n = 2 only, got n={n}")
-        report = twist.verify_phi_squares_n2()
-        cases = [(f"square {k}", True) for k in sorted(report)]
-    elif args.suite == "ge-props":
-        cases = ge_property_cases(seed=seed, count=args.count)
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    return cases
+def _suite_phi_n2(n, args):
+    if n != 2:
+        raise ValueError(f"phi-n2 checks n = 2 only, got n={n}")
+    return [(f"square {k}", True) for k in sorted(twist.verify_phi_squares_n2())]
+
+
+# suite -> (n when --n is not given, run(n, args) -> [(case name, verdict)])
+SUITES = {
+    "d2": (3, _suite_d2),
+    "wakimoto": (3, lambda n, args: [
+        (f"wakimoto filtration n={n}", complexes.verify_wakimoto(n)),
+    ]),
+    "descent": (3, lambda n, args: descent_lemma_cases(n)),
+    "tensorbi": (3, lambda n, args: [
+        (f"I={sorted(I)}", complexes.tensorBI_object_GE(n, I)["verdict"] == "pass")
+        for I in proper_subsets(n)
+    ]),
+    "crossover": (3, lambda n, args: [
+        (f"I={sorted(I)}", complexes.verify_N_equals_M(n, I))
+        for I in proper_subsets(n)
+    ]),
+    "homotopy-h": (3, lambda n, args: [
+        (f"x1 commutation n={n}", complexes.verify_x1_commutation(n)),
+    ]),
+    "phi-n2": (2, _suite_phi_n2),
+    "ge-props": (3, lambda n, args: ge_property_cases(seed=args.seed, count=args.count)),
+}
 
 
 def cmd_verify(args):
-    if args.n is None:  # phi-n2 covers n = 2 only
-        args.n = 2 if args.suite == "phi-n2" else 3
+    default_n, run = SUITES[args.suite]
+    if args.n is None:
+        args.n = default_n
+    summary = None
     try:
-        cases = run_suite(args)
+        cases = run(args.n, args)
     except Exception as exc:  # every input ends in a verdict
         traceback.print_exc()
-        reason = f"{type(exc).__name__}: {exc}"
-        print(f"FAIL: {reason}")
-        _emit_certificate(
-            args,
-            {
-                "theorem": args.suite,
-                "n": args.n,
-                "parameters": {"seed": args.seed},
-                "steps": [],
-                "verdict": f"fail: {reason}",
-            },
-        )
-        return 1
-    failed = [name for name, ok in cases if not ok]
-    for name, ok in cases:
-        print(f"{'PASS' if ok else 'FAIL'}: {name}")
+        cases, failed = [], [f"{type(exc).__name__}: {exc}"]
+        print(f"FAIL: {failed[0]}")
+    else:
+        failed = [name for name, ok in cases if not ok]
+        for name, ok in cases:
+            print(f"{'PASS' if ok else 'FAIL'}: {name}")
+        summary = f"suite {args.suite}: {len(cases) - len(failed)}/{len(cases)} cases pass"
     _emit_certificate(
         args,
         {
@@ -156,7 +133,8 @@ def cmd_verify(args):
             "verdict": "pass" if not failed else f"fail: {failed[0]}",
         },
     )
-    print(f"suite {args.suite}: {len(cases) - len(failed)}/{len(cases)} cases pass")
+    if summary:
+        print(summary)
     return 0 if not failed else 1
 
 

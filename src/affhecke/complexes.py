@@ -18,7 +18,6 @@ import itertools
 from . import bimod, homalg
 from .bimod import eps_sign, preferred_word, signed_dot
 from .hecke import (
-    DEFAULT_LENGTH_CAP,
     HeckeElement,
     braid_hecke_image,
     c_element,
@@ -29,8 +28,8 @@ from .homalg import (
     BimoduleArithmetic,
     ChainMap,
     Pseudocomplex,
-    SignArithmetic,
     Summand,
+    arithmetic_for,
 )
 from .rings import LaurentPoly, RingElement
 from .weyl import (
@@ -112,44 +111,38 @@ def summand_label(n, X, backend):
     return X if backend == "sign" else preferred_word(n, X)
 
 
-def _dot_entries(n, grading, backend):
-    """Differential entries between adjacent layers of a grading dict.
+def dot_complex(n, grading, backend="sign", sign=1):
+    """The complex with a summand B_X(k) for each X in grading[k] and the
+    signed dot, times sign, between each pair of adjacent_pairs.
 
-    grading maps k -> list of subsets; an entry appears whenever subsets in
-    degrees k, k+1 differ by one index.  Returns dict keyed by (sid, sid).
+    grading maps k -> list of subsets of Z/n; summand ids follow the order
+    of k, then of each layer.  F, I, N_I and M_J are all built this way.
     """
     if backend not in ("sign", "bimodule"):
         raise ValueError(f"unknown backend {backend!r}")
+    ar = arithmetic_for(backend, n)
+    dot = _dot_sign if backend == "sign" else signed_dot
     sids = {}
     summands = []
     for k in sorted(grading):
         for X in grading[k]:
-            sid = len(summands)
-            sids[(X, k)] = sid
-            summands.append(Summand(sid, summand_label(n, X, backend), k, k))
+            sids[(X, k)] = len(summands)
+            summands.append(Summand(len(summands), summand_label(n, X, backend), k, k))
     diff = {}
     for k, X, Y in adjacent_pairs(n, grading):
-        a, b = sids[(X, k)], sids[(Y, k + 1)]
-        if backend == "sign":
-            diff[(a, b)] = _dot_sign(n, X, Y)
-        else:
-            diff[(a, b)] = signed_dot(n, X, Y)
-    return summands, diff, sids
+        mor = dot(n, X, Y)
+        diff[(sids[(X, k)], sids[(Y, k + 1)])] = mor if sign == 1 else ar.negate(mor)
+    return Pseudocomplex(ar, summands, diff)
 
 
 def build_F(n, backend="sign"):
     """The twisted standard complex: summands B_X(k) for X in P_k, signed dots."""
-    summands, diff, _ = _dot_entries(n, build_P(n), backend)
-    arithmetic = SignArithmetic() if backend == "sign" else BimoduleArithmetic(n)
-    return Pseudocomplex(arithmetic, summands, diff, validate=False)
+    return dot_complex(n, build_P(n), backend)
 
 
 def build_I(n, backend="sign"):
     """The inner complex with summands over Q_k; differential is minus dots."""
-    summands, diff, _ = _dot_entries(n, build_Q(n), backend)
-    arithmetic = SignArithmetic() if backend == "sign" else BimoduleArithmetic(n)
-    diff = {k: arithmetic.negate(m) for k, m in diff.items()}
-    return Pseudocomplex(arithmetic, summands, diff, validate=False)
+    return dot_complex(n, build_Q(n), backend, sign=-1)
 
 
 def inner_inclusion(n, F=None, I=None):
@@ -204,13 +197,13 @@ def build_Fstar(n, backend="sign"):
             Summand(s.sid, frozenset((-x) % n for x in s.label), s.shift, s.degree)
             for s in F.summands
         ]
-        return Pseudocomplex(F.arithmetic, summands, dict(F.diff), validate=False)
+        return Pseudocomplex(F.arithmetic, summands, dict(F.diff))
     summands = [
         Summand(s.sid, bimod.sigma_word(n, s.label), s.shift, s.degree)
         for s in F.summands
     ]
     diff = {k: bimod.sigma_morphism(m) for k, m in F.diff.items()}
-    return Pseudocomplex(F.arithmetic, summands, diff, validate=False)
+    return Pseudocomplex(F.arithmetic, summands, diff)
 
 
 def check_d2_signs(n, F=None):
@@ -251,7 +244,7 @@ def wakimoto_assignment(n):
     return out
 
 
-def verify_wakimoto(n, length_cap=DEFAULT_LENGTH_CAP):
+def verify_wakimoto(n):
     """Partition, cube sizes, filtration closure and cube Hecke symbols.
 
     Each cube must have 2^{n-1} members, differentials must never increase
@@ -282,7 +275,7 @@ def verify_wakimoto(n, length_cap=DEFAULT_LENGTH_CAP):
         for (X, k), cube in assign.items():
             if cube != i:
                 continue
-            term = kl_basis(h_of(n, X), length_cap).scale(LaurentPoly.v(k))
+            term = kl_basis(h_of(n, X)).scale(LaurentPoly.v(k))
             total = total + (term if k % 2 == 0 else -term)
         expected = braid_hecke_image(y_braid(n, i))
         if om * total != expected:
@@ -290,10 +283,9 @@ def verify_wakimoto(n, length_cap=DEFAULT_LENGTH_CAP):
     return True
 
 
-def f_symbol(n, F=None, length_cap=DEFAULT_LENGTH_CAP):
-    F = F if F is not None else build_F(n)
+def f_symbol(n):
     return symbol_of_complex(
-        n, F, lambda label: h_of(n, summand_subset(label)), length_cap
+        n, build_F(n), lambda label: h_of(n, summand_subset(label))
     )
 
 
@@ -309,25 +301,18 @@ def m_sets(n, J):
 
 def build_N(n, I):
     """The complex with summands B_{w_I h_X}(k), X in N^I_k, signed dots."""
-    I = frozenset(i % n for i in I)
-    summands, diff, _ = _dot_entries(n, n_sets(n, I), "sign")
-    return Pseudocomplex(SignArithmetic(), summands, diff, validate=False)
+    return dot_complex(n, n_sets(n, I))
 
 
 def build_M(n, J):
     """The complex with summands B_{h_Y w_J}(k), Y in M^J_k, signed dots."""
-    J = frozenset(j % n for j in J)
-    summands, diff, _ = _dot_entries(n, m_sets(n, J), "sign")
-    return Pseudocomplex(SignArithmetic(), summands, diff, validate=False)
+    return dot_complex(n, m_sets(n, J))
 
 
-def n_symbol(n, I, length_cap=DEFAULT_LENGTH_CAP):
+def n_symbol(n, I):
     wI = longest_element(n, I)
     return symbol_of_complex(
-        n,
-        build_N(n, I),
-        lambda label: wI * h_of(n, summand_subset(label)),
-        length_cap,
+        n, build_N(n, I), lambda label: wI * h_of(n, summand_subset(label))
     )
 
 
@@ -450,7 +435,7 @@ def verify_N_equals_M(n, I):
     return True
 
 
-def tensorBI_object_GE(n, I, length_cap=DEFAULT_LENGTH_CAP, check_each_stage=True):
+def tensorBI_object_GE(n, I):
     """Object-level Gaussian elimination certificate for B_I (x) F.
 
     Simulates the block-by-block elimination on summand symbols: at the
@@ -469,7 +454,7 @@ def tensorBI_object_GE(n, I, length_cap=DEFAULT_LENGTH_CAP, check_each_stage=Tru
     comps = tau_components(n, I)
 
     def csym(Z, Y):
-        return c_element(n, I, Z, Y, length_cap, memo)
+        return c_element(n, I, Z, Y, _memo=memo)
 
     def total_symbol(items):
         total = HeckeElement.zero(n)
@@ -482,7 +467,7 @@ def tensorBI_object_GE(n, I, length_cap=DEFAULT_LENGTH_CAP, check_each_stage=Tru
     for k, sets in build_P(n).items():
         for X in sets:
             items.append((X, frozenset(), k, k))
-    target = kl_basis(longest_element(n, I), length_cap) * f_symbol(n, length_cap=length_cap)
+    target = kl_basis(longest_element(n, I)) * f_symbol(n)
     if total_symbol(items) != target:
         raise AssertionError("initial symbol does not match b_{w_I} [F]")
     steps = []
@@ -535,7 +520,7 @@ def tensorBI_object_GE(n, I, length_cap=DEFAULT_LENGTH_CAP, check_each_stage=Tru
                 )
             items = new_items
             steps.append({"index": j, "cancelled": cancelled})
-            if check_each_stage and total_symbol(items) != target:
+            if total_symbol(items) != target:
                 raise AssertionError(f"symbol changed at stage {j}")
     expected = {}
     for k, sets in n_sets(n, I).items():
@@ -548,13 +533,13 @@ def tensorBI_object_GE(n, I, length_cap=DEFAULT_LENGTH_CAP, check_each_stage=Tru
         if s != k:
             raise AssertionError("survivor has mismatched shift")
         got[(Z, k)] = got.get((Z, k), 0) + 1
-        if csym(Z, Y) != kl_basis(longest_element(n, I) * h_of(n, Z), length_cap):
+        if csym(Z, Y) != kl_basis(longest_element(n, I) * h_of(n, Z)):
             raise AssertionError(
                 f"survivor symbol for X={sorted(Z)} is not b_(w_I h_X)"
             )
     if got != expected:
         raise AssertionError("survivors do not match the summands of N_I")
-    if total_symbol(items) != n_symbol(n, I, length_cap):
+    if total_symbol(items) != n_symbol(n, I):
         raise AssertionError("final symbol does not equal [N_I]")
     return {
         "theorem": "tensor-with-longest-element",
@@ -621,13 +606,12 @@ def tau_equivariance_signs(n):
     return signs
 
 
-def rouquier_complex(n, i, inverse=False, arithmetic=None):
+def rouquier_complex(n, i, inverse=False):
     """The elementary Rouquier complex F_i (or its inverse) over bimodules.
 
     F_i is B_i in degree 0 mapping to R(1) by the enddot; the inverse is
     R(-1) mapping to B_i by the startdot.
     """
-    ar = arithmetic if arithmetic is not None else BimoduleArithmetic(n)
     i = i % n
     if inverse:
         summands = [Summand(0, (), -1, -1), Summand(1, (i,), 0, 0)]
@@ -635,7 +619,7 @@ def rouquier_complex(n, i, inverse=False, arithmetic=None):
     else:
         summands = [Summand(0, (i,), 0, 0), Summand(1, (), 1, 1)]
         diff = {(0, 1): bimod.enddot(n, (i,), 0)}
-    return Pseudocomplex(ar, summands, diff, validate=False)
+    return Pseudocomplex(BimoduleArithmetic(n), summands, diff)
 
 
 def rouquier_tensor_dotted(n, letters):
@@ -654,7 +638,7 @@ def rouquier_tensor_dotted(n, letters):
             out = factor
         else:
             convention = "dotted" if count % 2 == 1 else "standard"
-            out = homalg.tensor(out, factor, convention, validate=False)
+            out = homalg.tensor(out, factor, convention)
         count += 1
     return out
 

@@ -326,7 +326,7 @@ def braid_hecke_image(b):
     return out
 
 
-def symbol_of_complex(n, complex_, element_of_label, length_cap=DEFAULT_LENGTH_CAP):
+def symbol_of_complex(n, complex_, element_of_label):
     """Alternating sum:  sum over summands of (-1)^degree v^shift b_w.
 
     element_of_label maps a summand label to its group element; a summand it
@@ -337,7 +337,7 @@ def symbol_of_complex(n, complex_, element_of_label, length_cap=DEFAULT_LENGTH_C
         w = element_of_label(s.label)
         if w is None or w.n != n:
             raise ValueError(f"unlabeled summand {s.sid}")
-        term = kl_basis(w, length_cap).scale(LaurentPoly.v(s.shift))
+        term = kl_basis(w).scale(LaurentPoly.v(s.shift))
         total = total + (term if s.degree % 2 == 0 else -term)
     return total
 

@@ -274,6 +274,17 @@ class BimoduleArithmetic:
         return tuple(data)
 
 
+def arithmetic_for(backend, n):
+    """The arithmetic of a backend name, over n strands."""
+    if backend == "sign":
+        return SignArithmetic()
+    if backend == "matrix":
+        return MatrixArithmetic(n)
+    if backend == "bimodule":
+        return BimoduleArithmetic(n)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
 def compose_entries(ar, later, earlier):
     """later o earlier for sparse entry dicts (a, b) -> morphism.
 
@@ -369,9 +380,10 @@ def _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id, phi_inv):
 
 
 class Pseudocomplex:
-    """Summands plus a sparse differential; d^2 must be a multiple of delta."""
+    """Summands plus a sparse differential; d^2 must be a multiple of delta,
+    which monodromy() checks (the constructor checks ids and degrees only)."""
 
-    def __init__(self, arithmetic, summands, diff, validate=True):
+    def __init__(self, arithmetic, summands, diff):
         self.arithmetic = arithmetic
         self.summands = sorted(summands, key=lambda s: (s.degree, s.sid))
         self.by_sid = {s.sid: s for s in self.summands}
@@ -393,8 +405,6 @@ class Pseudocomplex:
                 )
             _check_entry_degree(arithmetic, sa, sb, mor)
             self.diff[(a, b)] = mor
-        if validate:
-            self.monodromy()
 
     def entry(self, a, b):
         got = self.diff.get((a, b))
@@ -430,7 +440,7 @@ class Pseudocomplex:
             for s in self.summands
         ]
         diff = {(b, a): ar.dual(m) for (a, b), m in self.diff.items()}
-        return Pseudocomplex(ar, summands, diff, validate=False)
+        return Pseudocomplex(ar, summands, diff)
 
     def shift(self, grading=0, homological=0):
         """P(grading)[homological]: degrees drop by `homological`.
@@ -444,7 +454,7 @@ class Pseudocomplex:
         diff = dict(self.diff)
         if homological % 2:
             diff = {k: self.arithmetic.negate(m) for k, m in diff.items()}
-        return Pseudocomplex(self.arithmetic, summands, diff, validate=False)
+        return Pseudocomplex(self.arithmetic, summands, diff)
 
     def is_perverse(self):
         return all(s.shift == s.degree for s in self.summands)
@@ -503,7 +513,7 @@ class Pseudocomplex:
             ar, self.by_sid, diff, out_of, into, f_id, fp_id, phi_inv
         )
         survivors = [s for s in self.summands if s.sid not in (f_id, fp_id)]
-        q = Pseudocomplex(ar, survivors, diff, validate=False)
+        q = Pseudocomplex(ar, survivors, diff)
         identities = {(s.sid, s.sid): ar.identity(s.label) for s in survivors}
         alpha_entries = dict(identities)
         beta_entries = dict(identities)
@@ -575,7 +585,7 @@ class Pseudocomplex:
             trace.append((deg, list(group)))
         removed = {sid for pair in pairs for sid in pair}
         survivors = [s for s in self.summands if s.sid not in removed]
-        return Pseudocomplex(ar, survivors, diff, validate=False), trace
+        return Pseudocomplex(ar, survivors, diff), trace
 
     def minimal_complex(self):
         """Iterated single Gaussian elimination, in place on one differential.
@@ -607,7 +617,7 @@ class Pseudocomplex:
             for key in written:
                 heapq.heappush(heap, (by_sid[key[0]].degree, *key))
         survivors = [s for s in self.summands if s.sid not in removed]
-        return Pseudocomplex(ar, survivors, diff, validate=False)
+        return Pseudocomplex(ar, survivors, diff)
 
     def split_summand(self, sid, pieces):
         """Replace a summand by direct-sum pieces.
@@ -650,7 +660,7 @@ class Pseudocomplex:
                     entry = ar.compose(pi, mor)
                     if not ar.is_zero(entry):
                         new_diff[(a, pid)] = entry
-        return Pseudocomplex(ar, new_summands, new_diff, validate=False)
+        return Pseudocomplex(ar, new_summands, new_diff)
 
     def to_json(self, n=None):
         ar = self.arithmetic
@@ -673,18 +683,8 @@ class Pseudocomplex:
         }
 
     @classmethod
-    def from_json(cls, data, arithmetic=None):
-        if arithmetic is None:
-            backend = data.get("backend", "sign")
-            n = data.get("n") or 0
-            if backend == "sign":
-                arithmetic = SignArithmetic()
-            elif backend == "matrix":
-                arithmetic = MatrixArithmetic(n)
-            elif backend == "bimodule":
-                arithmetic = BimoduleArithmetic(n)
-            else:
-                raise ValueError(f"unknown backend {backend!r}")
+    def from_json(cls, data):
+        arithmetic = arithmetic_for(data.get("backend", "sign"), data.get("n") or 0)
         summands = [
             Summand(
                 s["id"], arithmetic.decode_label(s["label"]), s["shift"], s["degree"]
@@ -695,7 +695,7 @@ class Pseudocomplex:
             (e["from"], e["to"]): arithmetic.decode(e["morphism"])
             for e in data["diff"]
         }
-        return cls(arithmetic, summands, diff, validate=False)
+        return cls(arithmetic, summands, diff)
 
 
 class ChainMap:
@@ -806,7 +806,7 @@ def identity_chain_map(p):
     )
 
 
-def tensor(p, q, convention="standard", validate=True):
+def tensor(p, q, convention="standard"):
     """Tensor product with d = d_P (x) 1 + (-1)^i 1 (x) d_Q.
 
     The dotted convention uses (-1)^(i+1) on the second term; the complexes
@@ -835,10 +835,8 @@ def tensor(p, q, convention="standard", validate=True):
             if exponent % 2:
                 term = ar.negate(term)
             diff[(index[(a.sid, b1)], index[(a.sid, b2)])] = term
-    return Pseudocomplex(ar, summands, diff, validate=validate)
+    return Pseudocomplex(ar, summands, diff)
 
 
 def one_term_complex(arithmetic, label, shift=0, degree=0):
-    return Pseudocomplex(
-        arithmetic, [Summand(0, label, shift, degree)], {}, validate=False
-    )
+    return Pseudocomplex(arithmetic, [Summand(0, label, shift, degree)], {})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from . import homalg
 from .bimod import distant
@@ -101,7 +100,7 @@ def commutation_reachable(n, word_from, word_to):
     return not remaining
 
 
-def rewrite_cases(n, alephs=None):
+def rewrite_cases(n):
     """The rewriting factorization multiplies back, keeps the letters of the
     compatible concatenation w_I . h_X, and is reachable from it using only
     commutation (distant-swap) moves."""
@@ -111,7 +110,7 @@ def rewrite_cases(n, alephs=None):
     for I in proper_subsets(n):
         base_wI = longest_word(n, I)
         for X in proper_subsets(n):
-            for aleph in range(n) if alephs is None else alephs:
+            for aleph in range(n):
                 if aleph in X:
                     continue
                 factors = rewrite_wIhX(n, I, X, aleph)
@@ -138,30 +137,21 @@ def rewrite_cases(n, alephs=None):
 # randomized pseudocomplex properties over Q[d]
 
 
-def _random_matrix(rng, rows, cols, arithmetic, scale=3, delta_part=False):
-    n = arithmetic.n
-    out = []
-    for _ in range(rows):
-        row = []
-        for _ in range(cols):
-            c0 = Fraction(rng.randint(-scale, scale))
-            terms = {(0,) * (n + 1): c0}
-            if delta_part and rng.random() < 0.5:
-                mono = [0] * (n + 1)
-                mono[n] = 1
-                terms[tuple(mono)] = Fraction(rng.randint(-scale, scale))
-            row.append(RingElement(n, terms))
-        out.append(tuple(row))
-    return tuple(out)
+def _random_matrix(rng, rows, cols, scale):
+    """A rows x cols matrix over Q of integers drawn from [-scale, scale]."""
+    return tuple(
+        tuple(RingElement(0, {(0,): rng.randint(-scale, scale)}) for _ in range(cols))
+        for _ in range(rows)
+    )
 
 
-def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2), delta_deform=True):
+def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2)):
     """A random pseudocomplex over Q[d].
 
     Built as a sum of contractible two-term pieces conjugated by random
     invertible changes of basis (an honest complex), then deformed by
     d -> d + delta . e for a random degree-one map e; d^2 stays a multiple
-    of delta.
+    of delta, which monodromy() checks.
     """
     ar = MatrixArithmetic(0)
     const = RingElement.constant
@@ -204,14 +194,15 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2), delta_deform=True):
         (k, k + 1): mat_mul(mat_mul(changes[k + 1], mat), mat_invert(changes[k]))
         for k, mat in base.items()
     }
-    if delta_deform:
-        for k in degrees:
-            if k + 1 not in ranks or rng.random() < 0.4:
-                continue
-            e = _random_matrix(rng, ranks[k + 1], ranks[k], ar, scale=2)
-            diff[(k, k + 1)] = ar.add(diff[(k, k + 1)], ar.scale_delta(e))
+    for k in degrees:
+        if k + 1 not in ranks or rng.random() < 0.4:
+            continue
+        e = _random_matrix(rng, ranks[k + 1], ranks[k], 2)
+        diff[(k, k + 1)] = ar.add(diff[(k, k + 1)], ar.scale_delta(e))
     diff = {k: v for k, v in diff.items() if not ar.is_zero(v)}
-    return Pseudocomplex(ar, summands, diff, validate=True)
+    p = Pseudocomplex(ar, summands, diff)
+    p.monodromy()
+    return p
 
 
 def _first_isomorphism(p):
@@ -271,23 +262,14 @@ def simultaneous_vs_iterated_case(rng):
         fp_ids.append(sid)
         sid += 1
     one = RingElement.one(0)
-
-    def rand1(rows, cols):
-        return tuple(
-            tuple(
-                RingElement(0, {(0,): Fraction(rng.randint(-2, 2))})
-                for _ in range(cols)
-            )
-            for _ in range(rows)
-        )
-
-    diff = {(0, c_id): rand1(2, 2)}
+    diff = {(0, c_id): _random_matrix(rng, 2, 2, 2)}
     for j in range(m):
         diff[(f_ids[j], fp_ids[j])] = ((one,),)
-        diff[(0, fp_ids[j])] = rand1(1, 2)
-        diff[(f_ids[j], c_id)] = rand1(2, 1)
+        diff[(0, fp_ids[j])] = _random_matrix(rng, 1, 2, 2)
+        diff[(f_ids[j], c_id)] = _random_matrix(rng, 2, 1, 2)
     diff = {k: v for k, v in diff.items() if not ar.is_zero(v)}
-    p = Pseudocomplex(ar, summands, diff, validate=True)
+    p = Pseudocomplex(ar, summands, diff)
+    p.monodromy()
     pairs = list(zip(f_ids, fp_ids))
     simul, _trace = p.simultaneous_eliminate(pairs)
     iterated = p
@@ -314,7 +296,8 @@ def pitfall_case():
         (1, 2): ((one,),),
         (1, 3): ((one,),),
     }
-    p = Pseudocomplex(ar, summands, diff, validate=True)
+    p = Pseudocomplex(ar, summands, diff)
+    p.monodromy()
     try:
         p.simultaneous_eliminate([(0, 2), (1, 3)])
     except ValueError:

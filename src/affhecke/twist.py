@@ -25,7 +25,7 @@ from .rings import RingElement
 
 def _delta_zero_complex(p):
     diff = {k: bimod.subs_delta_zero(m) for k, m in p.diff.items()}
-    return homalg.Pseudocomplex(p.arithmetic, p.summands, diff, validate=False)
+    return homalg.Pseudocomplex(p.arithmetic, p.summands, diff)
 
 
 def side_complexes(n, s):
@@ -34,7 +34,7 @@ def side_complexes(n, s):
     F = build_F(n, "bimodule")
     Bs = one_term_complex(ar, (s,))
     Bt = one_term_complex(ar, ((s + 1) % n,))
-    return F, homalg.tensor(Bs, F, validate=False), homalg.tensor(F, Bt, validate=False)
+    return F, homalg.tensor(Bs, F), homalg.tensor(F, Bt)
 
 
 def phi_s(s, BsF, FBt):

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from affhecke import homalg
+from affhecke import cli, homalg
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, cwd=None):
@@ -233,6 +237,22 @@ def test_verify_phi_n2_defaults_to_n2(tmp_path):
     result = run_cli("verify", "--suite", "descent", "--cert", str(cert))
     assert result.returncode == 0
     assert json.loads(cert.read_text().splitlines()[1])["n"] == 3
+
+
+def test_verify_suites_match_table_and_readme():
+    # the --suite choices of the parser, the SUITES table and the README list
+    # of suites are one list
+    help_text = run_cli("verify", "--help").stdout
+    choices = re.search(r"--suite \{([^}]*)\}", help_text).group(1).split(",")
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if "# suites:" in line)
+    listed = [lines[start].split("# suites:")[1]]
+    for line in lines[start + 1:]:
+        if not line.lstrip().startswith("#"):
+            break
+        listed.append(line.lstrip()[1:])
+    readme = [name.strip() for name in ",".join(listed).split(",") if name.strip()]
+    assert choices == list(cli.SUITES) == readme
 
 
 def test_verify_exception_is_a_verdict(tmp_path):

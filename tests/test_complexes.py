@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -73,6 +75,153 @@ def test_builders_take_sign_and_bimodule_only(build):
     for backend in ("hecke", "matrix"):
         with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
             build(3, backend)
+
+
+# sha256 of json.dumps(p.to_json(n), sort_keys=True) for I and F* (sign at
+# n = 2..5, bimodule at n = 2..4) and for N_I and M_J at n = 4, every I:
+# the serialized complexes are pinned byte for byte
+BUILDERS = {"I": build_I, "Fstar": build_Fstar, "N": build_N, "M": build_M}
+BUILT_SHA256 = {
+    ("I", 2, "sign"): (
+        "8f8bdf0ecf2ee38e02b10cf309609509160e883697705a15ba2e4a75999e514c"
+    ),
+    ("I", 3, "sign"): (
+        "6f59c22c9abffcf7d4177fa952fb20f9fc60d4977808736df0fbe8581ed2730f"
+    ),
+    ("I", 4, "sign"): (
+        "be7babefdfcdc8b063e6e2bfb5f9fb38d6f05ec0931ffaa8f04e3cd9dbdd8f2a"
+    ),
+    ("I", 5, "sign"): (
+        "3058a1d6ffca87c83bc47a60806f3d27c1e416c88c4268dc187b520e20ddfc92"
+    ),
+    ("I", 2, "bimodule"): (
+        "03028d843fe7d93f4eabce49442cb0a131cb51c0f67c3bee4c255f907a784dec"
+    ),
+    ("I", 3, "bimodule"): (
+        "6666765c14abda841c4cd635ad7557fd3c98c8c17a413295eff5cca0afecd7bd"
+    ),
+    ("I", 4, "bimodule"): (
+        "d6a101705768b700289987d0ed5c02a978d1d3928fa4c76cae66e9c46f5af053"
+    ),
+    ("Fstar", 2, "sign"): (
+        "9f9d4c798d00e2bb43c0af4fc36fb4985112a88882531b1fdd0a537520f5722d"
+    ),
+    ("Fstar", 3, "sign"): (
+        "d2f401e6981c29927fa4e3ddba330b2fac5631a63f5e01971b87689b16aeaff7"
+    ),
+    ("Fstar", 4, "sign"): (
+        "1f1b5bb65320ac73116ac4751c575fd4ef1526871445cb6a5b64c22adb10981c"
+    ),
+    ("Fstar", 5, "sign"): (
+        "b2d26fc88f874633e464f9ef849685db5578afdae4b683e22eeeb7973ae04836"
+    ),
+    ("Fstar", 2, "bimodule"): (
+        "ec7f7dff43e0d9d50273250fca29f720adfabb0031a5fdd72c099a966bd1b832"
+    ),
+    ("Fstar", 3, "bimodule"): (
+        "331fe3bfe3f2e0313b5dea4f982d2122cdc4184664e2f3a3b8861f4184519437"
+    ),
+    ("Fstar", 4, "bimodule"): (
+        "bdf9110d6d15aea1b89d52f255a530a2986548350d986079ae65ec3b44b4e936"
+    ),
+    ("N", 4, ()): (
+        "4d5301d435b6991c343a46f679b1462a3b1538e017380554dd6e4b49cfb29172"
+    ),
+    ("N", 4, (0,)): (
+        "2ffafa13653369b1ae8edecee269d465657653efac1077b724b2fe85be8dc092"
+    ),
+    ("N", 4, (1,)): (
+        "734550c311274d5de5c243a821cb2c7b53b1b8eea12ee82f93c19317f8076d10"
+    ),
+    ("N", 4, (2,)): (
+        "115440ad339a07e74c8d6aa6304fbadee9cf0c710ec7e006e20a2b55df608950"
+    ),
+    ("N", 4, (3,)): (
+        "995b256b9a31a9cb22577600c47dcd2337262f72b910c3235c93f08568c02b78"
+    ),
+    ("N", 4, (0, 1)): (
+        "d9a834b4684431746a6a6cbf43c8a9e86a3833b5a2f35b4c2bb6f8c0046315a5"
+    ),
+    ("N", 4, (0, 2)): (
+        "e39a6d76726c169ad7cb50ffc4217b83e1737de22233ee121659e843def39ae2"
+    ),
+    ("N", 4, (0, 3)): (
+        "099f811f56c4674e45e1d8122b5ccaa7dd2fd26d51d4f56fff7186f616136f40"
+    ),
+    ("N", 4, (1, 2)): (
+        "b8581494e20587828e6227f8981d3c5db33fdcf29c9824ff177d3229ad81b05d"
+    ),
+    ("N", 4, (1, 3)): (
+        "987d59a722570bc4302b5be2514614201dbfa7333540591765b70c4a168e0501"
+    ),
+    ("N", 4, (2, 3)): (
+        "4fe8103ce48f99e17e38f742c2978c10364ba192e309916e1072dbd264d4d063"
+    ),
+    ("N", 4, (0, 1, 2)): (
+        "333f386efa722b7c45417010787db6515c122fdf10ea0c03c0344c4fe7188706"
+    ),
+    ("N", 4, (0, 1, 3)): (
+        "5e37d336db029f31e23ebce6c657bf10cbaefd60fbea5ed1557a4d74d2b1dd64"
+    ),
+    ("N", 4, (0, 2, 3)): (
+        "83453c2a3785994c72b4716bd28c92a6eb99cf2dae0c4837cbb8b1392fd04323"
+    ),
+    ("N", 4, (1, 2, 3)): (
+        "5aa68af63cca5710597ef5ddcd99847e7f3f235b59e56ffbdf85795d485b4d0d"
+    ),
+    ("M", 4, ()): (
+        "4d5301d435b6991c343a46f679b1462a3b1538e017380554dd6e4b49cfb29172"
+    ),
+    ("M", 4, (0,)): (
+        "115440ad339a07e74c8d6aa6304fbadee9cf0c710ec7e006e20a2b55df608950"
+    ),
+    ("M", 4, (1,)): (
+        "995b256b9a31a9cb22577600c47dcd2337262f72b910c3235c93f08568c02b78"
+    ),
+    ("M", 4, (2,)): (
+        "2ffafa13653369b1ae8edecee269d465657653efac1077b724b2fe85be8dc092"
+    ),
+    ("M", 4, (3,)): (
+        "734550c311274d5de5c243a821cb2c7b53b1b8eea12ee82f93c19317f8076d10"
+    ),
+    ("M", 4, (0, 1)): (
+        "4fe8103ce48f99e17e38f742c2978c10364ba192e309916e1072dbd264d4d063"
+    ),
+    ("M", 4, (0, 2)): (
+        "e39a6d76726c169ad7cb50ffc4217b83e1737de22233ee121659e843def39ae2"
+    ),
+    ("M", 4, (0, 3)): (
+        "b8581494e20587828e6227f8981d3c5db33fdcf29c9824ff177d3229ad81b05d"
+    ),
+    ("M", 4, (1, 2)): (
+        "099f811f56c4674e45e1d8122b5ccaa7dd2fd26d51d4f56fff7186f616136f40"
+    ),
+    ("M", 4, (1, 3)): (
+        "987d59a722570bc4302b5be2514614201dbfa7333540591765b70c4a168e0501"
+    ),
+    ("M", 4, (2, 3)): (
+        "d9a834b4684431746a6a6cbf43c8a9e86a3833b5a2f35b4c2bb6f8c0046315a5"
+    ),
+    ("M", 4, (0, 1, 2)): (
+        "83453c2a3785994c72b4716bd28c92a6eb99cf2dae0c4837cbb8b1392fd04323"
+    ),
+    ("M", 4, (0, 1, 3)): (
+        "5aa68af63cca5710597ef5ddcd99847e7f3f235b59e56ffbdf85795d485b4d0d"
+    ),
+    ("M", 4, (0, 2, 3)): (
+        "333f386efa722b7c45417010787db6515c122fdf10ea0c03c0344c4fe7188706"
+    ),
+    ("M", 4, (1, 2, 3)): (
+        "5e37d336db029f31e23ebce6c657bf10cbaefd60fbea5ed1557a4d74d2b1dd64"
+    ),
+}
+
+
+@pytest.mark.parametrize(("builder", "n", "arg"), list(BUILT_SHA256), ids=str)
+def test_built_complexes_pinned(builder, n, arg):
+    text = json.dumps(BUILDERS[builder](n, arg).to_json(n), sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == BUILT_SHA256[(builder, n, arg)]
 
 
 def test_summand_counts():
@@ -264,7 +413,7 @@ def test_f_symbol_n2():
     )
     assert sym == expected
     # empty complex symbol is zero; unlabeled summands are an error
-    empty = homalg.Pseudocomplex(homalg.SignArithmetic(), [], {}, validate=False)
+    empty = homalg.Pseudocomplex(homalg.SignArithmetic(), [], {})
     from affhecke.hecke import symbol_of_complex
 
     assert symbol_of_complex(2, empty, lambda label: None).is_zero()
@@ -351,14 +500,14 @@ def test_crossover_sign_values():
 def test_underlying_vector_space():
     assert underlying_vector_space(build_F(3)) == {-2: 1, 0: 1, 2: 1}
     f2 = build_F(2)
-    t = homalg.tensor(f2, f2, validate=False)
+    t = homalg.tensor(f2, f2)
     dims = {}
     for s in t.summands:
         a, b = s.label
         if not a and not b:
             dims[s.degree] = dims.get(s.degree, 0) + 1
     assert dims == {-2: 1, 0: 2, 2: 1}
-    empty = homalg.Pseudocomplex(homalg.SignArithmetic(), [], {}, validate=False)
+    empty = homalg.Pseudocomplex(homalg.SignArithmetic(), [], {})
     assert underlying_vector_space(empty) == {}
 
 
@@ -549,7 +698,8 @@ def test_independent_pair_zigzag_formula():
         (2, 4): c(13),  # theta: F_2 -> F'_1
         # tau: F_1 -> F'_2 is zero
     }
-    p = Pseudocomplex(ar, summands, diff, validate=True)
+    p = Pseudocomplex(ar, summands, diff)
+    p.monodromy()
     q, _trace = p.simultaneous_eliminate([(1, 4), (2, 5)])
     # c - e1 phi^-1 d1 - e2 psi^-1 d2 + e1 phi^-1 theta psi^-1 d2
     expected = 7 - 5 * 2 - 11 * 3 + 5 * 13 * 3
@@ -597,6 +747,7 @@ def test_BsF_minimal_complex_n2():
     f = build_F(n, "bimodule")
     bs = one_term_complex(ar, (s,))
     bsf = homalg.tensor(bs, f)
+    bsf.monodromy()
     target = next(x for x in bsf.summands if tuple(x.label) == (s, s))
     sd, ed = startdot_core(n, s), enddot_core(n, s)
     m, sp = merge_core(n, s), split_core(n, s)

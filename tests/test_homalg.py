@@ -122,7 +122,7 @@ def test_dangling_summand_id_is_named(mor):
     # a zero entry is checked too, before it is dropped
     summands = [Summand(0, frozenset(), 0, 0), Summand(1, frozenset({0}), 0, 1)]
     with pytest.raises(ValueError, match="^differential entry 0->99 names no summand$"):
-        Pseudocomplex(SignArithmetic(), summands, {(0, 1): 1, (0, 99): mor}, validate=False)
+        Pseudocomplex(SignArithmetic(), summands, {(0, 1): 1, (0, 99): mor})
 
 
 def test_monodromy_error_names_entry():
@@ -132,7 +132,6 @@ def test_monodromy_error_names_entry():
         ar,
         [Summand(0, 1, 0, 0), Summand(1, 1, 0, 1), Summand(2, 1, 0, 2)],
         {(0, 1): ((one,),), (1, 2): ((one,),)},
-        validate=False,
     )
     with pytest.raises(ValueError, match="0->2"):
         p.monodromy()
@@ -151,6 +150,8 @@ def test_tensor_conventions_isomorphic():
     q = random_pseudocomplex(rng, max_rank=2, degrees=(0, 1))
     std = homalg.tensor(p, q, "standard")
     dot = homalg.tensor(p, q, "dotted")
+    std.monodromy()
+    dot.monodromy()
     ar = p.arithmetic
     pairs = [(a, b) for a in p.summands for b in q.summands]
     sign = {i: (-1) ** (b.degree + 1) for i, (a, b) in enumerate(pairs)}
@@ -161,6 +162,7 @@ def test_tensor_conventions_isomorphic():
     # tensoring with the one-term monoidal identity changes nothing
     unit = one_term_complex(ar, 1)
     t = homalg.tensor(unit, p)
+    t.monodromy()
     assert len(t.summands) == len(p.summands)
     assert len(t.diff) == len(p.diff)
 
@@ -176,7 +178,6 @@ def test_perversity_and_graph():
         ar,
         [Summand(0, frozenset(), 0, 0), Summand(1, frozenset(), 2, 2)],
         {},
-        validate=False,
     )
     assert len(p.summand_graph_components()) == 2
     assert not p.indecomposability_certificate()
@@ -184,7 +185,6 @@ def test_perversity_and_graph():
         ar,
         [Summand(0, frozenset(), 1, 0)],
         {},
-        validate=False,
     )
     assert not q.is_perverse()
 
@@ -235,6 +235,7 @@ def bs_tensor_f(n, s, side):
     f = build_F(n, "bimodule")
     bs = one_term_complex(BimoduleArithmetic(n), (s,))
     p = homalg.tensor(f, bs) if side == "right" else homalg.tensor(bs, f)
+    p.monodromy()
     return p, next(x.sid for x in p.summands if tuple(x.label) == (s, s))
 
 
@@ -282,7 +283,7 @@ def test_minimal_complex_eliminates_written_isomorphisms():
     summands = [Summand(F, "F", 0, 0), Summand(B, "B", 0, 0),
                 Summand(Fp, "F'", 0, 1), Summand(C, "C", 0, 1)]
     p = Pseudocomplex(SignArithmetic(), summands,
-                      {(F, Fp): 1, (B, Fp): 1, (F, C): 1}, validate=False)
+                      {(F, Fp): 1, (B, Fp): 1, (F, C): 1})
     assert p.gaussian_eliminate((F, Fp))[0].diff == {(B, C): -1}
     assert not p.minimal_complex().summands
     assert not rescan_minimal_complex(p).summands
@@ -294,8 +295,7 @@ def test_minimal_complex_eliminates_lowest_degree_first():
     G, Fp, F = range(3)
     summands = [Summand(G, "G", 0, 2), Summand(Fp, "F'", 0, 1),
                 Summand(F, "F", 0, 0)]
-    p = Pseudocomplex(SignArithmetic(), summands, {(F, Fp): 1, (Fp, G): 1},
-                      validate=False)
+    p = Pseudocomplex(SignArithmetic(), summands, {(F, Fp): 1, (Fp, G): 1})
     for minimal in (p.minimal_complex(), rescan_minimal_complex(p)):
         assert [s.sid for s in minimal.summands] == [G]
 
@@ -341,7 +341,7 @@ def test_elimination_checks_degrees_of_written_entries():
                 Summand(Fp, "F'", 0, 1), Summand(C, "C", 0, 1),
                 Summand(D, "D", 0, 2)]
     diff = {(F, Fp): 1, (B, Fp): 1, (F, C): -1, (B, C): 1, (C, D): 1}
-    p = Pseudocomplex(UnitDegreeSigns(), summands, diff, validate=False)
+    p = Pseudocomplex(UnitDegreeSigns(), summands, diff)
     for eliminate in (lambda: p.gaussian_eliminate((F, Fp)), p.minimal_complex):
         with pytest.raises(ValueError, match="entry 1->3 has degree 1"):
             eliminate()
@@ -368,6 +368,12 @@ def test_json_round_trip_bimodule():
     g.monodromy()
 
 
+def test_from_json_refuses_unknown_backend():
+    data = {"n": 2, "backend": "foo", "summands": [], "diff": []}
+    with pytest.raises(ValueError, match="^unknown backend 'foo'$"):
+        Pseudocomplex.from_json(data)
+
+
 def test_json_round_trip_matrix():
     rng = random.Random(9)
     p = random_pseudocomplex(rng)
@@ -386,14 +392,12 @@ def test_degree_validation():
             ar,
             [Summand(0, (), 0, 0), Summand(1, (1,), 5, 1)],
             {(0, 1): sd},
-            validate=False,
         )
     with pytest.raises(ValueError):
         Pseudocomplex(
             ar,
             [Summand(0, (), 0, 0), Summand(1, (1,), 1, 2)],
             {(0, 1): sd},
-            validate=False,
         )
 
 
@@ -532,7 +536,7 @@ def reference_simultaneous_eliminate(p, pairs):
             cur = new_diff.get((src, tgt))
             new_diff[(src, tgt)] = term if cur is None else ar.add(cur, term)
         new_diff = {k: v for k, v in new_diff.items() if not ar.is_zero(v)}
-        current = Pseudocomplex(ar, survivors, new_diff, validate=False)
+        current = Pseudocomplex(ar, survivors, new_diff)
         trace.append((deg, list(group)))
     return current, trace
 
@@ -609,7 +613,9 @@ def random_family(rng):
                 diff[(e, b)] = mat(ranks[b], 1, scale_d=True)
     rng.shuffle(pairs)
     diff = {k: v for k, v in diff.items() if not ar.is_zero(v)}
-    return Pseudocomplex(ar, summands, diff, validate=True), pairs
+    p = Pseudocomplex(ar, summands, diff)
+    p.monodromy()
+    return p, pairs
 
 
 def eliminate_or_refuse(eliminate, p, pairs):

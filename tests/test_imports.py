@@ -51,15 +51,20 @@ def definitions(tree):
                 yield node.name, node, isinstance(parent, ast.ClassDef)
 
 
-def test_no_orphaned_definitions():
-    # every function, class and method of the package is referenced outside
-    # its own definition somewhere in src/, tests/ or bench/: a method by an
-    # attribute, anything else by a name or an attribute
-    trees = {
+def parsed_sources():
+    """path -> syntax tree of every Python file in src/, tests/ and bench/."""
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for folder in ("src", "tests", "bench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
+
+
+def test_no_orphaned_definitions():
+    # every function, class and method of the package is referenced outside
+    # its own definition somewhere in src/, tests/ or bench/: a method by an
+    # attribute, anything else by a name or an attribute
+    trees = parsed_sources()
     uses = {}  # (name, is an attribute) -> [(path, line)]
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -78,3 +83,56 @@ def test_no_orphaned_definitions():
             ):
                 orphans.append(f"{path.name}:{node.lineno} {name}")
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+def _passed(call, index, name):
+    """Whether a call passes the parameter at this position or keyword; a
+    *args or **kwargs call counts as passing every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return (index is not None and len(call.args) > index) or any(
+        k.arg is None or k.arg == name for k in call.keywords
+    )
+
+
+def test_no_single_valued_defaults():
+    # every defaulted parameter of a function of the package is passed by
+    # some call in src/, tests/ or bench/: a default that no caller
+    # overrides is a constant, not a choice.  Calls are matched by name (the
+    # class name for __init__); a method's positions skip self or cls.
+    trees = parsed_sources()
+    calls = {}  # called name -> [ast.Call]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unused = []
+    for path in sorted((ROOT / "src" / "affhecke").glob("*.py")):
+        for parent in ast.walk(trees[path]):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = isinstance(parent, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in node.decorator_list
+                )
+                name = parent.name if node.name == "__init__" else node.name
+                defaulted = [
+                    (i - bound, a.arg)
+                    for i, a in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)
+                ] + [
+                    (None, a.arg)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+                for index, arg in defaulted:
+                    if not any(
+                        _passed(c, index, arg) for c in calls.get(name, ())
+                    ):
+                        unused.append(f"{path.name}:{node.lineno} {node.name}({arg})")
+    assert not unused, f"defaults that no call overrides: {unused}"
