@@ -3,8 +3,8 @@
 A word is a sequence of letters f_i, f_i^{-1} (i in Z/n), omega, omega^{-1};
 finite-flavor words use only f_1..f_{n-1}.  The braid word problem is not
 solved here: equality of braids is certified by the sound necessary battery
-(evaluation to W_ext, winding data, Hecke image at generic v), documented in
-``equivalence_battery``.
+(evaluation to W_ext, Hecke image at generic v), documented in
+``equivalence_battery``; the winding data is a function of the evaluation.
 
 Token syntax for the CLI: "w", "w-", "f3", "f0-" separated by spaces.
 """
@@ -127,56 +127,21 @@ def total_winding(b):
     """omega counts +1, omega^{-1} counts -1, crossings count 0."""
     if b.flavor != "cylindrical":
         raise ValueError("total winding is defined for cylindrical words")
-    return sum(tok[1] for tok in b.letters if tok[0] == "w")
+    return evaluate(b).omega
 
 
 def strand_winding(b):
     """Per-strand seam-crossing counts of a pure cylindrical braid.
 
-    Strands are indexed by their position; letters are traced rightmost
-    first.  omega shifts every strand one step (wrapping n -> 1 across the
-    seam, winding +1), f_0 swaps positions 1 and n across the seam.
+    On the universal cover strand j ends at w(j) + omega, w the evaluation,
+    so it winds (w(j) + omega - j) / n times round the cylinder.
     """
     if b.flavor != "cylindrical":
         raise ValueError("strand winding is defined for cylindrical words")
-    n = b.n
-    if evaluate(b).finite_projection() != tuple(range(1, n + 1)):
+    w = evaluate(b)
+    if w.finite_projection() != tuple(range(1, b.n + 1)):
         raise ValueError("strand winding requires a pure braid")
-    pos = list(range(1, n + 1))  # pos[j] = position of strand j+1
-    wind = [0] * n
-    for tok in reversed(b.letters):
-        if tok[0] == "w":
-            e = tok[1]
-            for j in range(n):
-                if e > 0:
-                    if pos[j] == n:
-                        pos[j] = 1
-                        wind[j] += 1
-                    else:
-                        pos[j] += 1
-                else:
-                    if pos[j] == 1:
-                        pos[j] = n
-                        wind[j] -= 1
-                    else:
-                        pos[j] -= 1
-        else:
-            i = tok[1] % n
-            if i == 0:
-                for j in range(n):
-                    if pos[j] == 1:
-                        pos[j] = n
-                        wind[j] -= 1
-                    elif pos[j] == n:
-                        pos[j] = 1
-                        wind[j] += 1
-            else:
-                for j in range(n):
-                    if pos[j] == i:
-                        pos[j] = i + 1
-                    elif pos[j] == i + 1:
-                        pos[j] = i
-    return tuple(wind)
+    return tuple((v + w.omega - j) // b.n for j, v in enumerate(w.window, start=1))
 
 
 def y_braid(n, i):
@@ -264,24 +229,11 @@ def jm_braid(n, i):
 def equivalence_battery(b1, b2, hecke_image=None):
     """Sound necessary conditions for braid equality.
 
-    Checks (a) evaluation to W_ext, (b) winding data (total, and per-strand
-    for pure braids), and (c) equality of Hecke images when a Hecke-image
-    hook is supplied.  Returns True only when every applicable check passes;
-    the word problem itself is not solved.
+    Checks (a) evaluation to W_ext and (b) equality of Hecke images when a
+    Hecke-image hook is supplied.  Returns True only when every applicable
+    check passes; the word problem itself is not solved.
     """
-    if b1.n != b2.n:
+    if b1.n != b2.n or evaluate(b1) != evaluate(b2):
         return False
-    ev1, ev2 = evaluate(b1), evaluate(b2)
-    if ev1 != ev2:
-        return False
-    cyl1 = b1.flavor == "cylindrical"
-    cyl2 = b2.flavor == "cylindrical"
-    if cyl1 and cyl2:
-        if total_winding(b1) != total_winding(b2):
-            return False
-        if ev1.finite_projection() == tuple(range(1, b1.n + 1)):
-            if strand_winding(b1) != strand_winding(b2):
-                return False
-    if hecke_image is not None and hecke_image(b1) != hecke_image(b2):
-        return False
-    return True
+    # winding data, total and per strand, is a function of the evaluation
+    return hecke_image is None or hecke_image(b1) == hecke_image(b2)

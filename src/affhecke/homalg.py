@@ -430,7 +430,7 @@ class Pseudocomplex:
                 raise ValueError(
                     f"d^2 entry {a}->{c} is not divisible by delta: {exc}"
                 ) from exc
-        return ChainMap(self, self, entries, degree_shift=2, grading_shift=-2)
+        return ChainMap(self, self, entries, degree_shift=2)
 
     def dualize(self):
         """Transpose all differentials, negate degrees and shifts; DD = id."""
@@ -647,9 +647,8 @@ class Pseudocomplex:
         for (a, b), mor in self.diff.items():
             if a != sid and b != sid:
                 new_diff[(a, b)] = mor
+        # the constructor refuses a (sid, sid) entry: it does not raise degree
         for (a, b), mor in self.diff.items():
-            if a == sid and b == sid:
-                raise ValueError("self-loop differential")
             if a == sid:
                 for pid, iota, pi in piece_ids:
                     entry = ar.compose(mor, iota)
@@ -706,11 +705,10 @@ class ChainMap:
     external); for plain chain maps it is 0.
     """
 
-    def __init__(self, src, tgt, entries, degree_shift=0, grading_shift=0):
+    def __init__(self, src, tgt, entries, degree_shift=0):
         self.src = src
         self.tgt = tgt
         self.degree_shift = degree_shift
-        self.grading_shift = grading_shift
         ar = src.arithmetic
         self.entries = {
             k: m for k, m in entries.items() if not ar.is_zero(m)
@@ -726,24 +724,17 @@ class ChainMap:
 
     def compose(self, other):
         """self after other."""
-        return ChainMap(
-            other.src, self.tgt,
-            compose_entries(self.src.arithmetic, self.entries, other.entries),
-            self.degree_shift + other.degree_shift,
-            self.grading_shift + other.grading_shift,
-        )
+        entries = compose_entries(self.src.arithmetic, self.entries, other.entries)
+        return ChainMap(other.src, self.tgt, entries, self.degree_shift + other.degree_shift)
 
     def add(self, other):
         out = add_entries(self.src.arithmetic, self.entries, other.entries)
-        return ChainMap(self.src, self.tgt, out, self.degree_shift, self.grading_shift)
+        return ChainMap(self.src, self.tgt, out, self.degree_shift)
 
     def negate(self):
         ar = self.src.arithmetic
-        return ChainMap(
-            self.src, self.tgt,
-            {k: ar.negate(m) for k, m in self.entries.items()},
-            self.degree_shift, self.grading_shift,
-        )
+        negated = {k: ar.negate(m) for k, m in self.entries.items()}
+        return ChainMap(self.src, self.tgt, negated, self.degree_shift)
 
     def is_zero(self):
         return not self.entries
@@ -773,9 +764,7 @@ class ChainMap:
         out = {}
         for key, mor in self.defect().items():
             out[key] = ar.divide_delta(mor)
-        return ChainMap(
-            self.src, self.tgt, out, self.degree_shift + 1, self.grading_shift - 2
-        )
+        return ChainMap(self.src, self.tgt, out, self.degree_shift + 1)
 
     def is_pseudo_chain_map(self):
         try:
@@ -791,12 +780,12 @@ class ChainMap:
 class Homotopy(ChainMap):
     """Entries drop homological degree by one."""
 
-    def __init__(self, src, tgt, entries, grading_shift=0):
-        super().__init__(src, tgt, entries, degree_shift=-1, grading_shift=grading_shift)
+    def __init__(self, src, tgt, entries):
+        super().__init__(src, tgt, entries, degree_shift=-1)
 
     def nulhomotopic_map(self):
         """dh + hd as a ChainMap src -> tgt: the defect of an odd map."""
-        return ChainMap(self.src, self.tgt, self.defect(), 0, self.grading_shift)
+        return ChainMap(self.src, self.tgt, self.defect(), 0)
 
 
 def identity_chain_map(p):

@@ -22,9 +22,13 @@ from .weyl import (
 
 
 def proper_subsets(n):
-    for size in range(n):
-        for members in itertools.combinations(range(n), size):
-            yield frozenset(members)
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return (
+        frozenset(members)
+        for size in range(n)
+        for members in itertools.combinations(range(n), size)
+    )
 
 
 def descent_lemma_cases(n):
@@ -101,11 +105,10 @@ def commutation_reachable(n, word_from, word_to):
 
 
 def rewrite_cases(n):
-    """The rewriting factorization multiplies back, keeps the letters of the
-    compatible concatenation w_I . h_X, and is reachable from it using only
-    commutation (distant-swap) moves."""
+    """The rewriting factorization multiplies back and is reachable from the
+    compatible concatenation w_I . h_X using only commutation (distant-swap)
+    moves, so it keeps the letters of the concatenation."""
     ok_product = True
-    ok_letters = True
     ok_commutation = True
     for I in proper_subsets(n):
         base_wI = longest_word(n, I)
@@ -122,13 +125,11 @@ def rewrite_cases(n):
                 if prod != expected:
                     ok_product = False
                 base = base_wI + anticyclic_word(n, X, aleph)
-                if sorted(letters) != sorted(base):
-                    ok_letters = False
+                # commutation_reachable compares the letter multisets first
                 if not commutation_reachable(n, base, letters):
                     ok_commutation = False
     return [
         ("rewrite factors multiply to w_I h_X", ok_product),
-        ("rewrite uses the letters of the concatenation", ok_letters),
         ("rewrite reachable by commutation moves only", ok_commutation),
     ]
 
@@ -334,7 +335,10 @@ def tensor_monodromy_case(rng):
 
 
 def ge_property_cases(seed=0, count=100):
-    """The randomized pseudocomplex-engine battery."""
+    """The randomized pseudocomplex-engine battery; count >= 2 leaves no
+    check with zero cases."""
+    if count < 2:
+        raise ValueError(f"count must be at least 2, got {count}")
     rng = random.Random(seed)
     results = []
     ok = all(ge_round_trip_case(rng) for _ in range(count))

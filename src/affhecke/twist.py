@@ -87,7 +87,7 @@ def startdot_square_defect(s, F, phi):
     ar = F.arithmetic
     bottom = compose_entries(ar, phi.entries, bottom_first)
     out = add_entries(ar, top, bottom, sign=-1)
-    return homalg.ChainMap(F, FBt, out, grading_shift=1), F, FBt
+    return homalg.ChainMap(F, FBt, out), F, FBt
 
 
 def enddot_square_defect(F, phi):
@@ -109,7 +109,7 @@ def enddot_square_defect(F, phi):
         second[(summand.sid, tgt)] = bimod.enddot(n, word, 0)
     ar = F.arithmetic
     out = add_entries(ar, compose_entries(ar, after, phi.entries), second, sign=-1)
-    return homalg.ChainMap(BsF, F, out, grading_shift=1), BsF, F
+    return homalg.ChainMap(BsF, F, out), BsF, F
 
 
 def _monomials(n, half_degree):

@@ -123,6 +123,50 @@ def test_generators_are_bimodule_maps():
     assert is_bimodule_map(crossing_core(4, 0, 2))
 
 
+def left_commutator(mor, f):
+    n = mor.n
+    return left_mult(n, mor.tgt, f).compose(mor) - mor.compose(left_mult(n, mor.src, f))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_invariant_commutators_vanish(n):
+    # why is_bimodule_map tests x_1..x_{n-1} only: on any right-linear map,
+    # bimodule map or not, delta commutes and the x_n commutator is minus
+    # the sum of the others
+    rng = random.Random(f"commutators/{n}")
+    for _ in range(25):
+        src, tgt = (
+            tuple(rng.randrange(n) for _ in range(rng.randint(0, 2))) for _ in range(2)
+        )
+        matrix = [
+            [rand_poly(rng, n, deg=1) for _ in range(2 ** len(src))]
+            for _ in range(2 ** len(tgt))
+        ]
+        mor = Morphism(n, src, tgt, matrix, check=False)
+        assert left_commutator(mor, RingElement.delta(n)).is_zero()
+        total = left_commutator(mor, RingElement.x(n, n))
+        for i in range(1, n):
+            total = total + left_commutator(mor, RingElement.x(n, i))
+        assert total.is_zero()
+
+
+def test_perturbed_generator_is_not_a_bimodule_map():
+    for n in (2, 3):
+        for i in range(n):
+            for core in (startdot_core, enddot_core, merge_core, split_core):
+                mor = core(n, i)
+                matrix = [list(row) for row in mor.matrix]
+                r, c = next(
+                    (r, c)
+                    for r, row in enumerate(matrix)
+                    for c, entry in enumerate(row)
+                    if not entry.is_zero()
+                )
+                matrix[r][c] = matrix[r][c] * RingElement.x(n, 1)
+                perturbed = Morphism(n, mor.src, mor.tgt, matrix, check=False)
+                assert not is_bimodule_map(perturbed), (core.__name__, n, i)
+
+
 def test_degrees():
     n = 3
     assert startdot_core(n, 1).degree == 1

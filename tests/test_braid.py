@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -50,6 +51,82 @@ def test_strand_winding():
     assert strand_winding(word(3, [])) == (0, 0, 0)
     with pytest.raises(ValueError):
         strand_winding(word(3, [1]))
+
+
+def simulated_strand_winding(b):
+    """Oracle: trace the strands of a pure cylindrical braid.
+
+    Strands are indexed by their position; letters are traced rightmost
+    first.  omega shifts every strand one step (wrapping n -> 1 across the
+    seam, winding +1), f_0 swaps positions 1 and n across the seam.
+    """
+    n = b.n
+    pos = list(range(1, n + 1))  # pos[j] = position of strand j+1
+    wind = [0] * n
+    for tok in reversed(b.letters):
+        if tok[0] == "w":
+            e = tok[1]
+            for j in range(n):
+                if e > 0:
+                    if pos[j] == n:
+                        pos[j] = 1
+                        wind[j] += 1
+                    else:
+                        pos[j] += 1
+                else:
+                    if pos[j] == 1:
+                        pos[j] = n
+                        wind[j] -= 1
+                    else:
+                        pos[j] -= 1
+        else:
+            i = tok[1] % n
+            if i == 0:
+                for j in range(n):
+                    if pos[j] == 1:
+                        pos[j] = n
+                        wind[j] -= 1
+                    elif pos[j] == n:
+                        pos[j] = 1
+                        wind[j] += 1
+            else:
+                for j in range(n):
+                    if pos[j] == i:
+                        pos[j] = i + 1
+                    elif pos[j] == i + 1:
+                        pos[j] = i
+    assert pos == list(range(1, n + 1)), "not a pure braid"
+    return tuple(wind)
+
+
+def random_pure_braid(rng, n):
+    """A random cylindrical word, then crossings of random sign that
+    bubble-sort its strands back home."""
+    letters = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.25:
+            letters.append(("w", rng.choice((1, -1))))
+        else:
+            letters.append(("f", rng.randrange(n), rng.choice((1, -1))))
+    perm = list(evaluate(BraidWord(n, tuple(letters))).finite_projection())
+    for end in range(n - 1, 0, -1):
+        for k in range(1, end + 1):
+            if perm[k - 1] > perm[k]:
+                perm[k - 1], perm[k] = perm[k], perm[k - 1]
+                letters.append(("f", k, rng.choice((1, -1))))
+    return BraidWord(n, tuple(letters))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_strand_winding_matches_simulation(n):
+    # the closed form reads the winding off the evaluation, which is why
+    # equivalence_battery needs no winding step after comparing evaluations
+    rng = random.Random(f"strand-winding/{n}")
+    for _ in range(300):
+        b = random_pure_braid(rng, n)
+        wind = strand_winding(b)
+        assert wind == simulated_strand_winding(b), str(b)
+        assert sum(wind) == total_winding(b)
 
 
 def test_strand_winding_additive():

@@ -99,7 +99,7 @@ def test_ge_round_trip_fails_without_the_homotopy(monkeypatch):
     # with dh + hd zeroed, beta alpha = id must fail on every case that
     # eliminates something; most seeded cases are vacuous, so draw many
     def zero(self):
-        return homalg.ChainMap(self.src, self.tgt, {}, 0, self.grading_shift)
+        return homalg.ChainMap(self.src, self.tgt, {}, 0)
 
     monkeypatch.setattr(homalg.Homotopy, "nulhomotopic_map", zero)
     rng = random.Random(0)
@@ -108,13 +108,18 @@ def test_ge_round_trip_fails_without_the_homotopy(monkeypatch):
 
 def test_monodromy_naturality_fails_without_nu(monkeypatch):
     def zero(self):
-        return homalg.ChainMap(
-            self.src, self.tgt, {}, self.degree_shift + 1, self.grading_shift - 2
-        )
+        return homalg.ChainMap(self.src, self.tgt, {}, self.degree_shift + 1)
 
     monkeypatch.setattr(homalg.ChainMap, "nu", zero)
     rng = random.Random(0)
     assert not all(monodromy_naturality_case(rng) for _ in range(200))
+
+
+def test_self_loop_is_refused():
+    # why split_summand needs no self-loop guard of its own
+    summands = [Summand(0, frozenset(), 0, 0)]
+    with pytest.raises(ValueError, match="^differential entry 0->0 does not raise degree by 1$"):
+        Pseudocomplex(SignArithmetic(), summands, {(0, 0): 1})
 
 
 @pytest.mark.parametrize("mor", (0, 1))

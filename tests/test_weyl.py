@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from affhecke.suites import descent_lemma_cases, proper_subsets, rewrite_cases
+from affhecke.suites import (
+    commutation_reachable,
+    descent_lemma_cases,
+    proper_subsets,
+    rewrite_cases,
+)
 from affhecke.weyl import (
     ExtendedWeylElement,
     anticyclic_word,
@@ -113,6 +118,15 @@ def test_rewrite_wIhX_example():
 def test_rewrite_properties(n):
     for name, ok in rewrite_cases(n):
         assert ok, name
+
+
+def test_commutation_reachable_needs_the_same_letters():
+    # why rewrite_cases has no separate letter-multiset case
+    assert commutation_reachable(5, [1, 3], [3, 1])
+    assert not commutation_reachable(5, [1, 3], [1, 2])
+    assert not commutation_reachable(5, [1, 3], [1, 3, 3])
+    assert not commutation_reachable(5, [1, 3, 1], [3, 1])
+    assert not commutation_reachable(5, [], [2])
 
 
 def test_rewrite_edge_cases():
