@@ -19,14 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polymat
-from .rings import (
-    RingElement,
-    accumulate_product,
-    act_sigma,
-    demazure,
-    from_accumulated,
-    simple_root,
-)
+from .rings import RingElement, act_sigma, demazure, simple_root
 from .weyl import anticyclic_word
 
 # slots of every memo in this module.  Each holds its working set for
@@ -203,19 +196,13 @@ def _forced(n, word, f):
     i = word[0]
     rest = word[1:]
     x = xi(n, i)
-    blocks = {}
-    for eps, g in ((0, f), (1, f * x)):
+    # g = p + xi_i q with q = d_i(g): row bit 0 takes p, row bit 1 takes q
+    top, bottom = [], []
+    for g in (f, f * x):
         q = demazure(i, g)
-        p = g - x * q
-        blocks[(0, eps)] = _forced(n, rest, p)
-        blocks[(1, eps)] = _forced(n, rest, q)
-    half = rank(rest)
-    out = [[None] * (2 * half) for _ in range(2 * half)]
-    for (row_bit, col_bit), block in blocks.items():
-        for r in range(half):
-            for c in range(half):
-                out[row_bit * half + r][col_bit * half + c] = block[r][c]
-    return tuple(tuple(row) for row in out)
+        top.append(_forced(n, rest, g - x * q))
+        bottom.append(_forced(n, rest, q))
+    return polymat.mat_blocks((top, bottom))
 
 
 def left_mult(n, word, f):
@@ -231,43 +218,10 @@ def right_mult(n, word, f):
 
 
 def tensor(a, b):
-    """Tensor product of morphisms over R.
-
-    Coefficients of the left factor are forced across the right target word
-    by left multiplication.
-    """
-    n = a.n
-    src = a.src + b.src
-    tgt = a.tgt + b.tgt
-    rb_s, rb_t = rank(b.src), rank(b.tgt)
-    b_rows = [[(cb, y) for cb, y in enumerate(row) if y.terms] for row in b.matrix]
-    cells = {}
-    for ra, rowa in enumerate(a.matrix):
-        for ca, f in enumerate(rowa):
-            if f.is_zero():
-                continue
-            lf = left_mult_matrix(n, b.tgt, f)
-            for rbready, lf_row in enumerate(lf):
-                r = ra * rb_t + rbready
-                for mid, coeff in enumerate(lf_row):
-                    if not coeff.terms:
-                        continue
-                    for cb, entry in b_rows[mid]:
-                        key = (r, ca * rb_s + cb)
-                        acc = cells.get(key)
-                        if acc is None:
-                            acc = cells[key] = {}
-                        accumulate_product(acc, coeff, entry)
-    zero = RingElement.zero(n)
-    out = [[zero] * rank(src) for _ in range(rank(tgt))]
-    for (r, c), acc in cells.items():
-        value = from_accumulated(n, acc)
-        if value.terms:
-            out[r][c] = value
-    deg = None
-    if a.degree is not None and b.degree is not None:
-        deg = a.degree + b.degree
-    return Morphism(n, src, tgt, out, deg, check=False)
+    """Tensor product of morphisms over R, by the interchange law
+    a (x) b = (a (x) id) . (id (x) b): the coefficients of a are forced
+    across the target word of b."""
+    return _whisker(a.n, (), a, b.tgt).compose(_whisker(a.n, a.src, b, ()))
 
 
 def _whisker(n, left, core, right):
@@ -275,8 +229,8 @@ def _whisker(n, left, core, right):
 
     Every nonzero entry f of core at (r, c) contributes, for each basis
     index u of BS(left), the block of left multiplication by f on BS(right)
-    at rows (u, r, .) and columns (u, c, .): the same matrix as the two
-    general tensor products, whose identity factors only multiply by 1.
+    at rows (u, r, .) and columns (u, c, .).  The one kernel here that
+    forces a tensor product: `tensor` composes two whiskerings.
     """
     rl, rr = rank(left), rank(right)
     rows, cols = rank(core.tgt), rank(core.src)
@@ -573,18 +527,9 @@ def _sigma_basis_change(n, word):
     rest = word[1:]
     crest = _sigma_basis_change(n, rest)
     lcorr = left_mult_matrix(n, sigma_word(n, rest), corr)
-    half = rank(rest)
-    zero = RingElement.zero(n)
-    out = [[zero] * (2 * half) for _ in range(2 * half)]
-    for r in range(half):
-        for c in range(half):
-            out[r][c] = crest[r][c]
-            out[half + r][half + c] = crest[r][c]
-    correction = polymat.mat_mul(lcorr, crest)
-    for r in range(half):
-        for c in range(half):
-            out[r][half + c] = out[r][half + c] - correction[r][c]
-    return tuple(tuple(row) for row in out)
+    correction = polymat.mat_neg(polymat.mat_mul(lcorr, crest))
+    zero = polymat.mat_zero(n, rank(rest), rank(rest))
+    return polymat.mat_blocks(((crest, correction), (zero, crest)))
 
 
 def sigma_morphism(mor):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -111,7 +112,8 @@ def cmd_verify(args):
     try:
         cases = run(args.n, args)
     except Exception as exc:  # every input ends in a verdict
-        traceback.print_exc()
+        if not isinstance(exc, ValueError):  # a refused input needs no traceback
+            traceback.print_exc()
         cases, failed = [], [f"{type(exc).__name__}: {exc}"]
         print(f"FAIL: {failed[0]}")
     else:
@@ -138,7 +140,8 @@ def _parse_hecke_expr(n, text):
     """Tiny grammar: sums of products of b<i>, h<i>, w, w-, v, v-1, integers."""
     if "(" in text or ")" in text:
         raise ValueError(f"parentheses are not in the grammar: {text!r}")
-    tokens = text.replace("*", " * ").replace("+", " + ").split()
+    # "w-" and "v-1" are single tokens; any other "-" is a binary or unary minus
+    tokens = re.findall(r"w-|v-1|[-+*]|[^\s*+-]+", text)
     total = None
     current = None
     sign = 1
@@ -240,7 +243,8 @@ def cmd_load_verify(args):
     try:
         return _load_verify(args.path)
     except Exception as exc:  # every input ends in a verdict
-        traceback.print_exc()
+        if not isinstance(exc, ValueError):  # a refused input needs no traceback
+            traceback.print_exc()
         print(f"FAIL: {type(exc).__name__}: {exc}")
         return 1
 

@@ -90,19 +90,8 @@ class MatrixArithmetic:
         return None
 
     def tensor(self, f, g):
-        rows_f, cols_f = polymat.mat_shape(f)
-        rows_g, cols_g = polymat.mat_shape(g)
-        out = []
-        for rf in range(rows_f):
-            for rg in range(rows_g):
-                out.append(
-                    tuple(
-                        f[rf][cf] * g[rg][cg]
-                        for cf in range(cols_f)
-                        for cg in range(cols_g)
-                    )
-                )
-        return tuple(out)
+        """The Kronecker product: block (r, c) is g scaled by f[r][c]."""
+        return polymat.mat_blocks([[polymat.mat_scale(g, x) for x in row] for row in f])
 
     def tensor_label(self, a, b):
         return self.rank(a) * self.rank(b)

@@ -1,4 +1,5 @@
-"""Dense matrices over RingElement: exact products, determinants, inverses.
+"""Dense matrices over RingElement: exact products, block assembly,
+determinants, inverses.
 
 Matrices are tuples of tuples of RingElement, all sharing the same n.  Used
 by the bimodule model and by the matrix backend of the pseudocomplex engine.
@@ -40,6 +41,18 @@ def mat_neg(a):
 
 def mat_scale(a, f):
     return tuple(tuple(x * f for x in ra) for ra in a)
+
+
+def mat_blocks(grid):
+    """The matrix whose block (i, j) is grid[i][j].
+
+    Blocks in one grid row share a height, blocks in one grid column a width.
+    """
+    return tuple(
+        tuple(x for row in rows for x in row)
+        for blocks in grid
+        for rows in zip(*blocks)
+    )
 
 
 def mat_mul(a, b):

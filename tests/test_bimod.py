@@ -38,7 +38,14 @@ from affhecke.bimod import (
     xi,
 )
 from affhecke.complexes import build_F
-from affhecke.rings import RingElement, act_sigma, demazure, simple_root
+from affhecke.rings import (
+    RingElement,
+    accumulate_product,
+    act_sigma,
+    demazure,
+    from_accumulated,
+    simple_root,
+)
 from affhecke.suites import proper_subsets
 
 
@@ -458,16 +465,79 @@ def test_left_mult_matrix_repeat_and_list_word():
     assert left_mult_matrix(n, [5, 4, -1], f) == first
 
 
+def _tensor_reference(a, b):
+    """a (x) b cell by cell, independently of whiskering: each entry f of a
+    is forced across b.tgt by left multiplication, and the product with b is
+    accumulated per target cell."""
+    n = a.n
+    rb_s, rb_t = bimod.rank(b.src), bimod.rank(b.tgt)
+    b_rows = [[(cb, y) for cb, y in enumerate(row) if y.terms] for row in b.matrix]
+    cells = {}
+    for ra, rowa in enumerate(a.matrix):
+        for ca, f in enumerate(rowa):
+            if f.is_zero():
+                continue
+            for rb, lf_row in enumerate(left_mult_matrix(n, b.tgt, f)):
+                for mid, coeff in enumerate(lf_row):
+                    if not coeff.terms:
+                        continue
+                    for cb, entry in b_rows[mid]:
+                        acc = cells.setdefault((ra * rb_t + rb, ca * rb_s + cb), {})
+                        accumulate_product(acc, coeff, entry)
+    zero = RingElement.zero(n)
+    out = [[zero] * (bimod.rank(a.src) * rb_s) for _ in range(bimod.rank(a.tgt) * rb_t)]
+    for (r, c), acc in cells.items():
+        value = from_accumulated(n, acc)
+        if value.terms:
+            out[r][c] = value
+    deg = None
+    if a.degree is not None and b.degree is not None:
+        deg = a.degree + b.degree
+    return Morphism(n, a.src + b.src, a.tgt + b.tgt, out, deg, check=False)
+
+
+def _random_morphism(rng, n):
+    """A morphism between random words of length 0..3 with random entries:
+    rarely a bimodule map or homogeneous, sometimes zero, and of any stated
+    degree or none."""
+    src, tgt = (tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))) for _ in "st")
+    density = rng.choice((0, 0.5, 1))
+    matrix = [
+        [
+            rand_poly(rng, n) if rng.random() < density else RingElement.zero(n)
+            for _ in range(bimod.rank(src))
+        ]
+        for _ in range(bimod.rank(tgt))
+    ]
+    degree = rng.choice((None, -2, 0, 1, 3))
+    return Morphism(n, src, tgt, matrix, degree, check=False)
+
+
 def _whisker_reference(n, word, p, core, width):
-    """id_{word[:p]} (x) core (x) id_{word[p + width:]} by two general tensors."""
+    """id_{word[:p]} (x) core (x) id_{word[p + width:]} by two cell-by-cell
+    tensor products."""
     left = identity_word(n, word[:p])
     right = identity_word(n, word[p + width:])
-    return tensor(tensor(left, core), right)
+    return _tensor_reference(_tensor_reference(left, core), right)
 
 
 def _assert_same_morphism(got, expected):
     assert got == expected
     assert got.degree == expected.degree
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_tensor_matches_cellwise_reference(n):
+    rng = random.Random(100 + n)
+    for _ in range(30):
+        a, b = _random_morphism(rng, n), _random_morphism(rng, n)
+        _assert_same_morphism(tensor(a, b), _tensor_reference(a, b))
+    # generators, which are bimodule maps, in both orders
+    for i in range(n):
+        for core in (startdot_core(n, i), enddot_core(n, i), merge_core(n, i), split_core(n, i)):
+            other = startdot_core(n, (i + 1) % n)
+            for a, b in ((core, other), (other, core)):
+                _assert_same_morphism(tensor(a, b), _tensor_reference(a, b))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))

@@ -123,12 +123,42 @@ HECKE_N2_B1B1 = (
     "(v + v^-1) b(w^0 | 2 1)\n"
 )
 
+HECKE_N2_B1_MINUS_B2 = (
+    "standard basis:\n"
+    "(0, 0 3) : -1\n"
+    "(0, 2 1) : 1\n"
+    "kazhdan-lusztig basis:\n"
+    "(1) b(w^0 | 2 1) + (-1) b(w^0 | 0 3)\n"
+)
+HECKE_N2_B2_MINUS_B1 = (
+    "standard basis:\n"
+    "(0, 0 3) : 1\n"
+    "(0, 2 1) : -1\n"
+    "kazhdan-lusztig basis:\n"
+    "(-1) b(w^0 | 2 1) + (1) b(w^0 | 0 3)\n"
+)
+HECKE_N2_WINV_B1_MINUS_VINV_H0 = (
+    "standard basis:\n"
+    "(-1, 1 2) : v\n"
+    "(0, 0 3) : -v^-1\n"
+    "(-1, 2 1) : 1\n"
+    "kazhdan-lusztig basis:\n"
+    "(1) b(w^-1 | 2 1) + (-v^-1) b(w^0 | 0 3) + (1) b(w^0 | 1 2)\n"
+)
+
 
 def test_kl_and_hecke_output_pinned():
     for args, expected in (
         (("kl", "--n", "3", "--word", "0 1 0"), KL_N3_010),
         (("kl", "--n", "4", "--word", "1 0 2 1"), KL_N4_1021),
         (("hecke", "--n", "2", "--expr", "b1*b1"), HECKE_N2_B1B1),
+        (("hecke", "--n", "2", "--expr", "b1 - b2"), HECKE_N2_B1_MINUS_B2),
+        (("hecke", "--n", "2", "--expr", "b1-b2"), HECKE_N2_B1_MINUS_B2),
+        (("hecke", "--n", "2", "--expr", "b2 - b1"), HECKE_N2_B2_MINUS_B1),
+        (("hecke", "--n", "2", "--expr=-b1+b2"), HECKE_N2_B2_MINUS_B1),
+        # "w-" and "v-1" stay single tokens when nothing separates the minus
+        (("hecke", "--n", "2", "--expr", "w- * b1 - v-1 * h0"), HECKE_N2_WINV_B1_MINUS_VINV_H0),
+        (("hecke", "--n", "2", "--expr", "w-*b1-v-1*h0"), HECKE_N2_WINV_B1_MINUS_VINV_H0),
     ):
         result = run_cli(*args)
         assert result.returncode == 0
@@ -299,7 +329,8 @@ def test_verify_suites_match_table_and_readme():
 def test_verify_refuses_inputs_that_check_nothing(tmp_path, capsys, args, reason):
     cert = tmp_path / "c.jsonl"
     assert cli.main(["verify", *args, "--cert", str(cert)]) == 1
-    assert capsys.readouterr().out == f"FAIL: ValueError: {reason}\n"
+    # a refused input (a ValueError) prints its FAIL line and no traceback
+    assert capsys.readouterr() == (f"FAIL: ValueError: {reason}\n", "")
     assert json.loads(cert.read_text())["verdict"] == f"fail: ValueError: {reason}"
 
 
@@ -310,6 +341,31 @@ def test_verify_exception_is_a_verdict(tmp_path):
     assert result.stdout == "FAIL: ValueError: n must be at least 2\n"
     record = json.loads(cert.read_text())
     assert record["verdict"] == "fail: ValueError: n must be at least 2"
+
+
+def test_verify_fault_keeps_its_traceback(tmp_path, monkeypatch, capsys):
+    def broken(n, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "descent", (3, broken))
+    cert = tmp_path / "c.jsonl"
+    assert cli.main(["verify", "--suite", "descent", "--cert", str(cert)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL: RuntimeError: boom\n"
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("RuntimeError: boom\n")
+    assert json.loads(cert.read_text())["verdict"] == "fail: RuntimeError: boom"
+
+
+def test_check_file_fault_keeps_its_traceback(tmp_path):
+    # a file without summands fails inside from_json with a KeyError, which
+    # is not a refused input: its traceback stays
+    bare = tmp_path / "bare.json"
+    bare.write_text('{"n": 3, "backend": "sign"}')
+    result = run_cli("check-file", str(bare))
+    assert result.returncode == 1
+    assert result.stdout == "FAIL: KeyError: 'summands'\n"
+    assert "Traceback (most recent call last):" in result.stderr
 
 
 def test_check_file_requires_every_diagonal(tmp_path):
@@ -349,6 +405,7 @@ def test_check_file_truncated_is_a_verdict(tmp_path):
         assert result.returncode == 1
         assert result.stdout.startswith("FAIL: JSONDecodeError: "), result.stdout
         assert result.stdout.count("\n") == 1
+        assert result.stderr == ""
 
 
 def test_check_file_dangling_summand_is_a_verdict(tmp_path):
@@ -366,6 +423,7 @@ def test_check_file_dangling_summand_is_a_verdict(tmp_path):
             f"FAIL: ValueError: differential entry {entry['from']}->{entry['to']} "
             "names no summand\n"
         )
+        assert result.stderr == ""
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,39 @@ from affhecke.suites import (
 )
 
 
+def _kronecker_reference(f, g):
+    """The Kronecker product f (x) g entry by entry."""
+    out = []
+    for rf in range(len(f)):
+        for rg in range(len(g)):
+            out.append(
+                tuple(
+                    f[rf][cf] * g[rg][cg]
+                    for cf in range(len(f[0]))
+                    for cg in range(len(g[0]))
+                )
+            )
+    return tuple(out)
+
+
+def test_matrix_tensor_is_the_kronecker_product():
+    rng = random.Random(9)
+
+    def entry(n):
+        if rng.random() < 0.4:
+            return RingElement.zero(n)
+        return RingElement(n, {tuple(rng.randint(0, 1) for _ in range(n + 1)): rng.randint(-2, 2)})
+
+    for _ in range(40):
+        n = rng.randint(0, 2)
+        ar = MatrixArithmetic(n)
+        f, g = (
+            tuple(tuple(entry(n) for _ in range(cols)) for _ in range(rows))
+            for rows, cols in [(rng.randint(1, 3), rng.randint(1, 3)) for _ in "fg"]
+        )
+        assert ar.tensor(f, g) == _kronecker_reference(f, g)
+
+
 def test_two_term_identity_eliminates_to_zero():
     ar = MatrixArithmetic(0)
     one = RingElement.one(0)

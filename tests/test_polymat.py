@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from affhecke.polymat import _rational_inverse, back_substitute, echelon, mat_eq, mat_mul, mat_shape
+from affhecke.polymat import (
+    _rational_inverse,
+    back_substitute,
+    echelon,
+    mat_blocks,
+    mat_eq,
+    mat_mul,
+    mat_shape,
+)
 from affhecke.rings import RingElement
 
 
@@ -64,6 +72,27 @@ def test_mat_mul_cancellation_gives_zero_entries():
     a = ((x1, x1),)
     b = ((x1,), (-x1,))
     assert mat_mul(a, b)[0][0].terms == {}
+
+
+def test_mat_blocks_places_non_square_blocks():
+    rng = random.Random(5)
+    heights, widths = (1, 2), (2, 3)
+    grid = [[random_sparse_matrix(rng, 2, h, w) for w in widths] for h in heights]
+    m = mat_blocks(grid)
+    assert isinstance(m, tuple) and all(isinstance(row, tuple) for row in m)
+    assert mat_shape(m) == (3, 5)
+    for bi, h in enumerate(heights):
+        for bj, w in enumerate(widths):
+            for r in range(h):
+                for c in range(w):
+                    assert m[sum(heights[:bi]) + r][sum(widths[:bj]) + c] is grid[bi][bj][r][c]
+
+
+def test_mat_blocks_of_one_block_is_that_matrix():
+    a = random_sparse_matrix(random.Random(6), 3, 2, 4)
+    assert mat_blocks([[a]]) == a
+    x = ((RingElement.x(2, 1),),)
+    assert mat_blocks(((x,),)) == x
 
 
 def test_mat_mul_shape_mismatch():
