@@ -19,7 +19,7 @@ import re
 import sys
 import traceback
 
-from . import braid, complexes, homalg, twist
+from . import RefusedInput, braid, complexes, homalg, twist
 from .hecke import HeckeElement, b_simple, kl_basis
 from .rings import LaurentPoly
 from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
@@ -77,7 +77,7 @@ def _suite_d2(n, args):
 
 def _suite_phi_n2(n, args):
     if n != 2:
-        raise ValueError(f"phi-n2 checks n = 2 only, got n={n}")
+        raise RefusedInput(f"phi-n2 checks n = 2 only, got n={n}")
     return [(f"square {k}", True) for k in sorted(twist.verify_phi_squares_n2())]
 
 
@@ -112,9 +112,10 @@ def cmd_verify(args):
     try:
         cases = run(args.n, args)
     except Exception as exc:  # every input ends in a verdict
-        if not isinstance(exc, ValueError):  # a refused input needs no traceback
+        refused = isinstance(exc, RefusedInput)  # needs no traceback, unlike a fault
+        if not refused:
             traceback.print_exc()
-        cases, failed = [], [f"{type(exc).__name__}: {exc}"]
+        cases, failed = [], [f"{'ValueError' if refused else type(exc).__name__}: {exc}"]
         print(f"FAIL: {failed[0]}")
     else:
         failed = [name for name, ok in cases if not ok]
@@ -140,10 +141,10 @@ def _parse_hecke_expr(n, text):
     """Tiny grammar: sums of products of b<i>, h<i>, w, w-, v, v-1, integers."""
     if "(" in text or ")" in text:
         raise ValueError(f"parentheses are not in the grammar: {text!r}")
-    # "w-" and "v-1" are single tokens; any other "-" is a binary or unary minus
-    tokens = re.findall(r"w-|v-1|[-+*]|[^\s*+-]+", text)
-    total = None
-    current = None
+    # w-, v-1, b<i> and h<i> (i may be negative), and a signed integer after
+    # a space, * or +, are single terms; any other "-" is a binary or unary minus
+    tokens = r"w-|v-1|[bh]-?[^\s*+-]*|(?<![^\s*+])-\d[^\s*+-]*|[^\s*+-]+|[-+*]"
+    total = current = term_end = None
     sign = 1
 
     def flush():
@@ -153,29 +154,25 @@ def _parse_hecke_expr(n, text):
             total = scaled if total is None else total + scaled
         current = None
 
-    for tok in tokens:
-        if tok == "+":
+    for match in re.finditer(tokens, text):
+        tok = match.group()
+        if tok in ("+", "-"):
             flush()
-            sign = 1
-            continue
-        if tok == "-":
-            flush()
-            sign = -1
+            sign = -1 if tok == "-" else 1
             continue
         if tok == "*":
             continue
+        if match.start() == term_end:  # as in "v-10" or "w-b1"
+            raise ValueError(f"no space or operator before {tok!r} in {text!r}")
+        term_end = match.end()
         if tok.startswith("b"):
             factor = b_simple(n, int(tok[1:]) % n)
         elif tok.startswith("h"):
             factor = HeckeElement.std(ExtendedWeylElement.simple(n, int(tok[1:]) % n))
-        elif tok == "w":
-            factor = HeckeElement.std(ExtendedWeylElement.rotation(n, 1))
-        elif tok == "w-":
-            factor = HeckeElement.std(ExtendedWeylElement.rotation(n, -1))
-        elif tok == "v":
-            factor = HeckeElement.unit(n).scale(LaurentPoly.v(1))
-        elif tok == "v-1":
-            factor = HeckeElement.unit(n).scale(LaurentPoly.v(-1))
+        elif tok in ("w", "w-"):
+            factor = HeckeElement.std(ExtendedWeylElement.rotation(n, -1 if tok == "w-" else 1))
+        elif tok in ("v", "v-1"):
+            factor = HeckeElement.unit(n).scale(LaurentPoly.v(-1 if tok == "v-1" else 1))
         else:
             factor = HeckeElement.unit(n).scale(LaurentPoly({0: int(tok)}))
         current = factor if current is None else current * factor
@@ -243,7 +240,7 @@ def cmd_load_verify(args):
     try:
         return _load_verify(args.path)
     except Exception as exc:  # every input ends in a verdict
-        if not isinstance(exc, ValueError):  # a refused input needs no traceback
+        if not isinstance(exc, ValueError):  # a file the reader refuses needs no traceback
             traceback.print_exc()
         print(f"FAIL: {type(exc).__name__}: {exc}")
         return 1

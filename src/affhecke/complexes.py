@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import bimod, homalg
+from . import RefusedInput, bimod, homalg
 from .bimod import eps_sign, preferred_word, signed_dot
 from .hecke import (
     HeckeElement,
@@ -44,7 +44,7 @@ def _graded_supersets(n, J):
     """k -> the X in P_k containing J, in the order of build_P; layers
     without such an X are left out."""
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise RefusedInput("n must be at least 2")
     rest = [x for x in range(n) if x not in J]
     out = {}
     for k in range(-(n - 1), n):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from . import homalg
+from . import RefusedInput, homalg
 from .bimod import distant
 from .homalg import MatrixArithmetic, Pseudocomplex, Summand, add_entries
 from .polymat import mat_invert, mat_mul
@@ -23,7 +23,7 @@ from .weyl import (
 
 def proper_subsets(n):
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise RefusedInput("n must be at least 2")
     return (
         frozenset(members)
         for size in range(n)
@@ -338,7 +338,7 @@ def ge_property_cases(seed=0, count=100):
     """The randomized pseudocomplex-engine battery; count >= 2 leaves no
     check with zero cases."""
     if count < 2:
-        raise ValueError(f"count must be at least 2, got {count}")
+        raise RefusedInput(f"count must be at least 2, got {count}")
     rng = random.Random(seed)
     results = []
     ok = all(ge_round_trip_case(rng) for _ in range(count))

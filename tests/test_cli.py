@@ -137,6 +137,19 @@ HECKE_N2_B2_MINUS_B1 = (
     "kazhdan-lusztig basis:\n"
     "(-1) b(w^0 | 2 1) + (1) b(w^0 | 0 3)\n"
 )
+HECKE_N2_MINUS_B1 = (
+    "standard basis:\n"
+    "(0, 1 2) : -v\n"
+    "(0, 2 1) : -1\n"
+    "kazhdan-lusztig basis:\n"
+    "(-1) b(w^0 | 2 1)\n"
+)
+HECKE_N2_MINUS_V = (
+    "standard basis:\n"
+    "(0, 1 2) : -v\n"
+    "kazhdan-lusztig basis:\n"
+    "(-v) b(w^0 | 1 2)\n"
+)
 HECKE_N2_WINV_B1_MINUS_VINV_H0 = (
     "standard basis:\n"
     "(-1, 1 2) : v\n"
@@ -159,6 +172,10 @@ def test_kl_and_hecke_output_pinned():
         # "w-" and "v-1" stay single tokens when nothing separates the minus
         (("hecke", "--n", "2", "--expr", "w- * b1 - v-1 * h0"), HECKE_N2_WINV_B1_MINUS_VINV_H0),
         (("hecke", "--n", "2", "--expr", "w-*b1-v-1*h0"), HECKE_N2_WINV_B1_MINUS_VINV_H0),
+        # a "-" that starts an integer after a space, * or + signs that integer
+        (("hecke", "--n", "2", "--expr", "b1 * -1"), HECKE_N2_MINUS_B1),
+        (("hecke", "--n", "2", "--expr", "b1*-1"), HECKE_N2_MINUS_B1),
+        (("hecke", "--n", "2", "--expr", "v -1"), HECKE_N2_MINUS_V),
     ):
         result = run_cli(*args)
         assert result.returncode == 0
@@ -324,12 +341,14 @@ def test_verify_suites_match_table_and_readme():
         (("--suite", "descent", "--n", "1"), "n must be at least 2"),
         (("--suite", "ge-props", "--count", "0"), "count must be at least 2, got 0"),
         (("--suite", "ge-props", "--count", "1"), "count must be at least 2, got 1"),
+        (("--suite", "d2", "--n", "1"), "n must be at least 2"),
+        (("--suite", "phi-n2", "--n", "3"), "phi-n2 checks n = 2 only, got n=3"),
     ),
 )
 def test_verify_refuses_inputs_that_check_nothing(tmp_path, capsys, args, reason):
     cert = tmp_path / "c.jsonl"
     assert cli.main(["verify", *args, "--cert", str(cert)]) == 1
-    # a refused input (a ValueError) prints its FAIL line and no traceback
+    # a refused input prints its FAIL line, naming it a ValueError, and no traceback
     assert capsys.readouterr() == (f"FAIL: ValueError: {reason}\n", "")
     assert json.loads(cert.read_text())["verdict"] == f"fail: ValueError: {reason}"
 
@@ -339,6 +358,7 @@ def test_verify_exception_is_a_verdict(tmp_path):
     result = run_cli("verify", "--suite", "wakimoto", "--n", "0", "--cert", str(cert))
     assert result.returncode == 1
     assert result.stdout == "FAIL: ValueError: n must be at least 2\n"
+    assert result.stderr == ""
     record = json.loads(cert.read_text())
     assert record["verdict"] == "fail: ValueError: n must be at least 2"
 
@@ -355,6 +375,31 @@ def test_verify_fault_keeps_its_traceback(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("Traceback (most recent call last):")
     assert captured.err.endswith("RuntimeError: boom\n")
     assert json.loads(cert.read_text())["verdict"] == "fail: RuntimeError: boom"
+
+
+def test_verify_internal_value_error_keeps_its_traceback(tmp_path, monkeypatch, capsys):
+    # a ValueError raised by an internal check is a fault, not a refused input
+    def broken(n, args):
+        raise ValueError("composition mismatch")
+
+    monkeypatch.setitem(cli.SUITES, "descent", (3, broken))
+    cert = tmp_path / "c.jsonl"
+    assert cli.main(["verify", "--suite", "descent", "--cert", str(cert)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL: ValueError: composition mismatch\n"
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("ValueError: composition mismatch\n")
+    assert json.loads(cert.read_text())["verdict"] == "fail: ValueError: composition mismatch"
+
+
+def test_hecke_refuses_terms_written_together():
+    # "v-1" and "w-" are terms, so "v-10" and "w-b1" would be a product with
+    # no space; they are refused, as they were before "-" split terms
+    for expr, tok in (("v-10", "0"), ("w-b1", "b1"), ("v-1v", "v")):
+        result = run_cli("hecke", "--n", "2", f"--expr={expr}")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"no space or operator before {tok!r}" in result.stderr
 
 
 def test_check_file_fault_keeps_its_traceback(tmp_path):
