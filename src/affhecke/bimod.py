@@ -20,13 +20,7 @@ from functools import lru_cache
 
 from . import polymat
 from .rings import RingElement, act_sigma, demazure, simple_root
-from .weyl import anticyclic_word
-
-# slots of every memo in this module.  Each holds its working set for
-# n <= 8 in one process: eps_sign about 1 760 adjacent pairs, the per-word
-# memos 505 preferred words, and the forced left multiplications of the
-# exact checks at n = 2..7 about 2 200 blocks.
-CACHE_SIZE = 4096
+from .weyl import CACHE_SIZE, anticyclic_word
 
 
 def xi(n, i):

@@ -23,7 +23,7 @@ from . import RefusedInput, braid, complexes, homalg, twist
 from .hecke import HeckeElement, b_simple, kl_basis
 from .rings import LaurentPoly
 from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
-from .weyl import ExtendedWeylElement, from_word
+from .weyl import DEFAULT_LENGTH_CAP, ExtendedWeylElement, from_word
 
 # largest n at which the exact bimodule complex is built and checked
 BIMODULE_EXACT_MAX = 6
@@ -201,6 +201,10 @@ def cmd_hecke(args):
     except (ValueError, IndexError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    longest = max((w.length() for w in value.coeffs), default=0)
+    if longest > DEFAULT_LENGTH_CAP:  # each b_w that _kl_expand subtracts lies below w
+        print(f"error: length {longest} exceeds cap {DEFAULT_LENGTH_CAP}", file=sys.stderr)
+        return 2
     print("standard basis:")
     print(value.serialize() if not value.is_zero() else "0")
     print("kazhdan-lusztig basis:")
@@ -223,6 +227,9 @@ def cmd_kl(args):
         w = from_word(args.n, args.word.split())
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    if w.length() > args.length_cap:
+        print(f"error: length {w.length()} exceeds cap {args.length_cap}", file=sys.stderr)
         return 2
     print(kl_basis(w, args.length_cap).serialize())
     return 0
@@ -316,7 +323,7 @@ def main(argv=None):
     p_kl = sub.add_parser("kl", help="Kazhdan-Lusztig basis element of a word")
     p_kl.add_argument("--n", type=int, required=True)
     p_kl.add_argument("--word", required=True)
-    p_kl.add_argument("--length-cap", type=int, default=14)
+    p_kl.add_argument("--length-cap", type=int, default=DEFAULT_LENGTH_CAP)
     p_kl.set_defaults(func=cmd_kl)
 
     p_load = sub.add_parser("check-file", help="reload a complex and verify d^2")

@@ -17,16 +17,18 @@ gives the quotient algebra H_exts when needed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .rings import LaurentPoly, gauss
 from .weyl import (
+    CACHE_SIZE,
+    DEFAULT_LENGTH_CAP,
     ExtendedWeylElement,
     anticyclic_word,
     bruhat_interval_below,
     longest_element,
     tau_components,
 )
-
-DEFAULT_LENGTH_CAP = 14
 
 
 _V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
@@ -252,11 +254,21 @@ def b_simple(n, k):
     )
 
 
-_KL_CACHE = {}
-
-
 def kl_basis(w, length_cap=DEFAULT_LENGTH_CAP):
-    """The Kazhdan-Lusztig basis element b_w.
+    """The Kazhdan-Lusztig basis element b_w of an element of length <= length_cap."""
+    if w.length() > length_cap:
+        raise ValueError(f"length {w.length()} exceeds cap {length_cap}")
+    if not w.omega:
+        return _kl_basis(w)
+    # H_omega has length 0, so H_{omega^e} H_y = H_{omega^e y}
+    om = ExtendedWeylElement.rotation(w.n, w.omega)
+    base = _kl_basis(ExtendedWeylElement(0, w.window))
+    return HeckeElement._trusted(w.n, {om * y: p for y, p in base.coeffs.items()})
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kl_basis(w):
+    """b_w for an omega-free w.
 
     For a right descent s of w, the mu-rule (Kazhdan-Lusztig 1979, in the
     normalization b_s = H_s + v) gives
@@ -267,32 +279,17 @@ def kl_basis(w, length_cap=DEFAULT_LENGTH_CAP):
     b_{ws} b_s is one times_b_simple step; coefficients of b_w below the top
     lie in vZ[v].
     """
-    if w.length() > length_cap:
-        raise ValueError(f"length {w.length()} exceeds cap {length_cap}")
     n = w.n
-    if w.omega:
-        # H_omega has length 0, so H_{omega^e} H_y = H_{omega^e y}
-        om = ExtendedWeylElement.rotation(n, w.omega)
-        base = kl_basis(ExtendedWeylElement(0, w.window), length_cap)
-        return HeckeElement._trusted(n, {om * y: p for y, p in base.coeffs.items()})
-    key = (n, w)
-    cached = _KL_CACHE.get(key)
-    if cached is not None:
-        return cached
     if w.is_identity():
-        out = HeckeElement.unit(n)
-        _KL_CACHE[key] = out
-        return out
+        return HeckeElement.unit(n)
     k = next(k for k in range(n) if w.has_right_descent(k))
-    lower = kl_basis(w.times_simple(k), length_cap)
+    lower = _kl_basis(w.times_simple(k))
     coeffs = lower.times_b_simple(k).coeffs
     for y, p in lower.coeffs.items():
         mu = p.coeffs.get(1)
         if mu and y.has_right_descent(k):
-            _add_scaled(coeffs, kl_basis(y, length_cap).coeffs, -mu)
-    c = HeckeElement._trusted(n, coeffs)
-    _KL_CACHE[key] = c
-    return c
+            _add_scaled(coeffs, _kl_basis(y).coeffs, -mu)
+    return HeckeElement._trusted(n, coeffs)
 
 
 def sigma_element(w, length_cap=DEFAULT_LENGTH_CAP):

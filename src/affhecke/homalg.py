@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import bimod, polymat
-from .rings import RingElement, divide_by_delta, parse_ring_element
+from .rings import divide_by_delta, parse_ring_element
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,12 @@ class MatrixArithmetic:
     def equal(self, f, g):
         return polymat.mat_eq(f, g)
 
-    def scale_delta(self, f):
-        d = RingElement.delta(self.n)
-        return polymat.mat_scale(f, d)
-
     def divide_delta(self, f):
         return tuple(tuple(divide_by_delta(x) for x in row) for row in f)
 
     def is_isomorphism(self, f, src, tgt):
         rows, cols = polymat.mat_shape(f)
-        if rows != cols:
-            return False
-        det = polymat.det_bareiss(f)
-        return det.is_unit()
+        return rows == cols and polymat.det_bareiss(f).is_unit()
 
     def invert(self, f):
         return polymat.mat_invert(f)
@@ -217,10 +210,7 @@ class BimoduleArithmetic:
         return bimod.Morphism(f.n, f.src, f.tgt, matrix, deg, check=False)
 
     def is_isomorphism(self, f, src, tgt):
-        if len(f.src) != len(f.tgt):
-            return False
-        det = polymat.det_bareiss(f.matrix)
-        return det.is_unit()
+        return len(f.src) == len(f.tgt) and polymat.det_bareiss(f.matrix).is_unit()
 
     def invert(self, f):
         return bimod.Morphism(

@@ -3,8 +3,10 @@ determinants, inverses.
 
 Matrices are tuples of tuples of RingElement, all sharing the same n.  Used
 by the bimodule model and by the matrix backend of the pseudocomplex engine.
-Also the one exact rational elimination routine (`echelon` with
-`back_substitute`): ranks, nullspaces, linear solutions and inverses.
+Determinants and inverses come from one fraction-free Gauss-Jordan
+elimination over R, so a matrix is inverted exactly when its determinant is
+a unit.  `echelon` with `back_substitute` serves the rational linear
+systems: ranks, nullspaces and particular solutions.
 """
 
 from __future__ import annotations
@@ -99,35 +101,45 @@ def mat_eq(a, b):
     )
 
 
-def det_bareiss(a):
-    """Fraction-free determinant; divisions are exact over the domain."""
+def _gauss_jordan(a, inverse):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of a, or of [a | I]
+    when `inverse` is set; returns (det a, det a . a^-1), or (0, None).
+
+    At pivot p in column k, each other row becomes (p row - row[k] row_k) / q
+    with q the previous pivot, so entries are minors and divisions exact.  A
+    row swap negates one of the two rows, so the last pivot is det a.
+    """
     size, cols = mat_shape(a)
     if size != cols:
-        raise ValueError("determinant of non-square matrix")
-    if size == 0:
-        return RingElement.one(0)
-    n = a[0][0].n
-    m = [list(row) for row in a]
-    sign = 1
-    prev = RingElement.one(n)
-    for k in range(size - 1):
+        raise ValueError(f"non-square matrix {size} x {cols}")
+    n = a[0][0].n if a else 0
+    right = mat_identity(n, size) if inverse else [()] * size
+    m = [list(row) + list(extra) for row, extra in zip(a, right)]
+    prev = one = RingElement.one(n)
+    for k in range(size):
         if m[k][k].is_zero():
             pivot = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
             if pivot is None:
-                return RingElement.zero(n)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                m[r][c] = exact_div(m[k][k] * m[r][c] - m[r][k] * m[k][c], prev)
-            m[r][k] = RingElement.zero(n)
-        prev = m[k][k]
-    return m[size - 1][size - 1] * sign
+                return RingElement.zero(n), None
+            m[k], m[pivot] = m[pivot], [-x for x in m[k]]
+        row_k = m[k]
+        p = row_k[k]
+        for r, row in enumerate(m):
+            f = row[k]
+            if r == k or not f.terms and p == prev:
+                continue  # row k, or a row that the step leaves as it is
+            for c in range(k + 1, len(row)):
+                x = p * row[c]
+                if f.terms:
+                    x = x - f * row_k[c]
+                row[c] = x if prev is one else exact_div(x, prev)
+        prev = p
+    return prev, [row[size:] for row in m]
 
 
-def mat_constant_part(a):
-    """Entry-wise constant (degree-0) coefficients, as Fractions."""
-    return [[x.constant_coefficient() for x in row] for row in a]
+def det_bareiss(a):
+    """Fraction-free determinant; divisions are exact over the domain."""
+    return _gauss_jordan(a, False)[0]
 
 
 def echelon(rows):
@@ -181,45 +193,11 @@ def back_substitute(pivots, free):
     return x
 
 
-def _rational_inverse(rows):
-    """The inverse of a square rational matrix, from [A | I]; raises
-    ArithmeticError when A is singular."""
-    size = len(rows)
-    pivots = echelon(
-        {**dict(enumerate(row)), size + r: 1} for r, row in enumerate(rows)
-    )
-    if any(col >= size for col in pivots):
-        raise ArithmeticError("constant part is singular")
-    columns = [back_substitute(pivots, {size + c: -1}) for c in range(size)]
-    zero = Fraction(0)
-    return [[columns[c].get(r, zero) for c in range(size)] for r in range(size)]
-
-
 def mat_invert(a):
-    """Exact inverse of a matrix invertible over the polynomial ring.
-
-    Requires the determinant to be a unit (nonzero rational).  Splits off
-    the constant part and expands the finite Neumann series of the strictly
-    positive-degree remainder.
-    """
-    size, cols = mat_shape(a)
-    if size != cols:
-        raise ValueError("cannot invert non-square matrix")
-    if size == 0:
-        return a
-    n = a[0][0].n
-    const = _rational_inverse(mat_constant_part(a))
-    b = tuple(
-        tuple(RingElement.constant(n, x) for x in row) for row in const
-    )
-    p = mat_add(mat_mul(a, b), mat_neg(mat_identity(n, size)))
-    inv = mat_identity(n, size)
-    power = p
-    guard = 0
-    while not mat_is_zero(power):
-        inv = mat_add(inv, mat_scale(power, Fraction((-1) ** (guard + 1))))
-        power = mat_mul(power, p)
-        guard += 1
-        if guard > 4 * size + 64:
-            raise ArithmeticError("matrix is not invertible over the ring")
-    return mat_mul(b, inv)
+    """Exact inverse over the polynomial ring; raises ArithmeticError unless
+    the determinant is a unit (a nonzero rational)."""
+    det, block = _gauss_jordan(a, True)
+    if not det.is_unit():
+        raise ArithmeticError("matrix is not invertible over the ring")
+    scale = Fraction(1, det.constant_coefficient())
+    return tuple(tuple(x * scale for x in row) for row in block)

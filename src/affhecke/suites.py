@@ -8,7 +8,7 @@ import random
 from . import RefusedInput, homalg
 from .bimod import distant
 from .homalg import MatrixArithmetic, Pseudocomplex, Summand, add_entries
-from .polymat import mat_invert, mat_mul
+from .polymat import mat_invert, mat_mul, mat_scale
 from .rings import RingElement
 from .weyl import (
     ExtendedWeylElement,
@@ -199,7 +199,7 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2)):
         if k + 1 not in ranks or rng.random() < 0.4:
             continue
         e = _random_matrix(rng, ranks[k + 1], ranks[k], 2)
-        diff[(k, k + 1)] = ar.add(diff[(k, k + 1)], ar.scale_delta(e))
+        diff[(k, k + 1)] = ar.add(diff[(k, k + 1)], mat_scale(e, RingElement.delta(0)))
     diff = {k: v for k, v in diff.items() if not ar.is_zero(v)}
     p = Pseudocomplex(ar, summands, diff)
     p.monodromy()

@@ -12,6 +12,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
+# longest w whose KL element or Bruhat interval is expanded by default
+DEFAULT_LENGTH_CAP = 14
+
+# slots of every memo.  Each holds its working set for n <= 8 in one
+# process: bimod.eps_sign about 1 760 pairs, the per-word memos 505 words,
+# the forced blocks of the exact checks at n = 2..7 about 2 200, and
+# hecke._kl_basis about 390 elements in a hecke-kl benchmark pass.
+CACHE_SIZE = 4096
+
 
 def window_apply(window, i):
     """Value at any integer of the periodic extension of the window."""
@@ -406,7 +415,7 @@ def bruhat_leq(x, y):
             x = x.times_simple(k)
 
 
-def bruhat_interval_below(w, length_cap=14):
+def bruhat_interval_below(w, length_cap=DEFAULT_LENGTH_CAP):
     """All y <= w, via the subword dynamic program on a reduced word."""
     if w.length() > length_cap:
         raise ValueError(f"length {w.length()} exceeds cap {length_cap}")

@@ -1,9 +1,12 @@
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import affhecke
 from affhecke import bimod
 from affhecke.bimod import (
     Morphism,
@@ -38,6 +41,7 @@ from affhecke.bimod import (
     xi,
 )
 from affhecke.complexes import build_F
+from affhecke.hecke import kl_basis
 from affhecke.rings import (
     RingElement,
     accumulate_product,
@@ -47,6 +51,7 @@ from affhecke.rings import (
     simple_root,
 )
 from affhecke.suites import proper_subsets
+from affhecke.weyl import longest_element
 
 
 def rand_poly(rng, n, deg=2):
@@ -571,13 +576,18 @@ def test_whiskered_generators_match_tensor_products(n):
 
 
 def test_every_cache_is_bounded():
-    caches = {
-        name: value for name, value in vars(bimod).items() if hasattr(value, "cache_info")
-    }
-    assert {"_forced", "eps_sign", "gram_matrix", "gram_inverse", "_sigma_basis_change"} <= set(caches)
+    caches = {}
+    for info in pkgutil.iter_modules(affhecke.__path__):
+        module = importlib.import_module(f"affhecke.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                caches[f"{info.name}.{name}"] = value
+    assert {"bimod._forced", "bimod.eps_sign", "bimod.gram_matrix", "bimod.gram_inverse",
+            "bimod._sigma_basis_change", "hecke._kl_basis"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
     build_F(6, "bimodule")
+    kl_basis(longest_element(5, {0, 1, 2, 3}))
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.currsize <= info.maxsize, name

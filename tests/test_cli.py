@@ -80,6 +80,16 @@ def test_hecke_refuses_parentheses():
     assert result.stderr.startswith("parse error: parentheses")
 
 
+@pytest.mark.parametrize("args", [
+    ("kl", "--n", "2", "--word", " ".join("01" * 7 + "0")),
+    ("hecke", "--n", "2", "--expr", "*".join("b0 b1".split() * 7 + ["b0"])),
+])
+def test_kl_and_hecke_refuse_past_the_length_cap(args):
+    result = run_cli(*args)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: length 15 exceeds cap 14\n"
+
+
 def test_kl_command():
     result = run_cli("kl", "--n", "3", "--word", "0 1 0")
     assert result.returncode == 0

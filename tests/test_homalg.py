@@ -112,6 +112,23 @@ def test_ge_on_a_complex_with_survivors():
         reduced.monodromy()
 
 
+def test_elimination_of_a_non_graded_invertible_entry():
+    # [[1 + d^2, d], [d, 1]] has determinant 1, and its part of positive
+    # degree is not nilpotent: is_isomorphism and invert must agree on it
+    ar = MatrixArithmetic(0)
+    one, d = RingElement.one(0), RingElement.delta(0)
+    phi = ((one + d * d, d), (d, one))
+    p = Pseudocomplex(ar, [Summand(0, 2, 0, 0), Summand(1, 2, 0, 1)], {(0, 1): phi})
+    reduced, alpha, beta, homotopy = p.gaussian_eliminate((0, 1))
+    assert not reduced.summands
+    assert alpha.compose(beta).is_identity()
+    # beta alpha - id = dq + qd
+    expected = homalg.identity_chain_map(p).add(homotopy.nulhomotopic_map().negate())
+    assert not add_entries(ar, beta.compose(alpha).entries, expected.entries, sign=-1)
+    assert not p.simultaneous_eliminate([(0, 1)])[0].summands
+    assert not p.minimal_complex().summands
+
+
 def test_pitfall():
     assert pitfall_case()
 

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from affhecke import bimod
 from affhecke.polymat import (
-    _rational_inverse,
     back_substitute,
+    det_bareiss,
     echelon,
     mat_blocks,
     mat_eq,
+    mat_identity,
+    mat_invert,
     mat_mul,
     mat_shape,
 )
@@ -215,13 +218,82 @@ def test_rational_inverse_matches_dense_reference():
     for _ in range(60):
         size = rng.randint(1, 5)
         m = random_rational_matrix(rng, size, size)
+        a = tuple(tuple(RingElement.constant(0, x) for x in row) for row in m)
         expected = dense_inverse(m)
         if expected is None:
             singular += 1
             with pytest.raises(ArithmeticError):
-                _rational_inverse(m)
+                mat_invert(a)
         else:
-            got = _rational_inverse(m)
-            assert got == expected
-            assert all(isinstance(x, Fraction) for row in got for x in row)
+            got = mat_invert(a)
+            assert got == tuple(tuple(RingElement.constant(0, x) for x in row) for row in expected)
     assert singular >= 10
+
+
+def test_invert_beyond_the_constant_part():
+    # the constant part [[1, 0], [0, 1]] does not decide: det = 1, and the
+    # part of positive degree is not nilpotent
+    one, d = RingElement.one(0), RingElement.delta(0)
+    a = ((one + d * d, d), (d, one))
+    assert det_bareiss(a) == one
+    assert mat_invert(a) == ((one, -d), (-d, one + d * d))
+
+
+def unit_det_matrix(rng, size):
+    """A product of elementary matrices with entries c d^k, a permutation and
+    a diagonal of nonzero rationals: the determinant is a unit."""
+    d = RingElement.delta(0)
+    m = [list(row) for row in mat_identity(0, size)]
+    for _ in range(rng.randint(0, 2 * size)):
+        i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+        if i == j:
+            continue
+        f = RingElement.constant(0, rng.choice([1, -1, 2, Fraction(1, 2)]))
+        for _ in range(rng.randint(0, 2)):
+            f = f * d
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    perm = rng.sample(range(size), size)
+    scale = [RingElement.constant(0, rng.choice([1, -1, 3, Fraction(-2, 3)])) for _ in range(size)]
+    return tuple(tuple(m[perm[r]][c] * scale[r] for c in range(size)) for r in range(size))
+
+
+def check_invertibility_decision(a):
+    """det a is a unit exactly when mat_invert(a) returns, and then
+    a mat_invert(a) = I.  Returns whether a is invertible."""
+    unit = det_bareiss(a).is_unit()
+    try:
+        inverse = mat_invert(a)
+    except ArithmeticError:
+        assert not unit
+        return False
+    assert unit
+    assert mat_eq(mat_mul(a, inverse), mat_identity(a[0][0].n, len(a)))
+    return True
+
+
+def test_invertible_exactly_when_det_is_a_unit():
+    rng = random.Random(34)
+    d = RingElement.delta(0)
+    non_constant = 0
+    for _ in range(80):
+        size = rng.randint(1, 4)
+        a = unit_det_matrix(rng, size)
+        assert check_invertibility_decision(a)
+        non_constant += any(m != (0,) for row in a for x in row for m in x.terms)
+        # a factor d in one row makes det d times a unit: not a unit
+        r = rng.randrange(size)
+        b = tuple(tuple(x * d for x in row) if i == r else row for i, row in enumerate(a))
+        assert not check_invertibility_decision(b)
+        check_invertibility_decision(
+            tuple(tuple(random_entry(rng, 0) for _ in range(size)) for _ in range(size))
+        )
+    assert non_constant >= 30
+
+
+def test_bimodule_basis_changes_invert():
+    rng = random.Random(35)
+    for n in (2, 3, 4):
+        for _ in range(8):
+            word = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+            assert check_invertibility_decision(bimod.gram_matrix(n, word))
+            assert check_invertibility_decision(bimod._sigma_basis_change(n, word))
