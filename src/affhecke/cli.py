@@ -182,7 +182,7 @@ def _parse_hecke_expr(n, text):
     return total
 
 
-def _kl_expand(element, n):
+def _kl_expand(element):
     """Write a Hecke element in the Kazhdan-Lusztig basis, largest first."""
     rest = element
     parts = []
@@ -208,7 +208,7 @@ def cmd_hecke(args):
     print("standard basis:")
     print(value.serialize() if not value.is_zero() else "0")
     print("kazhdan-lusztig basis:")
-    print(_kl_expand(value, args.n))
+    print(_kl_expand(value))
     return 0
 
 

@@ -34,10 +34,8 @@ class MatrixArithmetic:
     """Morphisms are matrices over Q[x_1..x_n, d]; default n = 0 gives Q[d].
 
     Summand labels are ranks (free modules), ungraded: degree checks are
-    skipped.
+    skipped.  Complexes over it are built in memory and not serialized.
     """
-
-    name = "matrix"
 
     def __init__(self, n=0):
         self.n = n
@@ -79,7 +77,7 @@ class MatrixArithmetic:
     def dual(self, f):
         return polymat.mat_transpose(f)
 
-    def degree_of(self, f, src, tgt):
+    def degree_of(self, f):
         return None
 
     def tensor(self, f, g):
@@ -88,20 +86,6 @@ class MatrixArithmetic:
 
     def tensor_label(self, a, b):
         return self.rank(a) * self.rank(b)
-
-    def encode(self, f):
-        return [[str(x) for x in row] for row in f]
-
-    def decode(self, data):
-        return tuple(
-            tuple(parse_ring_element(self.n, x) for x in row) for row in data
-        )
-
-    def encode_label(self, label):
-        return int(label)
-
-    def decode_label(self, data):
-        return int(data)
 
 
 class SignArithmetic:
@@ -135,16 +119,23 @@ class SignArithmetic:
     def equal(self, f, g):
         return f == g
 
+    def divide_delta(self, f):
+        if f:
+            raise ArithmeticError(f"the sign {f} is not a multiple of delta")
+        return 0
+
     def is_isomorphism(self, f, src, tgt):
         return f in (1, -1)
 
     def invert(self, f):
+        if f not in (1, -1):
+            raise ArithmeticError(f"the sign {f} is not invertible")
         return f
 
     def dual(self, f):
         return f
 
-    def degree_of(self, f, src, tgt):
+    def degree_of(self, f):
         return None
 
     def tensor(self, f, g):
@@ -178,14 +169,11 @@ class BimoduleArithmetic:
     def __init__(self, n):
         self.n = n
 
-    def word(self, label):
-        return tuple(label)
-
     def zero(self, src_label, tgt_label):
-        return bimod.Morphism.zero(self.n, self.word(src_label), self.word(tgt_label))
+        return bimod.Morphism.zero(self.n, src_label, tgt_label)
 
     def identity(self, label):
-        return bimod.Morphism.identity(self.n, self.word(label))
+        return bimod.Morphism.identity(self.n, label)
 
     def compose(self, f, g):
         return f.compose(g)
@@ -221,7 +209,7 @@ class BimoduleArithmetic:
     def dual(self, f):
         return bimod.adjoint(f)
 
-    def degree_of(self, f, src, tgt):
+    def degree_of(self, f):
         return f.degree
 
     def tensor(self, f, g):
@@ -254,11 +242,9 @@ class BimoduleArithmetic:
 
 
 def arithmetic_for(backend, n):
-    """The arithmetic of a backend name, over n strands."""
+    """The arithmetic of a serialized backend name, over n strands."""
     if backend == "sign":
         return SignArithmetic()
-    if backend == "matrix":
-        return MatrixArithmetic(n)
     if backend == "bimodule":
         return BimoduleArithmetic(n)
     raise ValueError(f"unknown backend {backend!r}")
@@ -296,7 +282,7 @@ def add_entries(ar, first, second, sign=1):
 
 def _check_entry_degree(ar, sa, sb, mor):
     """Raise unless the entry sa -> sb has the degree of the grading shifts."""
-    deg = ar.degree_of(mor, sa.label, sb.label)
+    deg = ar.degree_of(mor)
     if deg is not None and deg != sb.shift - sa.shift:
         raise ValueError(
             f"entry {sa.sid}->{sb.sid} has degree {deg}, expected "
@@ -311,6 +297,18 @@ def _entry_index(diff):
         out_of.setdefault(a, set()).add(b)
         into.setdefault(b, set()).add(a)
     return out_of, into
+
+
+def _pivot_inverse(ar, diff, key):
+    """The inverse of the entry at key, or None when it is missing or not
+    invertible: the one invertibility decision of elimination."""
+    phi = diff.get(key)
+    if phi is None:
+        return None
+    try:
+        return ar.invert(phi)
+    except ArithmeticError:
+        return None
 
 
 def _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id, phi_inv):
@@ -405,7 +403,7 @@ class Pseudocomplex:
         for (a, c), mor in self.d_squared().items():
             try:
                 entries[(a, c)] = ar.divide_delta(mor)
-            except (ArithmeticError, AttributeError) as exc:
+            except ArithmeticError as exc:
                 raise ValueError(
                     f"d^2 entry {a}->{c} is not divisible by delta: {exc}"
                 ) from exc
@@ -481,13 +479,11 @@ class Pseudocomplex:
         """
         ar = self.arithmetic
         f_id, fp_id = pair
-        phi = self.diff.get((f_id, fp_id))
-        sf, sfp = self.by_sid[f_id], self.by_sid[fp_id]
-        if phi is None or not ar.is_isomorphism(phi, sf.label, sfp.label):
+        phi_inv = _pivot_inverse(ar, self.diff, (f_id, fp_id))
+        if phi_inv is None:
             raise ValueError(f"entry {f_id}->{fp_id} is not an isomorphism")
         diff = dict(self.diff)
         out_of, into = _entry_index(diff)
-        phi_inv = ar.invert(phi)
         lefts, rights, _ = _eliminate_pair(
             ar, self.by_sid, diff, out_of, into, f_id, fp_id, phi_inv
         )
@@ -531,12 +527,10 @@ class Pseudocomplex:
             group = by_deg[deg]
             inverses = []
             for f_id, fp_id in group:
-                phi = diff.get((f_id, fp_id))
-                if phi is None or not ar.is_isomorphism(
-                    phi, by_sid[f_id].label, by_sid[fp_id].label
-                ):
+                inv = _pivot_inverse(ar, diff, (f_id, fp_id))
+                if inv is None:
                     raise ValueError(f"entry {f_id}->{fp_id} is not an isomorphism")
-                inverses.append(ar.invert(phi))
+                inverses.append(inv)
             # (sequence s, phi_{s_last}^{-1} theta ... theta phi_{s_0}^{-1})
             level = [((j,), inv) for j, inv in enumerate(inverses)]
             while level:
@@ -584,14 +578,10 @@ class Pseudocomplex:
         removed = set()
         while heap:
             _, a, b = heapq.heappop(heap)
-            mor = diff.get((a, b))
-            if mor is None or not ar.is_isomorphism(
-                mor, by_sid[a].label, by_sid[b].label
-            ):
+            inv = _pivot_inverse(ar, diff, (a, b))
+            if inv is None:
                 continue
-            written = _eliminate_pair(
-                ar, by_sid, diff, out_of, into, a, b, ar.invert(mor)
-            )[2]
+            written = _eliminate_pair(ar, by_sid, diff, out_of, into, a, b, inv)[2]
             removed.update((a, b))
             for key in written:
                 heapq.heappush(heap, (by_sid[key[0]].degree, *key))

@@ -195,7 +195,10 @@ def back_substitute(pivots, free):
 
 def mat_invert(a):
     """Exact inverse over the polynomial ring; raises ArithmeticError unless
-    the determinant is a unit (a nonzero rational)."""
+    a is square with a unit determinant (a nonzero rational)."""
+    rows, cols = mat_shape(a)
+    if rows != cols:
+        raise ArithmeticError(f"a {rows} x {cols} matrix is not invertible")
     det, block = _gauss_jordan(a, True)
     if not det.is_unit():
         raise ArithmeticError("matrix is not invertible over the ring")

@@ -10,6 +10,7 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 # longest w whose KL element or Bruhat interval is expanded by default
@@ -17,8 +18,9 @@ DEFAULT_LENGTH_CAP = 14
 
 # slots of every memo.  Each holds its working set for n <= 8 in one
 # process: bimod.eps_sign about 1 760 pairs, the per-word memos 505 words,
-# the forced blocks of the exact checks at n = 2..7 about 2 200, and
-# hecke._kl_basis about 390 elements in a hecke-kl benchmark pass.
+# the forced blocks of the exact checks at n = 2..7 about 2 200,
+# hecke._kl_basis about 390 elements in a hecke-kl benchmark pass, and
+# _tau_components at most 2^n - 1 subsets per n.
 CACHE_SIZE = 4096
 
 
@@ -129,13 +131,6 @@ class ExtendedWeylElement:
     def inverse(self):
         inv = window_inverse(self.window)
         return ExtendedWeylElement(-self.omega, window_tau(inv, self.omega))
-
-    def __pow__(self, k):
-        out = ExtendedWeylElement.identity(self.n)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
 
     def __eq__(self, other):
         return (
@@ -319,12 +314,16 @@ def tau_components(n, I):
     are singletons.  When |I| = n-1 the single block is all of S, ordered
     i+1 < i+2 < ... < i where i is the unique index outside I.
     """
-    I = frozenset(i % n for i in I)
+    return list(_tau_components(n, frozenset(i % n for i in I)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _tau_components(n, I):
     if len(I) >= n:
         raise ValueError("I must be a proper subset")
     if len(I) == n - 1:
         (i,) = set(range(n)) - I
-        return [tuple((i + t) % n for t in range(1, n + 1))]
+        return (tuple((i + t) % n for t in range(1, n + 1)),)
     blocks = []
     used = set()
     for run in cyclic_runs(n, I):
@@ -333,7 +332,7 @@ def tau_components(n, I):
         used.update(block)
     for j in sorted(set(range(n)) - used):
         blocks.append((j,))
-    return sorted(blocks, key=lambda b: b[0])
+    return tuple(sorted(blocks, key=lambda b: b[0]))
 
 
 def rewrite_wIhX(n, I, X, aleph):

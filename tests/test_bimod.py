@@ -583,7 +583,7 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_info"):
                 caches[f"{info.name}.{name}"] = value
     assert {"bimod._forced", "bimod.eps_sign", "bimod.gram_matrix", "bimod.gram_inverse",
-            "bimod._sigma_basis_change", "hecke._kl_basis"} <= set(caches)
+            "bimod._sigma_basis_change", "hecke._kl_basis", "weyl._tau_components"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
     build_F(6, "bimodule")

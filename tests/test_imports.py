@@ -136,3 +136,55 @@ def test_no_single_valued_defaults():
                     ):
                         unused.append(f"{path.name}:{node.lineno} {node.name}({arg})")
     assert not unused, f"defaults that no call overrides: {unused}"
+
+
+# (module, function) -> (parameters it may leave unread, why)
+UNREAD_ALLOWED = {
+    ("homalg.py", "is_isomorphism"): (
+        {"src", "tgt"}, "the summand labels are part of the call that bench/ makes"),
+    ("cli.py", "_suite_d2"): ({"args"}, "the run(n, args) protocol of cli.SUITES"),
+    ("cli.py", "_suite_phi_n2"): ({"args"}, "the run(n, args) protocol of cli.SUITES"),
+    ("cli.py", "<lambda>"): ({"n", "args"}, "the run(n, args) protocol of cli.SUITES"),
+}
+
+
+def test_no_unused_parameters():
+    # every parameter of a function or lambda of the package is read by it
+    # (or by a function nested in it), or by a same-named method of another
+    # class in its module, which shares the protocol; self and cls are left
+    # out
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = []  # (name, node, parameters, is a method)
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a]
+                method = isinstance(parent, ast.ClassDef)
+                if method and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+                ):
+                    params = params[1:]
+                read = {
+                    n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                name = getattr(node, "name", "<lambda>")
+                functions.append((name, params, read, method))
+        read_by_method = {}
+        for name, _, read, method in functions:
+            if method:
+                read_by_method.setdefault(name, set()).update(read)
+        for name, params, read, method in functions:
+            allowed = UNREAD_ALLOWED.get((path.name, name), (set(), ""))[0]
+            for param in params:
+                if param in read or param in allowed:
+                    continue
+                if method and param in read_by_method[name]:
+                    continue
+                unread.append(f"{path.name} {name}({param})")
+    assert not unread, f"parameters that are never read: {unread}"
