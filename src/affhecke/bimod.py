@@ -417,12 +417,14 @@ def eps_sign(n, X, Y):
     return sign * (-1) ** inversions
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def signed_dot(n, A, B):
     """The signed dot from B_A to B_B, where A and B differ by one index.
 
     Adding an index gives the degree-1 map called an upward dot; removing
     gives the downward dot.  Both carry the sign epsilon = (-1)^(k-1) for the
     slot of the changed letter, transported through signed rex moves.
+    As for eps_sign, the memo is keyed by A and B as given (frozensets).
     """
     A = frozenset(a % n for a in A)
     B = frozenset(b % n for b in B)

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import bimod, polymat
-from .rings import divide_by_delta, parse_ring_element
+from .rings import RingElement, divide_by_delta, parse_ring_element
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,9 @@ class MatrixArithmetic:
 
     def compose(self, f, g):
         return polymat.mat_mul(f, g)
+
+    def compose_sum(self, pairs):
+        return polymat.mat_mul_sum(pairs)
 
     def add(self, f, g):
         return polymat.mat_add(f, g)
@@ -106,6 +109,12 @@ class SignArithmetic:
 
     def compose(self, f, g):
         return f * g
+
+    def compose_sum(self, pairs):
+        total = 0
+        for f, g in pairs:
+            total += f * g
+        return total
 
     def add(self, f, g):
         return f + g
@@ -178,6 +187,21 @@ class BimoduleArithmetic:
     def compose(self, f, g):
         return f.compose(g)
 
+    def compose_sum(self, pairs):
+        """Sum of the composites f . g over the pairs (f, g) as one sum of matrix
+        products; refused on mismatched endpoints or differing stated degrees."""
+        src, tgt = pairs[0][1].src, pairs[0][0].tgt
+        if any(g.tgt != f.src or (g.src, f.tgt) != (src, tgt) for f, g in pairs):
+            raise ValueError("cannot add composites with mismatched endpoints")
+        degrees = {
+            f.degree + g.degree for f, g in pairs if None not in (f.degree, g.degree)
+        }
+        if len(degrees) > 1:
+            raise ValueError(f"cannot add morphisms of different degrees {degrees}")
+        matrix = polymat.mat_mul_sum([(f.matrix, g.matrix) for f, g in pairs])
+        degree = min(degrees, default=None)
+        return bimod.Morphism(self.n, src, tgt, matrix, degree, check=False)
+
     def add(self, f, g):
         return f + g
 
@@ -226,8 +250,9 @@ class BimoduleArithmetic:
         }
 
     def decode(self, data):
+        zero = RingElement.zero(self.n)  # most cells are the literal "0"
         matrix = tuple(
-            tuple(parse_ring_element(self.n, x) for x in row)
+            tuple(zero if x == "0" else parse_ring_element(self.n, x) for x in row)
             for row in data["matrix"]
         )
         return bimod.Morphism(
@@ -253,20 +278,29 @@ def arithmetic_for(backend, n):
 def compose_entries(ar, later, earlier):
     """later o earlier for sparse entry dicts (a, b) -> morphism.
 
-    `later` is indexed by source once, so each entry of `earlier` meets only
-    the entries of `later` leaving its target.  Products are summed per
-    (a, c); zero sums are dropped.
+    `later` is indexed by source once, and `earlier` by source among the
+    entries whose target some entry of `later` leaves.  One source row at a
+    time, the paths a -> b -> c are grouped by c, and each entry (a, c) is
+    one `compose_sum` over its paths; zero sums are dropped.
     """
     by_src = {}
     for (b, c), mor in later.items():
         by_src.setdefault(b, []).append((c, mor))
-    out = {}
+    rows = {}
     for (a, b), first in earlier.items():
-        for c, second in by_src.get(b, ()):
-            term = ar.compose(second, first)
-            cur = out.get((a, c))
-            out[(a, c)] = term if cur is None else ar.add(cur, term)
-    return {k: v for k, v in out.items() if not ar.is_zero(v)}
+        if b in by_src:
+            rows.setdefault(a, []).append((b, first))
+    out = {}
+    for a, firsts in rows.items():
+        paths = {}
+        for b, first in firsts:
+            for c, second in by_src[b]:
+                paths.setdefault(c, []).append((second, first))
+        for c, pairs in paths.items():
+            mor = ar.compose_sum(pairs)
+            if not ar.is_zero(mor):
+                out[(a, c)] = mor
+    return out
 
 
 def add_entries(ar, first, second, sign=1):
@@ -591,18 +625,20 @@ class Pseudocomplex:
     def split_summand(self, sid, pieces):
         """Replace a summand by direct-sum pieces.
 
-        pieces is a list of (label, shift_offset, iota, pi) with
-        pi_a iota_b = delta_ab id and sum iota_a pi_a = id; the differential
-        is conjugated by the injections and projections.
+        pieces is a list of (label, shift_offset, iota, pi); sum iota_a pi_a =
+        id and pi_a iota_b = delta_ab id are checked, naming a failing pair; the
+        differential is conjugated by the injections and projections.
         """
         ar = self.arithmetic
         old = self.by_sid[sid]
-        total = None
-        for _, _, iota, pi in pieces:
-            term = ar.compose(iota, pi)
-            total = term if total is None else ar.add(total, term)
-        if not ar.equal(total, ar.identity(old.label)):
+        pairs = [(iota, pi) for _, _, iota, pi in pieces]
+        if not pairs or not ar.equal(ar.compose_sum(pairs), ar.identity(old.label)):
             raise ValueError("splitting data does not sum to the identity")
+        for a, (label, _, _, pi) in enumerate(pieces):
+            for b, (label_b, _, iota, _) in enumerate(pieces):
+                want = ar.identity(label) if a == b else ar.zero(label_b, label)
+                if not ar.equal(ar.compose(pi, iota), want):
+                    raise ValueError(f"pieces {a}, {b}: pi_a iota_b is not delta_ab id")
         next_sid = max(self.by_sid) + 1
         new_summands = [s for s in self.summands if s.sid != sid]
         piece_ids = []
@@ -613,21 +649,17 @@ class Pseudocomplex:
             piece_ids.append((next_sid, iota, pi))
             next_sid += 1
         new_diff = {}
-        for (a, b), mor in self.diff.items():
-            if a != sid and b != sid:
-                new_diff[(a, b)] = mor
-        # the constructor refuses a (sid, sid) entry: it does not raise degree
+        # the constructor refuses a (sid, sid) entry (it does not raise
+        # degree) and drops zero entries
         for (a, b), mor in self.diff.items():
             if a == sid:
-                for pid, iota, pi in piece_ids:
-                    entry = ar.compose(mor, iota)
-                    if not ar.is_zero(entry):
-                        new_diff[(pid, b)] = entry
+                for pid, iota, _ in piece_ids:
+                    new_diff[(pid, b)] = ar.compose(mor, iota)
             elif b == sid:
-                for pid, iota, pi in piece_ids:
-                    entry = ar.compose(pi, mor)
-                    if not ar.is_zero(entry):
-                        new_diff[(a, pid)] = entry
+                for pid, _, pi in piece_ids:
+                    new_diff[(a, pid)] = ar.compose(pi, mor)
+            else:
+                new_diff[(a, b)] = mor
         return Pseudocomplex(ar, new_summands, new_diff)
 
     def to_json(self, n=None):

@@ -58,30 +58,34 @@ def mat_blocks(grid):
 
 
 def mat_mul(a, b):
-    """Exact product, visiting only the nonzero entries of a and of b."""
-    _, mid = mat_shape(a)
-    mid2, cols = mat_shape(b)
-    if mid != mid2 or mid == 0:
-        raise ValueError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
+    """Exact product: the one-pair case of mat_mul_sum."""
+    return mat_mul_sum(((a, b),))
+
+
+def mat_mul_sum(pairs):
+    """Exact sum of the products a . b over a nonempty sequence of pairs: the
+    one product kernel, accumulating each output cell once over every pair and
+    visiting only nonzero entries.  Middle dimensions may differ per pair."""
+    cols = mat_shape(pairs[0][1])[1]
+    cells = [{} for _ in pairs[0][0]]
+    for a, b in pairs:
+        mid = len(a[0]) if a else 0
+        if len(a) != len(cells) or mid == 0 or len(b) != mid or len(b[0]) != cols:
+            raise ValueError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
+        b_rows = [[(c, y) for c, y in enumerate(row) if y.terms] for row in b]
+        for row_cells, row in zip(cells, a):
+            for k, x in enumerate(row):
+                if not x.terms:
+                    continue
+                for c, y in b_rows[k]:
+                    accumulate_product(row_cells.setdefault(c, {}), x, y)
     n = a[0][0].n
     zero = RingElement.zero(n)
-    b_rows = [[(c, y) for c, y in enumerate(row) if y.terms] for row in b]
     out = []
-    for row in a:
-        cells = {}
-        for k, x in enumerate(row):
-            if not x.terms:
-                continue
-            for c, y in b_rows[k]:
-                acc = cells.get(c)
-                if acc is None:
-                    acc = cells[c] = {}
-                accumulate_product(acc, x, y)
+    for row_cells in cells:
         out_row = [zero] * cols
-        for c, acc in cells.items():
-            value = from_accumulated(n, acc)
-            if value.terms:
-                out_row[c] = value
+        for c, acc in row_cells.items():
+            out_row[c] = from_accumulated(n, acc)
         out.append(tuple(out_row))
     return tuple(out)
 

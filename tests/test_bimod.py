@@ -575,6 +575,14 @@ def test_whiskered_generators_match_tensor_products(n):
                 )
 
 
+def test_signed_dot_is_forced_once_per_pair():
+    # F_5 asks for 320 signed dots between 150 distinct (X, Y) pairs
+    signed_dot.cache_clear()
+    build_F(5, "bimodule")
+    info = signed_dot.cache_info()
+    assert (info.misses, info.hits) == (150, 170)
+
+
 def test_every_cache_is_bounded():
     caches = {}
     for info in pkgutil.iter_modules(affhecke.__path__):
@@ -582,8 +590,9 @@ def test_every_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 caches[f"{info.name}.{name}"] = value
-    assert {"bimod._forced", "bimod.eps_sign", "bimod.gram_matrix", "bimod.gram_inverse",
-            "bimod._sigma_basis_change", "hecke._kl_basis", "weyl._tau_components"} <= set(caches)
+    assert {"bimod._forced", "bimod.eps_sign", "bimod.signed_dot", "bimod.gram_matrix",
+            "bimod.gram_inverse", "bimod._sigma_basis_change", "hecke._kl_basis",
+            "weyl._tau_components"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
     build_F(6, "bimodule")

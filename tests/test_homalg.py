@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -415,6 +416,34 @@ def test_split_summand_bimodule():
         fb1.split_summand(sid, split_pieces(2, 1)[:1])
 
 
+def test_split_summand_refuses_a_phantom_piece():
+    # B_0 B_0 in B_0 F at n = 2 as itself plus a zero piece: sum iota pi is
+    # the identity, but pi iota of the zero piece is not
+    p, sid = bs_tensor_f(2, 0, "left")
+    word = p.by_sid[sid].label
+    ident, zero = Morphism.identity(2, word), Morphism.zero(2, word, word)
+    with pytest.raises(ValueError, match=r"pieces 1, 1"):
+        p.split_summand(sid, [(word, 0, ident, ident), (word, 0, zero, zero)])
+    with pytest.raises(ValueError, match="sum to the identity"):
+        p.split_summand(sid, [])
+
+
+def test_compose_entries_refuses_mismatched_bimodule_paths():
+    n = 3
+    ar = BimoduleArithmetic(n)
+    up, down = startdot_core(n, 1), enddot_core(n, 1)
+    empty = Morphism.identity(n, ())
+    # () -> (1,) -> () has degree 2 and () -> () -> () degree 0
+    with pytest.raises(ValueError, match="different degrees"):
+        compose_entries(ar, {(1, 3): down, (2, 3): empty}, {(0, 1): up, (0, 2): empty})
+    # both paths end at summand 3, once as () and once as (1,)
+    with pytest.raises(ValueError, match="mismatched endpoints"):
+        compose_entries(ar, {(1, 3): down, (2, 3): up}, {(0, 1): up, (0, 2): empty})
+    # the entries do not compose: (2,) is not (1,)
+    with pytest.raises(ValueError, match="mismatched endpoints"):
+        compose_entries(ar, {(1, 2): enddot_core(n, 2)}, {(0, 1): up})
+
+
 def contents(p):
     """The summands and differential entries of a complex, for comparing
     complexes over the matrix arithmetic, which are not serialized."""
@@ -591,30 +620,61 @@ def random_entries(rng, ranks, sources, targets, make):
     }
 
 
-@pytest.mark.parametrize("backend", ("sign", "matrix"))
+def random_engine_entries(rng, backend):
+    """(arithmetic, later, earlier): seeded entry dicts over the sign or the
+    matrix arithmetic, with entries of `later` that `earlier` never
+    reaches."""
+    ranks = [rng.randint(1, 2) for _ in range(12)]
+    if backend == "sign":
+        ar = SignArithmetic()
+
+        def make(rows, cols):
+            return rng.choice((1, -1, 1, -1, 2))
+    else:
+        ar = MatrixArithmetic(0)
+
+        def make(rows, cols):
+            def entry():
+                return RingElement(0, {(rng.randint(0, 1),): rng.randint(-1, 1)})
+
+            return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+    a_ids, b_ids, c_ids = range(0, 4), range(4, 8), range(8, 12)
+    earlier = random_entries(rng, ranks, a_ids, b_ids, make)
+    later = random_entries(rng, ranks, b_ids, c_ids, make)
+    later.update(random_entries(rng, ranks, c_ids, a_ids, make))
+    return ar, later, earlier
+
+
+def random_bimodule_entries(rng, n):
+    """(arithmetic, later, earlier): two seeded draws from the differential
+    of the bimodule F_n, each entry kept, negated or doubled.  An (a, c)
+    two degrees up has two paths, which cancel where both keep their
+    relative sign, as in d^2."""
+    f = build_F(n, "bimodule")
+
+    def draw():
+        return {
+            key: rng.choice((mor, mor, -mor, mor + mor))
+            for key, mor in f.diff.items()
+            if rng.random() < 0.8
+        }
+
+    return f.arithmetic, draw(), draw()
+
+
+@pytest.mark.parametrize("backend", ("sign", "matrix", "bimodule"))
 def test_compose_entries_matches_pairwise_scan(backend):
     rng = random.Random(f"compose-entries/{backend}")
-    cancelled = 0
-    for _ in range(60):
-        ranks = [rng.randint(1, 2) for _ in range(12)]
-        if backend == "sign":
-            ar = SignArithmetic()
-
-            def make(rows, cols):
-                return rng.choice((1, -1, 1, -1, 2))
+    cancelled = multi_path = 0
+    for trial in range(8 if backend == "bimodule" else 60):
+        if backend == "bimodule":
+            ar, later, earlier = random_bimodule_entries(rng, 3 + trial % 2)
         else:
-            ar = MatrixArithmetic(0)
-
-            def make(rows, cols):
-                def entry():
-                    return RingElement(0, {(rng.randint(0, 1),): rng.randint(-1, 1)})
-
-                return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
-        a_ids, b_ids, c_ids = range(0, 4), range(4, 8), range(8, 12)
-        earlier = random_entries(rng, ranks, a_ids, b_ids, make)
-        later = random_entries(rng, ranks, b_ids, c_ids, make)
-        # entries of `later` whose source `earlier` never reaches
-        later.update(random_entries(rng, ranks, c_ids, a_ids, make))
+            ar, later, earlier = random_engine_entries(rng, backend)
+        paths = Counter(
+            (a, c) for a, b in earlier for b2, c in later if b2 == b
+        )
+        multi_path += sum(1 for count in paths.values() if count > 1)
         expected, zeros = pairwise_compose(ar, later, earlier)
         cancelled += zeros
         got = compose_entries(ar, later, earlier)
@@ -622,6 +682,7 @@ def test_compose_entries_matches_pairwise_scan(backend):
         assert all(ar.equal(got[k], expected[k]) for k in got)
         assert not any(ar.is_zero(v) for v in got.values())
     assert cancelled >= 5
+    assert multi_path >= 20
 
 
 def reference_simultaneous_eliminate(p, pairs):

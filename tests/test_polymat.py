@@ -12,8 +12,11 @@ from affhecke.polymat import (
     mat_eq,
     mat_identity,
     mat_invert,
+    mat_add,
     mat_mul,
+    mat_mul_sum,
     mat_shape,
+    mat_zero,
 )
 from affhecke.rings import RingElement
 
@@ -75,6 +78,43 @@ def test_mat_mul_cancellation_gives_zero_entries():
     a = ((x1, x1),)
     b = ((x1,), (-x1,))
     assert mat_mul(a, b)[0][0].terms == {}
+
+
+def test_mat_mul_sum_is_the_sum_of_mat_muls():
+    # each pair has its own middle dimension; the sum shares the outer shape
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            mid = rng.randint(1, 5)
+            pairs.append(
+                (random_sparse_matrix(rng, n, rows, mid), random_sparse_matrix(rng, n, mid, cols))
+            )
+        expected = mat_zero(n, rows, cols)
+        for a, b in pairs:
+            expected = mat_add(expected, mat_mul(a, b))
+        got = mat_mul_sum(pairs)
+        assert mat_shape(got) == (rows, cols)
+        assert mat_eq(got, expected)
+        assert all(all(x.terms.values()) for row in got for x in row)
+        # a pair and its negative cancel in every cell
+        a, b = pairs[0]
+        negated = tuple(tuple(-x for x in row) for row in a)
+        assert all(x.terms == {} for row in mat_mul_sum([(a, b), (negated, b)]) for x in row)
+
+
+def test_mat_mul_sum_shape_mismatch():
+    rng = random.Random(14)
+    a, b = random_sparse_matrix(rng, 2, 2, 3), random_sparse_matrix(rng, 2, 3, 4)
+    for bad in (
+        (random_sparse_matrix(rng, 2, 3, 3), random_sparse_matrix(rng, 2, 3, 4)),  # rows
+        (random_sparse_matrix(rng, 2, 2, 3), random_sparse_matrix(rng, 2, 3, 2)),  # columns
+        (random_sparse_matrix(rng, 2, 2, 2), random_sparse_matrix(rng, 2, 3, 4)),  # middle
+    ):
+        with pytest.raises(ValueError):
+            mat_mul_sum([(a, b), bad])
 
 
 def test_mat_blocks_places_non_square_blocks():
