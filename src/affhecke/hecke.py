@@ -9,7 +9,8 @@ descent; for b_s, c is v or v^-1, so the step only shifts exponents.
 Kazhdan-Lusztig elements b_w are computed by the mu-rule
 b_w = b_{ws} b_s - sum mu(y, ws) b_y, with the self-dual interval sum
 Sigma_w as an independent oracle on smooth elements.  The base case
-b_{w_I} b_{h_X} of c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X.
+b_{w_I} b_{h_X} of c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X,
+each prefix of that word once per process.
 
 The omega power is carried exactly in Z; reduce_omega_mod_n on elements
 gives the quotient algebra H_exts when needed.
@@ -393,7 +394,8 @@ def c_element(n, I, X, Y, length_cap=DEFAULT_LENGTH_CAP, _memo=None, order="firs
     c_{I,X,empty} = b_{w_I} b_{h_X}; growing the suffix at m trades
     c_{I,X,Y} = c_{I,X,Ym} + c_{I,X\\{m,m+1},Y\\{m+1}}; the result does not
     depend on the order the indices of Y were absorbed (the `order` knob
-    varies the component traversal so tests can check this).
+    varies the component traversal so tests can check this).  Entries of
+    `_memo` are keyed by (n, I, X, Y), so one memo may serve several I.
     """
     I = frozenset(i % n for i in I)
     X = frozenset(x % n for x in X)
@@ -425,7 +427,7 @@ def is_tau_suffix(n, I, Y, comps=None):
 
 
 def _c_element(n, I, X, Y, comps, length_cap, memo):
-    key = (X, Y)
+    key = (n, I, X, Y)
     got = memo.get(key)
     if got is not None:
         return got
@@ -436,9 +438,10 @@ def _c_element(n, I, X, Y, comps, length_cap, memo):
         # equal to b_{h_X}, and b_{w_I} b_{h_X} is b_{w_I} stepped by b_s.
         if len(X) > length_cap:
             raise ValueError(f"length {len(X)} exceeds cap {length_cap}")
-        out = kl_basis(longest_element(n, I), length_cap)
-        for k in anticyclic_word(n, X, min(set(range(n)) - X)):
-            out = out.times_b_simple(k)
+        w = longest_element(n, I)
+        if w.length() > length_cap:
+            raise ValueError(f"length {w.length()} exceeds cap {length_cap}")
+        out = _stepped_by_b(w, anticyclic_word(n, X, min(set(range(n)) - X)))
         memo[key] = out
         return out
     # peel the last-absorbed index of some component suffix
@@ -455,6 +458,19 @@ def _c_element(n, I, X, Y, comps, length_cap, memo):
         )
     memo[key] = out
     return out
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _stepped_by_b(w, word):
+    """b_w b_{s_1} ... b_{s_k} for an omega-free w and a word (s_1, ..., s_k).
+
+    Each prefix of the word goes through this memo, so every Bott-Samelson
+    prefix of b_{w_I} is stepped once per process, whatever X, memo or
+    traversal order asked for it.  Callers check the length cap.
+    """
+    if not word:
+        return _kl_basis(w)
+    return _stepped_by_b(w, word[:-1]).times_b_simple(word[-1])
 
 
 def godown_applicable(n, I, X, Y, j, comps=None):

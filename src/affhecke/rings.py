@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, sub
+
+from .weyl import CACHE_SIZE
 
 
 class LaurentPoly:
     """Laurent polynomial in v with integer coefficients.
 
-    coeffs maps exponent -> nonzero integer coefficient.
+    coeffs maps exponent -> nonzero integer coefficient.  The constructor
+    accepts any integral exponent and coefficient (Fraction(4, 2) becomes 2)
+    and refuses a term that is not integral.
     """
 
     __slots__ = ("coeffs",)
@@ -29,7 +34,10 @@ class LaurentPoly:
         if coeffs:
             for e, c in coeffs.items():
                 if c:
-                    clean[int(e)] = clean.get(int(e), 0) + int(c)
+                    ie, ic = int(e), int(c)
+                    if ie != e or ic != c:
+                        raise ValueError(f"non-integral term {c}*v^{e}")
+                    clean[ie] = clean.get(ie, 0) + ic
         self.coeffs = {e: c for e, c in clean.items() if c}
 
     @classmethod
@@ -82,9 +90,16 @@ class LaurentPoly:
             if not other:
                 return LaurentPoly()
             return LaurentPoly._trusted({e: c * other for e, c in self.coeffs.items()})
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor only shifts exponents and scales coefficients
+            ((shift, scale),) = b.items()
+            return LaurentPoly._trusted({e + shift: c * scale for e, c in a.items()})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly._trusted({e: c for e, c in out.items() if c})
@@ -109,24 +124,30 @@ class LaurentPoly:
         return all(e > 0 for e in self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                term = str(abs(c))
-            else:
-                vp = "v" if e == 1 else f"v^{e}"
-                term = vp if abs(c) == 1 else f"{abs(c)}*{vp}"
-            parts.append(("-" if c < 0 else "+", term))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+        return _laurent_text(tuple(sorted(self.coeffs.items(), reverse=True)))
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _laurent_text(terms):
+    """The text of a Laurent polynomial from its (exponent, coefficient)
+    terms, highest power first."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in terms:
+        if e == 0:
+            term = str(abs(c))
+        else:
+            vp = "v" if e == 1 else f"v^{e}"
+            term = vp if abs(c) == 1 else f"{abs(c)}*{vp}"
+        parts.append(("-" if c < 0 else "+", term))
+    sign, first = parts[0]
+    text = ("-" if sign == "-" else "") + first
+    for sign, term in parts[1:]:
+        text += f" {sign} {term}"
+    return text
 
 
 def gauss(k):

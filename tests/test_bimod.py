@@ -592,6 +592,7 @@ def test_every_cache_is_bounded():
                 caches[f"{info.name}.{name}"] = value
     assert {"bimod._forced", "bimod.eps_sign", "bimod.signed_dot", "bimod.gram_matrix",
             "bimod.gram_inverse", "bimod._sigma_basis_change", "hecke._kl_basis",
+            "hecke._stepped_by_b", "rings._laurent_text",
             "weyl._tau_components"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from affhecke import hecke
 from affhecke.braid import jm_braid, y_braid
 from affhecke.hecke import (
     HeckeElement,
@@ -21,7 +22,14 @@ from affhecke.hecke import (
 )
 from affhecke.rings import LaurentPoly, gauss
 from affhecke.suites import proper_subsets
-from affhecke.weyl import ExtendedWeylElement, from_word, h_of, longest_element, tau_components
+from affhecke.weyl import (
+    ExtendedWeylElement,
+    anticyclic_word,
+    from_word,
+    h_of,
+    longest_element,
+    tau_components,
+)
 
 
 def H(n, *word):
@@ -210,6 +218,59 @@ def test_c_element_base_is_product_of_kl_elements(n):
         memo = {}
         for X in proper_subsets(n):
             assert c_element(n, I, X, (), _memo=memo) == bw * kl_basis(h_of(n, X))
+
+
+def test_c_element_memo_serves_every_n_and_I():
+    memo = {}
+    c_element(3, {0}, {1}, (), _memo=memo)
+    c_element(4, {1}, {1}, (), _memo=memo)
+    assert c_element(3, {1}, {1}, (), _memo=memo) == c_element(3, {1}, {1}, ())
+    assert c_element(4, {0}, {1}, (), _memo=memo) == c_element(4, {0}, {1}, ())
+    assert c_element(3, {0}, {1}, (), _memo=memo) != c_element(3, {1}, {1}, ())
+
+
+def test_c_element_checks_the_cap_before_the_prefix_memo():
+    n, I = 4, frozenset({0, 1, 2})
+    c_element(n, I, {0}, ())  # the memo now holds b_{w_I} b_{s_0}
+    with pytest.raises(ValueError, match="length 6 exceeds cap 5"):
+        c_element(n, I, {0}, (), length_cap=5)
+    c_element(n, {0}, {0, 1, 2}, ())
+    with pytest.raises(ValueError, match="length 3 exceeds cap 2"):
+        c_element(n, {0}, {0, 1, 2}, (), length_cap=2)
+
+
+def test_c_element_steps_each_prefix_once(monkeypatch):
+    # criterion 5's sweep at n = 4: two memos and godown; each b_{w_I}
+    # b_{s_1} ... b_{s_j} is stepped once, whichever X, memo or order asks
+    n = 4
+    subsets = list(proper_subsets(n))
+    for I in subsets:
+        kl_basis(longest_element(n, I))  # the KL memo steps too; warm it
+    hecke._stepped_by_b.cache_clear()
+    steps = []
+    step = HeckeElement.times_b_simple
+
+    def counted(self, k):
+        steps.append(k)
+        return step(self, k)
+
+    monkeypatch.setattr(HeckeElement, "times_b_simple", counted)
+    prefixes = set()
+    for I in subsets:
+        w = longest_element(n, I)
+        comps = tau_components(n, I)
+        memo, memo_last = {}, {}
+        for X in subsets:
+            word = anticyclic_word(n, X, min(set(range(n)) - X))
+            prefixes.update((w, word[:j]) for j in range(1, len(word) + 1))
+            for Y in tau_suffixes(n, I, X, comps):
+                c = c_element(n, I, X, Y, _memo=memo)
+                assert c == c_element(n, I, X, Y, _memo=memo_last, order="last")
+                for j in sorted(X - Y):
+                    if godown_applicable(n, I, X, Y, j, comps):
+                        assert c == c_godown_rhs(n, I, X, Y, j, _memo=memo)
+    # 14 sets I, each with 15 distinct nonempty prefixes over the 14 sets X
+    assert len(steps) == len(prefixes) == 14 * 15
 
 
 def test_godown_needs_absorbed_block():

@@ -178,6 +178,53 @@ def test_laurent_drops_cancelled_coefficients():
     assert (LaurentPoly.v(2, 3) * gauss(2)).coeffs == {3: 3, 1: 3}
 
 
+def convolution(p, q):
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_laurent_product_matches_convolution():
+    rng = random.Random(17)
+    monomials = [LaurentPoly.v(e, c) for e in (-3, -1, 0, 2) for c in (-2, -1, 1, 3)]
+    others = [LaurentPoly(), LaurentPoly.one(), gauss(2), gauss(3)]
+    for _ in range(40):
+        support = rng.sample(range(-4, 5), rng.randint(2, 5))
+        others.append(LaurentPoly({e: rng.choice((-3, -1, 1, 2)) for e in support}))
+    for p in monomials + others:
+        for q in monomials + others:
+            assert (p * q).coeffs == convolution(p, q), (p, q)
+            assert (q * p).coeffs == convolution(p, q), (q, p)
+        for k in (-2, -1, 0, 1, 5):
+            assert (p * k).coeffs == (k * p).coeffs == convolution(p, LaurentPoly.v(0, k))
+
+
+def test_laurent_text():
+    cases = {
+        "0": LaurentPoly(),
+        "1": LaurentPoly.one(),
+        "-1": LaurentPoly.v(0, -1),
+        "v": LaurentPoly.v(1),
+        "-v^-2": LaurentPoly.v(-2, -1),
+        "3*v": LaurentPoly.v(1, 3),
+        "2*v^3 - v + 5": LaurentPoly({3: 2, 1: -1, 0: 5}),
+        "v^2 + 1 + v^-2": gauss(3),
+    }
+    for text, p in cases.items():
+        assert str(p) == repr(p) == text
+
+
+def test_laurent_refuses_non_integral_terms():
+    for coeffs in ({0: Fraction(1, 2)}, {0: 2.7}, {1.5: 1}, {Fraction(1, 2): 3}):
+        with pytest.raises(ValueError, match="non-integral term"):
+            LaurentPoly(coeffs)
+    two = LaurentPoly({0: Fraction(4, 2), Fraction(2, 1): 1})
+    assert two.coeffs == {0: 2, 2: 1}
+    assert all(type(e) is int and type(c) is int for e, c in two.coeffs.items())
+
+
 def test_ring_coefficients_are_int_when_integral():
     mono = (1, 0, 0)
     two = RingElement(2, {mono: Fraction(4, 2)})
