@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polymat
-from .rings import RingElement, act_sigma, demazure, simple_root
+from .rings import RingElement, demazure, simple_root
 from .weyl import CACHE_SIZE, anticyclic_word
 
 
@@ -455,95 +455,6 @@ def is_bimodule_map(mor):
         if not (lhs - rhs).is_zero():
             return False
     return True
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def gram_matrix(n, word):
-    """The intersection form on BS(word) in the mask basis.
-
-    G[r][c] = counit(e_r e_c), applying the per-letter counit
-    f (x) rest |-> d_i(f) . rest from the outside in.
-    """
-    word = tuple(k % n for k in word)
-    size = rank(word)
-    rows = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            acc = RingElement.one(n)
-            for slot, i in enumerate(word):
-                bit = len(word) - 1 - slot
-                e = ((r >> bit) & 1) + ((c >> bit) & 1)
-                g = RingElement.one(n)
-                for _ in range(e):
-                    g = g * xi(n, i)
-                acc = demazure(i, acc * g)
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def gram_inverse(n, word):
-    return polymat.mat_invert(gram_matrix(n, word))
-
-
-def adjoint(mor):
-    """The dual morphism under the intersection form: flips diagrams.
-
-    Sends the startdot to the enddot, the merge to the split, and fixes the
-    distant crossing (up to relabeling of endpoints).
-    """
-    n = mor.n
-    m = polymat.mat_mul(
-        gram_inverse(n, mor.src),
-        polymat.mat_mul(polymat.mat_transpose(mor.matrix), gram_matrix(n, mor.tgt)),
-    )
-    return Morphism(n, mor.tgt, mor.src, m, mor.degree, check=False)
-
-
-def sigma_word(n, word):
-    return tuple((-k) % n for k in word)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _sigma_basis_change(n, word):
-    """Matrix expressing the sigma image of the mask basis of BS(word) in the
-    canonical mask basis of BS(sigma(word)).
-
-    sigma(xi_i) = xi_{sigma(i)} - c_i with c_i invariant for s_{sigma(i)};
-    the correction is forced rightward across the remaining letters.
-    """
-    word = tuple(k % n for k in word)
-    if not word:
-        return ((RingElement.one(n),),)
-    i = word[0]
-    si = (-i) % n
-    corr = xi(n, si) - act_sigma(xi(n, i))
-    rest = word[1:]
-    crest = _sigma_basis_change(n, rest)
-    lcorr = left_mult_matrix(n, sigma_word(n, rest), corr)
-    correction = polymat.mat_neg(polymat.mat_mul(lcorr, crest))
-    zero = polymat.mat_zero(n, rank(rest), rank(rest))
-    return polymat.mat_blocks(((crest, correction), (zero, crest)))
-
-
-def sigma_morphism(mor):
-    """The image of a morphism under the Dynkin flip sigma.
-
-    Entry-wise sigma conjugated back into the canonical mask bases of the
-    flipped words.
-    """
-    n = mor.n
-    src2, tgt2 = sigma_word(n, mor.src), sigma_word(n, mor.tgt)
-    raw = tuple(
-        tuple(act_sigma(x) for x in row) for row in mor.matrix
-    )
-    m = polymat.mat_mul(
-        _sigma_basis_change(n, mor.tgt),
-        polymat.mat_mul(raw, polymat.mat_invert(_sigma_basis_change(n, mor.src))),
-    )
-    return Morphism(n, src2, tgt2, m, mor.degree, check=False)
 
 
 def subs_delta_zero(mor):

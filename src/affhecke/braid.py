@@ -1,10 +1,9 @@
 """Cylindrical and finite braid words.
 
 A word is a sequence of letters f_i, f_i^{-1} (i in Z/n), omega, omega^{-1};
-finite-flavor words use only f_1..f_{n-1}.  The braid word problem is not
-solved here: equality of braids is certified by the sound necessary battery
-(evaluation to W_ext, Hecke image at generic v), documented in
-``equivalence_battery``; the winding data is a function of the evaluation.
+finite-flavor words use only f_1..f_{n-1}.  Words are read through their
+Hecke image (hecke.braid_hecke_image) and the flattening to the finite braid
+group; the braid word problem is not solved here.
 
 Token syntax for the CLI: "w", "w-", "f3", "f0-" separated by spaces.
 """
@@ -12,8 +11,6 @@ Token syntax for the CLI: "w", "w-", "f3", "f0-" separated by spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .weyl import ExtendedWeylElement
 
 OMEGA = "w"
 
@@ -112,38 +109,6 @@ def parse(n, text):
     return BraidWord(n, tuple(out))
 
 
-def evaluate(b):
-    """The evaluation homomorphism to W_ext: f_i -> s_i, omega -> omega."""
-    out = ExtendedWeylElement.identity(b.n)
-    for tok in b.letters:
-        if tok[0] == "w":
-            out = out * ExtendedWeylElement.rotation(b.n, tok[1])
-        else:
-            out = out * ExtendedWeylElement.simple(b.n, tok[1])
-    return out
-
-
-def total_winding(b):
-    """omega counts +1, omega^{-1} counts -1, crossings count 0."""
-    if b.flavor != "cylindrical":
-        raise ValueError("total winding is defined for cylindrical words")
-    return evaluate(b).omega
-
-
-def strand_winding(b):
-    """Per-strand seam-crossing counts of a pure cylindrical braid.
-
-    On the universal cover strand j ends at w(j) + omega, w the evaluation,
-    so it winds (w(j) + omega - j) / n times round the cylinder.
-    """
-    if b.flavor != "cylindrical":
-        raise ValueError("strand winding is defined for cylindrical words")
-    w = evaluate(b)
-    if w.finite_projection() != tuple(range(1, b.n + 1)):
-        raise ValueError("strand winding requires a pure braid")
-    return tuple((v + w.omega - j) // b.n for j, v in enumerate(w.window, start=1))
-
-
 def y_braid(n, i):
     """The translation braid y_i = omega f_{i-2}^{-1}...f_0^{-1} f_{n-1}...f_i."""
     if not 1 <= i <= n:
@@ -166,28 +131,6 @@ def w_lambda(n, lam):
         for _ in range(abs(e)):
             out = out * yi
     return out
-
-
-def w_lambda_positive(n, lam):
-    """A positive word for w_lambda when lambda is dominant.
-
-    lambda = sum a_k varpi_k with a_k >= 0; w_{varpi_k} is omega^k followed by
-    the positive braid crossing the first k strands over the last n-k.
-    """
-    lam = list(lam)
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)) or lam[-1] < 0:
-        raise ValueError("weight is not dominant")
-    letters = []
-    for k in range(n - 1, 0, -1):
-        for _ in range(lam[k - 1] - lam[k]):
-            letters += [("w", 1)] * k
-            window = [j + n - k for j in range(1, k + 1)] + [
-                j - k for j in range(k + 1, n + 1)
-            ]
-            block_swap = ExtendedWeylElement(0, window)
-            letters += [("f", j, 1) for j in block_swap.reduced_word()]
-    letters += [("w", 1)] * (lam[-1] * n)
-    return BraidWord(n, tuple(letters))
 
 
 def flatten(b):
@@ -224,16 +167,3 @@ def jm_braid(n, i):
     letters = [("f", k, 1) for k in range(i, n)]
     letters += [("f", k, 1) for k in range(n - 1, i - 1, -1)]
     return BraidWord(n, tuple(letters), "finite")
-
-
-def equivalence_battery(b1, b2, hecke_image=None):
-    """Sound necessary conditions for braid equality.
-
-    Checks (a) evaluation to W_ext and (b) equality of Hecke images when a
-    Hecke-image hook is supplied.  Returns True only when every applicable
-    check passes; the word problem itself is not solved.
-    """
-    if b1.n != b2.n or evaluate(b1) != evaluate(b2):
-        return False
-    # winding data, total and per strand, is a function of the evaluation
-    return hecke_image is None or hecke_image(b1) == hecke_image(b2)

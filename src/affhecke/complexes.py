@@ -1,11 +1,10 @@
 """The twisted standard complex and the theorem verifications built on it.
 
-Constructions: the degree sets P_k / Q_k, the twisted standard complex F
-(sign or bimodule backend), the inner complex I with the monodromy map mu,
-the flip F* = sigma(F), the Wakimoto filtration, the complexes N_I and M_J,
-crossover signs, the object-level Gaussian-elimination certificate for
-tensoring with a longest element, the nulhomotopy H for left multiplication
-by x_1, and the n=2 commutation squares for the twisting map phi_s.
+Constructions: the degree sets P_k, the twisted standard complex F (sign or
+bimodule backend) with the monodromy map mu, the Wakimoto filtration, the
+complexes N_I and M_J, crossover signs, the object-level Gaussian-elimination
+certificate for tensoring with a longest element, and the nulhomotopy H for
+left multiplication by x_1.
 
 Sign-level checks run at any small n; exact bimodule-matrix checks run up
 to n = cli.BIMODULE_EXACT_MAX (6).
@@ -24,13 +23,7 @@ from .hecke import (
     kl_basis,
     symbol_of_complex,
 )
-from .homalg import (
-    BimoduleArithmetic,
-    ChainMap,
-    Pseudocomplex,
-    Summand,
-    arithmetic_for,
-)
+from .homalg import ChainMap, Pseudocomplex, Summand, arithmetic_for
 from .rings import LaurentPoly, RingElement
 from .weyl import (
     ExtendedWeylElement,
@@ -63,15 +56,6 @@ def _graded_supersets(n, J):
 def build_P(n):
     """P_k: proper subsets X with |X| <= n-1-|k| and n-1-k-|X| even."""
     return _graded_supersets(n, frozenset())
-
-
-def build_Q(n):
-    """Q_k = P_{k+1} for k >= 0 and P_{k-1} for k <= 0 (consistent at 0)."""
-    p = build_P(n)
-    out = {}
-    for k in range(-(n - 2), n - 1):
-        out[k] = p[k + 1] if k >= 0 else p[k - 1]
-    return out
 
 
 def summand_subset(label):
@@ -111,12 +95,12 @@ def summand_label(n, X, backend):
     return X if backend == "sign" else preferred_word(n, X)
 
 
-def dot_complex(n, grading, backend="sign", sign=1):
+def dot_complex(n, grading, backend="sign"):
     """The complex with a summand B_X(k) for each X in grading[k] and the
-    signed dot, times sign, between each pair of adjacent_pairs.
+    signed dot between each pair of adjacent_pairs.
 
     grading maps k -> list of subsets of Z/n; summand ids follow the order
-    of k, then of each layer.  F, I, N_I and M_J are all built this way.
+    of k, then of each layer.  F, N_I and M_J are all built this way.
     """
     if backend not in ("sign", "bimodule"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -130,51 +114,13 @@ def dot_complex(n, grading, backend="sign", sign=1):
             summands.append(Summand(len(summands), summand_label(n, X, backend), k, k))
     diff = {}
     for k, X, Y in adjacent_pairs(n, grading):
-        mor = dot(n, X, Y)
-        diff[(sids[(X, k)], sids[(Y, k + 1)])] = mor if sign == 1 else ar.negate(mor)
+        diff[(sids[(X, k)], sids[(Y, k + 1)])] = dot(n, X, Y)
     return Pseudocomplex(ar, summands, diff)
 
 
 def build_F(n, backend="sign"):
     """The twisted standard complex: summands B_X(k) for X in P_k, signed dots."""
     return dot_complex(n, build_P(n), backend)
-
-
-def build_I(n, backend="sign"):
-    """The inner complex with summands over Q_k; differential is minus dots."""
-    return dot_complex(n, build_Q(n), backend, sign=-1)
-
-
-def inner_inclusion(n, F=None, I=None):
-    """The inclusion I(1)[-1] -> F (identity on the selected summands)."""
-    F = F if F is not None else build_F(n)
-    I = I if I is not None else build_I(n)
-    shifted = I.shift(grading=1, homological=-1)
-    ar = F.arithmetic
-    entries = {}
-    for s in shifted.summands:
-        label = summand_label(n, summand_subset(s.label), ar.name)
-        tgt = F.by_label.get((label, s.degree))
-        if tgt is None:
-            raise ValueError("inner complex summand missing from F")
-        entries[(s.sid, tgt.sid)] = ar.identity(tgt.label)
-    return ChainMap(shifted, F, entries), shifted
-
-
-def inner_projection(n, F=None, I=None):
-    """The quotient map F -> I(-1)[1]."""
-    F = F if F is not None else build_F(n)
-    I = I if I is not None else build_I(n)
-    shifted = I.shift(grading=-1, homological=1)
-    ar = F.arithmetic
-    entries = {}
-    for s in shifted.summands:
-        label = summand_label(n, summand_subset(s.label), ar.name)
-        src = F.by_label.get((label, s.degree))
-        if src is None:
-            raise ValueError("inner complex summand missing from F")
-        entries[(src.sid, s.sid)] = ar.identity(src.label)
-    return ChainMap(F, shifted, entries), shifted
 
 
 def monodromy_map(n, F=None):
@@ -187,23 +133,6 @@ def monodromy_map(n, F=None):
         if tgt is not None:
             entries[(s.sid, tgt.sid)] = ar.identity(s.label)
     return ChainMap(F, F, entries, degree_shift=2)
-
-
-def build_Fstar(n, backend="sign"):
-    """F* = sigma(F): sigma applied summand-wise and to all differentials."""
-    F = build_F(n, backend)
-    if backend == "sign":
-        summands = [
-            Summand(s.sid, frozenset((-x) % n for x in s.label), s.shift, s.degree)
-            for s in F.summands
-        ]
-        return Pseudocomplex(F.arithmetic, summands, dict(F.diff))
-    summands = [
-        Summand(s.sid, bimod.sigma_word(n, s.label), s.shift, s.degree)
-        for s in F.summands
-    ]
-    diff = {k: bimod.sigma_morphism(m) for k, m in F.diff.items()}
-    return Pseudocomplex(F.arithmetic, summands, diff)
 
 
 def check_d2_signs(n, F=None):
@@ -552,36 +481,6 @@ def tensorBI_object_GE(n, I):
     }
 
 
-def underlying_vector_space(p):
-    """Graded dimensions: count of R-labeled summands per homological degree."""
-    dims = {}
-    for s in p.summands:
-        if not summand_subset(s.label):
-            dims[s.degree] = dims.get(s.degree, 0) + 1
-    return dims
-
-
-def verify_gamma_nilpotent(n):
-    """mu acts on the underlying vector space of F as a regular nilpotent."""
-    F = build_F(n)
-    mu = monodromy_map(n, F)
-    r_sids = {
-        s.sid: s.degree for s in F.summands if not summand_subset(s.label)
-    }
-    degrees = sorted(r_sids.values())
-    if degrees != list(range(-(n - 1), n, 2)):
-        raise AssertionError(f"R summands in unexpected degrees {degrees}")
-    hits = 0
-    for (a, b), m in mu.entries.items():
-        if a in r_sids and b in r_sids:
-            if m != 1:
-                raise AssertionError("Gamma(mu) entry is not the identity")
-            hits += 1
-    if hits != n - 1:
-        raise AssertionError(f"Gamma(mu) has {hits} shifts, expected {n - 1}")
-    return True
-
-
 def tau_equivariance_signs(n):
     """Solve for the diagonal +-1 making tau(F) isomorphic to F.
 
@@ -603,43 +502,6 @@ def tau_equivariance_signs(n):
     if signs is None:
         raise AssertionError("no diagonal sign isomorphism tau(F) = F")
     return signs
-
-
-def rouquier_complex(n, i, inverse=False):
-    """The elementary Rouquier complex F_i (or its inverse) over bimodules.
-
-    F_i is B_i in degree 0 mapping to R(1) by the enddot; the inverse is
-    R(-1) mapping to B_i by the startdot.
-    """
-    i = i % n
-    if inverse:
-        summands = [Summand(0, (), -1, -1), Summand(1, (i,), 0, 0)]
-        diff = {(0, 1): bimod.startdot(n, (), 0, i)}
-    else:
-        summands = [Summand(0, (i,), 0, 0), Summand(1, (), 1, 1)]
-        diff = {(0, 1): bimod.enddot(n, (i,), 0)}
-    return Pseudocomplex(BimoduleArithmetic(n), summands, diff)
-
-
-def rouquier_tensor_dotted(n, letters):
-    """The product of elementary Rouquier complexes using the dotted
-    representatives, whose dot signs follow the strand-counting rule.
-
-    The alternate sign convention is used exactly when the left factor is an
-    odd BS complex, i.e. after an odd number of elementary factors.
-    """
-    out = None
-    count = 0
-    for tok in letters:
-        i, inverse = (tok, False) if isinstance(tok, int) else (tok[0], tok[1] < 0)
-        factor = rouquier_complex(n, i, inverse)
-        if out is None:
-            out = factor
-        else:
-            convention = "dotted" if count % 2 == 1 else "standard"
-            out = homalg.tensor(out, factor, convention)
-        count += 1
-    return out
 
 
 def build_H_homotopy(n, F=None):

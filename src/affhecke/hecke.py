@@ -7,13 +7,9 @@ H_{omega} H_{tau^{-1}(w)}.  Right multiplication by H_s, H_s^-1 and
 b_s = H_s + v is one step H_w -> H_{ws} + c H_w with c chosen by the
 descent; for b_s, c is v or v^-1, so the step only shifts exponents.
 Kazhdan-Lusztig elements b_w are computed by the mu-rule
-b_w = b_{ws} b_s - sum mu(y, ws) b_y, with the self-dual interval sum
-Sigma_w as an independent oracle on smooth elements.  The base case
-b_{w_I} b_{h_X} of c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X,
-each prefix of that word once per process.
-
-The omega power is carried exactly in Z; reduce_omega_mod_n on elements
-gives the quotient algebra H_exts when needed.
+b_w = b_{ws} b_s - sum mu(y, ws) b_y.  The base case b_{w_I} b_{h_X} of
+c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X, each prefix of that
+word once per process.  The omega power is carried exactly in Z.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from .weyl import (
     DEFAULT_LENGTH_CAP,
     ExtendedWeylElement,
     anticyclic_word,
-    bruhat_interval_below,
     longest_element,
     tau_components,
 )
@@ -225,12 +220,6 @@ class HeckeElement:
     def coefficient(self, w):
         return self.coeffs.get(w, LaurentPoly.zero())
 
-    def reduce_omega_mod_n(self):
-        out = {}
-        for w, p in self.coeffs.items():
-            _add_term(out, w.reduce_omega_mod_n(), p)
-        return HeckeElement._trusted(self.n, out)
-
     def serialize(self):
         """Stable text form, lines ordered by (length, window lex)."""
         items = sorted(
@@ -291,24 +280,6 @@ def _kl_basis(w):
         if mu and y.has_right_descent(k):
             _add_scaled(coeffs, _kl_basis(y).coeffs, -mu)
     return HeckeElement._trusted(n, coeffs)
-
-
-def sigma_element(w, length_cap=DEFAULT_LENGTH_CAP):
-    """Sigma_w = sum over y <= w of v^{l(w)-l(y)} H_y."""
-    lw = w.length()
-    return HeckeElement(
-        w.n,
-        {
-            y: LaurentPoly.v(lw - y.length())
-            for y in bruhat_interval_below(w, length_cap)
-        },
-    )
-
-
-def is_smooth(w, length_cap=DEFAULT_LENGTH_CAP):
-    """Smooth iff Sigma_w is bar-self-dual (then Sigma_w = b_w)."""
-    s = sigma_element(w, length_cap)
-    return s.bar() == s
 
 
 def braid_hecke_image(b):

@@ -5,8 +5,7 @@ differential satisfying d^2 = mu . delta for the designated central
 parameter delta (a nonzero divisor).  The engine provides d^2 and monodromy
 extraction, chain maps with their nu-defect, single and simultaneous
 Gaussian elimination with explicit homotopy-equivalence witnesses, tensor
-products under the standard and the strand-counting sign conventions,
-minimal complexes, perversity certificates, and duality.
+products, splittings of a summand and minimal complexes.
 
 Three arithmetics ship: matrices over Q[d] (property tests), sign
 bookkeeping (object-level checks, morphisms are integers +-1 composed
@@ -77,9 +76,6 @@ class MatrixArithmetic:
     def invert(self, f):
         return polymat.mat_invert(f)
 
-    def dual(self, f):
-        return polymat.mat_transpose(f)
-
     def degree_of(self, f):
         return None
 
@@ -139,9 +135,6 @@ class SignArithmetic:
     def invert(self, f):
         if f not in (1, -1):
             raise ArithmeticError(f"the sign {f} is not invertible")
-        return f
-
-    def dual(self, f):
         return f
 
     def degree_of(self, f):
@@ -229,9 +222,6 @@ class BimoduleArithmetic:
             f.n, f.tgt, f.src, polymat.mat_invert(f.matrix),
             None if f.degree is None else -f.degree, check=False,
         )
-
-    def dual(self, f):
-        return bimod.adjoint(f)
 
     def degree_of(self, f):
         return f.degree
@@ -442,67 +432,6 @@ class Pseudocomplex:
                     f"d^2 entry {a}->{c} is not divisible by delta: {exc}"
                 ) from exc
         return ChainMap(self, self, entries, degree_shift=2)
-
-    def dualize(self):
-        """Transpose all differentials, negate degrees and shifts; DD = id."""
-        ar = self.arithmetic
-        summands = [
-            Summand(s.sid, s.label, -s.shift, -s.degree)
-            for s in self.summands
-        ]
-        diff = {(b, a): ar.dual(m) for (a, b), m in self.diff.items()}
-        return Pseudocomplex(ar, summands, diff)
-
-    def shift(self, grading=0, homological=0):
-        """P(grading)[homological]: degrees drop by `homological`.
-
-        An odd homological shift negates the differential.
-        """
-        summands = [
-            Summand(s.sid, s.label, s.shift + grading, s.degree - homological)
-            for s in self.summands
-        ]
-        diff = dict(self.diff)
-        if homological % 2:
-            diff = {k: self.arithmetic.negate(m) for k, m in diff.items()}
-        return Pseudocomplex(self.arithmetic, summands, diff)
-
-    def is_perverse(self):
-        return all(s.shift == s.degree for s in self.summands)
-
-    def is_multiplicity_free_perverse(self):
-        if not self.is_perverse():
-            return False
-        seen = set()
-        for s in self.summands:
-            key = (repr(s.label), s.degree)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
-
-    def summand_graph_components(self):
-        """Connected components of the summand graph (edges at nonzero d)."""
-        parent = {s.sid: s.sid for s in self.summands}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.diff:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups = {}
-        for s in self.summands:
-            groups.setdefault(find(s.sid), []).append(s.sid)
-        return sorted(sorted(g) for g in groups.values())
-
-    def indecomposability_certificate(self):
-        """True when the summand graph is connected (and nonempty)."""
-        return len(self.summand_graph_components()) == 1
 
     def gaussian_eliminate(self, pair):
         """Eliminate an invertible differential entry F -> F'.
@@ -774,10 +703,6 @@ class ChainMap:
         except (ArithmeticError, ValueError):
             return False
 
-    def is_chain_map(self):
-        return not self.defect()
-
-
 class Homotopy(ChainMap):
     """Entries drop homological degree by one."""
 
@@ -796,15 +721,12 @@ def identity_chain_map(p):
     )
 
 
-def tensor(p, q, convention="standard"):
+def tensor(p, q):
     """Tensor product with d = d_P (x) 1 + (-1)^i 1 (x) d_Q.
 
-    The dotted convention uses (-1)^(i+1) on the second term; the complexes
-    are isomorphic via (-1)^(j+1) on P^i (x) Q^j.  Summand ids are pairs'
-    positions in the product ordering; labels combine by the arithmetic.
+    Summand ids are pairs' positions in the product ordering; labels combine
+    by the arithmetic.
     """
-    if convention not in ("standard", "dotted"):
-        raise ValueError(f"unknown convention {convention!r}")
     ar = p.arithmetic
     pairs = [(a, b) for a in p.summands for b in q.summands]
     index = {(a.sid, b.sid): i for i, (a, b) in enumerate(pairs)}
@@ -820,13 +742,12 @@ def tensor(p, q, convention="standard"):
             diff[key] = ar.tensor(mor, ar.identity(b.label))
     for (b1, b2), mor in q.diff.items():
         for a in p.summands:
-            exponent = a.degree + (1 if convention == "dotted" else 0)
             term = ar.tensor(ar.identity(a.label), mor)
-            if exponent % 2:
+            if a.degree % 2:
                 term = ar.negate(term)
             diff[(index[(a.sid, b1)], index[(a.sid, b2)])] = term
     return Pseudocomplex(ar, summands, diff)
 
 
-def one_term_complex(arithmetic, label, shift=0, degree=0):
-    return Pseudocomplex(arithmetic, [Summand(0, label, shift, degree)], {})
+def one_term_complex(arithmetic, label):
+    return Pseudocomplex(arithmetic, [Summand(0, label, 0, 0)], {})

@@ -90,11 +90,6 @@ def mat_mul_sum(pairs):
     return tuple(out)
 
 
-def mat_transpose(a):
-    rows, cols = mat_shape(a)
-    return tuple(tuple(a[r][c] for r in range(rows)) for c in range(cols))
-
-
 def mat_is_zero(a):
     return all(x.is_zero() for row in a for x in row)
 

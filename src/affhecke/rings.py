@@ -119,10 +119,6 @@ class LaurentPoly:
     def coefficient(self, power):
         return self.coeffs.get(power, 0)
 
-    def in_positive_v(self):
-        """True when the support lies in v Z[v] (strictly positive powers)."""
-        return all(e > 0 for e in self.coeffs)
-
     def __str__(self):
         return _laurent_text(tuple(sorted(self.coeffs.items(), reverse=True)))
 
@@ -467,38 +463,6 @@ def act_simple(i, f):
     if n == 1:
         raise ValueError("n must be at least 2")
     return _apply_variable_map(f, images)
-
-
-def act_tau(f):
-    """tau(x_i) = x_{i+1} for i < n, tau(x_n) = x_1 - d, tau(d) = d."""
-    n = f.n
-    images = (
-        [RingElement.x(n, j + 1) for j in range(1, n)]
-        + [RingElement.x(n, 1) - RingElement.delta(n)]
-        + [RingElement.delta(n)]
-    )
-    return _apply_variable_map(f, images)
-
-
-def act_tau_inverse(f):
-    n = f.n
-    images = (
-        [RingElement.x(n, n) + RingElement.delta(n)]
-        + [RingElement.x(n, j - 1) for j in range(2, n + 1)]
-        + [RingElement.delta(n)]
-    )
-    return _apply_variable_map(f, images)
-
-
-def act_sigma(f):
-    """sigma(x_i) = -x_{n+1-i}, sigma(d) = d."""
-    n = f.n
-    out = {}
-    for mono, c in f.terms.items():
-        xs = mono[:n]
-        m = tuple(reversed(xs)) + (mono[n],)
-        out[m] = -c if sum(xs) & 1 else c
-    return RingElement._trusted(n, out)
 
 
 def exact_div(f, g):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-# longest w whose KL element or Bruhat interval is expanded by default
+# longest w whose KL element is expanded by default
 DEFAULT_LENGTH_CAP = 14
 
 # slots of every memo.  Each holds its working set for n <= 8 in one
@@ -197,15 +197,6 @@ class ExtendedWeylElement:
             word.append(k)
             inv = window_times_simple(inv, k)
 
-    def finite_projection(self):
-        """Image in S_n: the tuple (f(1) mod n, ...) shifted by omega, 1-based."""
-        n = self.n
-        return tuple((v + self.omega - 1) % n + 1 for v in self.window)
-
-    def reduce_omega_mod_n(self):
-        """The representative in W_exts (omega^n = 1): omega power mod n."""
-        return ExtendedWeylElement(self.omega % self.n, self.window)
-
     def __str__(self):
         return f"w^{self.omega} | " + " ".join(str(v) for v in self.window)
 
@@ -232,14 +223,6 @@ def from_word(n, word):
         else:
             out = out * ExtendedWeylElement.simple(n, int(tok))
     return out
-
-
-def descents(w, side):
-    if side == "right":
-        return w.right_descents()
-    if side == "left":
-        return w.left_descents()
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def anticyclic_word(n, X, aleph):
@@ -390,44 +373,3 @@ def correspondent_Y(n, I, X):
         else:
             raise AssertionError("tau(I) <= X rules this case out")
     return frozenset(Y)
-
-
-def bruhat_leq(x, y):
-    """Standard Bruhat order via the subword property.
-
-    Both elements must carry the same omega power.
-    """
-    if x.n != y.n:
-        raise ValueError("mismatched n")
-    if x.omega != y.omega:
-        raise ValueError("Bruhat order needs equal omega powers")
-    x = ExtendedWeylElement(0, x.window)
-    y = ExtendedWeylElement(0, y.window)
-    while True:
-        ly = y.length()
-        if x.length() > ly:
-            return False
-        if ly == 0:
-            return x.is_identity()
-        k = next(k for k in range(y.n) if y.has_right_descent(k))
-        y = y.times_simple(k)
-        if x.has_right_descent(k):
-            x = x.times_simple(k)
-
-
-def bruhat_interval_below(w, length_cap=DEFAULT_LENGTH_CAP):
-    """All y <= w, via the subword dynamic program on a reduced word."""
-    if w.length() > length_cap:
-        raise ValueError(f"length {w.length()} exceeds cap {length_cap}")
-    n = w.n
-    current = {ExtendedWeylElement.identity(n)}
-    for k in w.reduced_word():
-        new = set(current)
-        for u in current:
-            if not u.has_right_descent(k):
-                new.add(u.times_simple(k))
-        current = new
-    if w.omega == 0:
-        return current
-    om = ExtendedWeylElement.rotation(n, w.omega)
-    return {om * u for u in current}

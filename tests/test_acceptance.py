@@ -40,7 +40,12 @@ from affhecke.hecke import (
     kl_basis,
 )
 from affhecke.rings import LaurentPoly, gauss
-from affhecke.suites import descent_lemma_cases, ge_property_cases, proper_subsets
+from affhecke.suites import (
+    descent_lemma_cases,
+    ge_property_cases,
+    proper_subsets,
+    rewrite_cases,
+)
 from affhecke.weyl import ExtendedWeylElement, h_of, longest_element, tau_components
 
 
@@ -133,9 +138,12 @@ def test_criterion_04_descent_lemma():
     for n in range(2, 7):
         for name, ok in descent_lemma_cases(n):
             assert ok, (n, name)
+    for n in range(2, 6):
+        for name, ok in rewrite_cases(n):
+            assert ok, (n, name)
     elapsed = time.monotonic() - start
     assert elapsed < 120, f"criterion 4 took {elapsed:.1f}s"
-    report(4, "descent lemma exhaustive n=2..6")
+    report(4, "descent lemma exhaustive n=2..6, rewriting lemma for w_I h_X n=2..5")
 
 
 def _tau_suffixes(n, I, X, comps):

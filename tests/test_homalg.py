@@ -11,13 +11,12 @@ from affhecke.bimod import (
     Morphism,
     crossing_core,
     enddot_core,
-    gram_matrix,
     merge_core,
     split_core,
     startdot_core,
     tensor as btensor,
 )
-from affhecke.complexes import build_F, build_Fstar
+from affhecke.complexes import build_F
 from affhecke.homalg import (
     BimoduleArithmetic,
     MatrixArithmetic,
@@ -39,6 +38,7 @@ from affhecke.suites import (
     simultaneous_vs_iterated_case,
     tensor_monodromy_case,
 )
+from bimodule_bases import gram_matrix
 
 
 def _kronecker_reference(f, g):
@@ -309,50 +309,13 @@ def test_zero_complex_monodromy():
     assert p.monodromy().is_zero()
 
 
-def test_tensor_conventions_isomorphic():
-    # the standard and dotted tensor products differ by (-1)^(j+1) on P^i x Q^j
+def test_tensor_with_the_one_term_unit_changes_nothing():
     rng = random.Random(5)
     p = random_pseudocomplex(rng, max_rank=2, degrees=(0, 1))
-    q = random_pseudocomplex(rng, max_rank=2, degrees=(0, 1))
-    std = homalg.tensor(p, q, "standard")
-    dot = homalg.tensor(p, q, "dotted")
-    std.monodromy()
-    dot.monodromy()
-    ar = p.arithmetic
-    pairs = [(a, b) for a in p.summands for b in q.summands]
-    sign = {i: (-1) ** (b.degree + 1) for i, (a, b) in enumerate(pairs)}
-    for (a, b), m in std.diff.items():
-        expected = m if sign[a] == sign[b] else ar.negate(m)
-        got = dot.diff.get((a, b))
-        assert got is not None and ar.equal(got, expected)
-    # tensoring with the one-term monoidal identity changes nothing
-    unit = one_term_complex(ar, 1)
-    t = homalg.tensor(unit, p)
+    t = homalg.tensor(one_term_complex(p.arithmetic, 1), p)
     t.monodromy()
     assert len(t.summands) == len(p.summands)
     assert len(t.diff) == len(p.diff)
-
-
-def test_perversity_and_graph():
-    f = build_F(3)
-    assert f.is_perverse()
-    assert f.is_multiplicity_free_perverse()
-    assert f.indecomposability_certificate()
-    # direct sum of two shifted identities has a disconnected graph
-    ar = SignArithmetic()
-    p = Pseudocomplex(
-        ar,
-        [Summand(0, frozenset(), 0, 0), Summand(1, frozenset(), 2, 2)],
-        {},
-    )
-    assert len(p.summand_graph_components()) == 2
-    assert not p.indecomposability_certificate()
-    q = Pseudocomplex(
-        ar,
-        [Summand(0, frozenset(), 1, 0)],
-        {},
-    )
-    assert not q.is_perverse()
 
 
 def test_perverse_complexes_admit_no_homotopies():
@@ -365,21 +328,6 @@ def test_perverse_complexes_admit_no_homotopies():
                 continue
             # a degree-0 map would need morphism degree shift(b) - shift(a) = -1
             assert b.shift - a.shift == -1 < 0
-
-
-def test_dualize_matrix_backend():
-    rng = random.Random(7)
-    p = random_pseudocomplex(rng)
-    d = p.dualize()
-    dd = d.dualize()
-    assert {(s.sid, s.shift, s.degree) for s in dd.summands} == {
-        (s.sid, s.shift, s.degree) for s in p.summands
-    }
-    for key, m in p.diff.items():
-        assert p.arithmetic.equal(dd.diff[key], m)
-    one_term = one_term_complex(MatrixArithmetic(0), 1, shift=2, degree=1)
-    dual = one_term.dualize()
-    assert dual.summands[0].shift == -2 and dual.summands[0].degree == -1
 
 
 def split_pieces(n, s):
@@ -472,8 +420,8 @@ def rescan_minimal_complex(p):
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_minimal_complex_matches_rescan_sign(n):
-    for p in (build_F(n), build_Fstar(n)):
-        assert p.minimal_complex().to_json(n) == rescan_minimal_complex(p).to_json(n)
+    p = build_F(n)
+    assert p.minimal_complex().to_json(n) == rescan_minimal_complex(p).to_json(n)
 
 
 def test_minimal_complex_eliminates_written_isomorphisms():

@@ -6,10 +6,8 @@ import pytest
 from affhecke.rings import (
     LaurentPoly,
     RingElement,
-    act_sigma,
+    _apply_variable_map,
     act_simple,
-    act_tau,
-    act_tau_inverse,
     demazure,
     divide_by_delta,
     exact_div,
@@ -17,6 +15,7 @@ from affhecke.rings import (
     parse_ring_element,
     simple_root,
 )
+from bimodule_bases import act_sigma
 
 
 def x(n, i):
@@ -25,6 +24,19 @@ def x(n, i):
 
 def d(n):
     return RingElement.delta(n)
+
+
+def act_tau(f):
+    """tau(x_i) = x_{i+1} for i < n, tau(x_n) = x_1 - d, tau(d) = d."""
+    n = f.n
+    images = [x(n, j + 1) for j in range(1, n)] + [x(n, 1) - d(n), d(n)]
+    return _apply_variable_map(f, images)
+
+
+def act_tau_inverse(f):
+    n = f.n
+    images = [x(n, n) + d(n)] + [x(n, j - 1) for j in range(2, n + 1)] + [d(n)]
+    return _apply_variable_map(f, images)
 
 
 def random_element(rng, n, terms=4, deg=3):

@@ -12,10 +12,7 @@ from affhecke.suites import (
 from affhecke.weyl import (
     ExtendedWeylElement,
     anticyclic_word,
-    bruhat_interval_below,
-    bruhat_leq,
     correspondent_Y,
-    descents,
     from_word,
     h_of,
     longest_element,
@@ -55,14 +52,6 @@ def test_length():
 def test_longest_word_is_reduced(n):
     for I in proper_subsets(n):
         assert len(longest_word(n, I)) == longest_element(n, I).length()
-
-
-def test_descents():
-    assert descents(ExtendedWeylElement.identity(3), "left") == frozenset()
-    w = longest_element(4, {0, 1})
-    assert descents(w, "right") == frozenset({0, 1})
-    w = longest_element(4, {0}) * h_of(4, {1, 2})
-    assert descents(w, "right") == frozenset({1})
 
 
 def test_h_of():
@@ -159,19 +148,6 @@ def test_correspondent():
         correspondent_Y(3, {0}, {0, 2})
 
 
-def test_bruhat():
-    e = ExtendedWeylElement.identity(3)
-    w = from_word(3, [0, 1, 0])
-    assert bruhat_leq(e, w)
-    assert bruhat_leq(from_word(3, [0]), w)
-    assert not bruhat_leq(s(4, 1), from_word(4, [0, 2]))
-    with pytest.raises(ValueError):
-        bruhat_leq(ExtendedWeylElement.rotation(3, 1), e)
-    interval = bruhat_interval_below(w)
-    assert len(interval) == 6
-    assert all(bruhat_leq(y, w) for y in interval)
-
-
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_descent_lemma(n):
     for name, ok in descent_lemma_cases(n):
@@ -236,11 +212,6 @@ def test_serialization():
     text = str(w)
     assert ExtendedWeylElement.parse(3, text) == w
     assert text.startswith("w^2 | ")
-
-
-def test_omega_reduction():
-    w = ExtendedWeylElement.rotation(3, 5)
-    assert w.reduce_omega_mod_n().omega == 2
 
 
 def short_elements(n, max_length=4):
