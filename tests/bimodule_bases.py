@@ -1,9 +1,10 @@
 """Invertible basis changes of Bott-Samelson bimodules, the inputs of the
 invertibility tests: the Gram matrix of the intersection form and the matrix
-of the Dynkin flip sigma, each in the mask basis of bimod."""
+of the Dynkin flip sigma, each in the mask basis of bimod; and the adjoint
+under the intersection form, the oracle of the duality tests."""
 
 from affhecke import polymat
-from affhecke.bimod import left_mult_matrix, rank, xi
+from affhecke.bimod import Morphism, left_mult_matrix, rank, xi
 from affhecke.rings import RingElement, demazure
 
 
@@ -45,6 +46,21 @@ def gram_matrix(n, word):
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def adjoint(mor):
+    """The dual morphism under the intersection form: flips diagrams.
+
+    Sends the startdot to the enddot, the merge to the split, and fixes the
+    distant crossing (up to relabeling of endpoints).
+    """
+    n = mor.n
+    transpose = tuple(zip(*mor.matrix))
+    m = polymat.mat_mul(
+        polymat.mat_invert(gram_matrix(n, mor.src)),
+        polymat.mat_mul(transpose, gram_matrix(n, mor.tgt)),
+    )
+    return Morphism(n, mor.tgt, mor.src, m, mor.degree, check=False)
 
 
 def sigma_basis_change(n, word):

@@ -47,6 +47,7 @@ from affhecke.rings import (
 )
 from affhecke.suites import proper_subsets
 from affhecke.weyl import longest_element
+from bimodule_bases import adjoint, gram_matrix
 
 
 def rand_poly(rng, n, deg=2):
@@ -272,7 +273,7 @@ def test_signed_dot_examples():
     assert dot == conj
 
 
-def test_signed_dot_degree():
+def test_signed_dot_degree_and_duality():
     n = 3
     for X in proper_subsets(n):
         for i in range(n):
@@ -282,6 +283,8 @@ def test_signed_dot_degree():
             up = signed_dot(n, X, Y)
             down = signed_dot(n, Y, X)
             assert up.degree == 1 and down.degree == 1
+            assert adjoint(up) == down
+            assert adjoint(down) == up
 
 
 def test_not_same_sign_identities_matrix():
@@ -378,6 +381,14 @@ def test_composition_endpoint_mismatch():
         startdot_core(n, 1).compose(startdot_core(n, 0))
     with pytest.raises(ValueError):
         startdot_core(n, 1) + enddot_core(n, 1)
+
+
+def test_gram_and_adjoint_involution():
+    n = 3
+    g = gram_matrix(n, (1, 2))
+    assert g[0][3] == RingElement.one(n) or g[3][0] == RingElement.one(n)
+    for mor in (startdot_core(n, 0), merge_core(n, 2), split_core(n, 1)):
+        assert adjoint(adjoint(mor)) == mor
 
 
 def test_xi_demazure_normalization():

@@ -31,6 +31,7 @@ from affhecke.hecke import HeckeElement, b_simple, kl_basis
 from affhecke.rings import LaurentPoly
 from affhecke.suites import proper_subsets
 from affhecke.weyl import ExtendedWeylElement, h_of, longest_element
+from bimodule_bases import adjoint
 
 
 def fr(*xs):
@@ -423,6 +424,42 @@ def test_crossover_sign_values():
         crossover_sign(4, fr(0), fr(0, 2))
 
 
+def underlying_vector_space(p):
+    """Graded dimensions: count of R-labeled summands per homological degree."""
+    dims = {}
+    for s in p.summands:
+        if not summand_subset(s.label):
+            dims[s.degree] = dims.get(s.degree, 0) + 1
+    return dims
+
+
+def test_underlying_vector_space():
+    assert underlying_vector_space(build_F(3)) == {-2: 1, 0: 1, 2: 1}
+    f2 = build_F(2)
+    t = homalg.tensor(f2, f2)
+    dims = {}
+    for s in t.summands:
+        a, b = s.label
+        if not a and not b:
+            dims[s.degree] = dims.get(s.degree, 0) + 1
+    assert dims == {-2: 1, 0: 2, 2: 1}
+    empty = homalg.Pseudocomplex(homalg.SignArithmetic(), [], {})
+    assert underlying_vector_space(empty) == {}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_gamma_nilpotent(n):
+    # mu acts on the underlying vector space of F as a regular nilpotent: the
+    # R summands sit in degrees 1-n, 3-n, ..., n-1 and Gamma(mu) shifts each
+    # one to the next by the identity
+    f = build_F(n)
+    mu = monodromy_map(n, f)
+    assert underlying_vector_space(f) == {k: 1 for k in range(1 - n, n, 2)}
+    r_sids = {s.sid for s in f.summands if not summand_subset(s.label)}
+    shifts = [m for (a, b), m in mu.entries.items() if a in r_sids and b in r_sids]
+    assert shifts == [1] * (n - 1)
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_tau_equivariance(n):
     signs = tau_equivariance_signs(n)
@@ -454,6 +491,19 @@ def test_propagate_signs():
     assert propagate_signs(["a"], edges + [("c", "a", -1)])["c"] == -1
 
 
+def test_dual_of_F_is_F():
+    # the adjoint of each differential X -> Y of F is the signed dot Y -> X,
+    # so the dual complex is F again, and dualizing twice gives F back
+    for n in (2, 3):
+        f = build_F(n, "bimodule")
+        for (a, b), m in f.diff.items():
+            X = summand_subset(f.by_sid[a].label)
+            Y = summand_subset(f.by_sid[b].label)
+            dual = adjoint(m)
+            assert (dual - bimod.signed_dot(n, Y, X)).is_zero()
+            assert (adjoint(dual) - m).is_zero()
+
+
 def test_d21_d22_lemma_levels():
     # off-diagonal cancellation at sign level happens inside check_d2_signs;
     # here the matrix-level diagonal: d^2 entries are delta times identity
@@ -472,6 +522,93 @@ def test_d21_d22_lemma_levels():
 @pytest.mark.parametrize("n", (2, 3))
 def test_x1_commutation(n):
     assert verify_x1_commutation(n)
+
+
+def rouquier_complex(n, i, inverse=False):
+    """The elementary Rouquier complex F_i (or its inverse) over bimodules.
+
+    F_i is B_i in degree 0 mapping to R(1) by the enddot; the inverse is
+    R(-1) mapping to B_i by the startdot.
+    """
+    i = i % n
+    if inverse:
+        summands = [homalg.Summand(0, (), -1, -1), homalg.Summand(1, (i,), 0, 0)]
+        diff = {(0, 1): bimod.startdot(n, (), 0, i)}
+    else:
+        summands = [homalg.Summand(0, (i,), 0, 0), homalg.Summand(1, (), 1, 1)]
+        diff = {(0, 1): bimod.enddot(n, (i,), 0)}
+    return homalg.Pseudocomplex(homalg.BimoduleArithmetic(n), summands, diff)
+
+
+def rouquier_tensor_dotted(n, letters):
+    """The product of elementary Rouquier complexes using the dotted
+    representatives, whose dot signs follow the strand-counting rule.
+
+    After an odd number of factors the next one is tensored with
+    (-1)^(i+1) instead of (-1)^i on its differential: homalg.tensor numbers
+    the pair (a, b) by a * |Q| + b, so those are the entries that keep a.
+    """
+    out = None
+    for count, tok in enumerate(letters):
+        i, inverse = (tok, False) if isinstance(tok, int) else (tok[0], tok[1] < 0)
+        factor = rouquier_complex(n, i, inverse)
+        if out is None:
+            out = factor
+            continue
+        out = homalg.tensor(out, factor)
+        if count % 2 == 0:
+            continue
+        width = len(factor.summands)
+        diff = {
+            (a, b): out.arithmetic.negate(m) if a // width == b // width else m
+            for (a, b), m in out.diff.items()
+        }
+        out = homalg.Pseudocomplex(out.arithmetic, out.summands, diff)
+    return out
+
+
+def test_rouquier_inverse_and_wakimoto_cube():
+    f = rouquier_complex(3, 1, inverse=True)
+    assert [(tuple(s.label), s.shift, s.degree) for s in f.summands] == [
+        ((), -1, -1), ((1,), 0, 0)
+    ]
+    # the y_1 cube at n=3 (without the omega) is F_2 F_1: its summands and
+    # signed-dot differentials agree with the top Wakimoto cube of F
+    cube = rouquier_tensor_dotted(3, [2, 1])
+    assign = wakimoto_assignment(3)
+    for s in cube.summands:
+        X = frozenset(s.label)
+        assert assign[(X, s.degree)] == 1
+    for (a, b), mor in cube.diff.items():
+        X = frozenset(cube.by_sid[a].label)
+        Y = frozenset(cube.by_sid[b].label)
+        assert (mor - bimod.signed_dot(3, X, Y)).is_zero()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_wakimoto_cubes_are_rouquier_complexes(n):
+    # the Rouquier complex of the y_i tail (omega stripped) is a cube whose
+    # summands are the cube-i summands of F and whose differentials are the
+    # signed dots, transported along the canonical signed rex moves
+    assign = wakimoto_assignment(n)
+    for i in range(1, n + 1):
+        letters = [(k % n, -1) for k in range(i - 2, -1, -1)]
+        letters += [(k, 1) for k in range(n - 1, i - 1, -1)]
+        cube = rouquier_tensor_dotted(n, letters)
+        members = {}
+        for s in cube.summands:
+            X = frozenset(s.label)
+            assert assign[(X, s.degree)] == i, (i, sorted(X), s.degree)
+            assert s.shift == s.degree
+            members[s.sid] = tuple(s.label)
+        assert len(members) == 2 ** (n - 1)
+        for (a, b), mor in cube.diff.items():
+            wa, wb = members[a], members[b]
+            X, Y = frozenset(wa), frozenset(wb)
+            transported = bimod.theta(n, bimod.preferred_word(n, Y), wb).compose(
+                bimod.signed_dot(n, X, Y)
+            ).compose(bimod.theta(n, wa, bimod.preferred_word(n, X)))
+            assert (mor - transported).is_zero(), (wa, wb)
 
 
 def test_independent_pair_zigzag_formula():

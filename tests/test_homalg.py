@@ -318,6 +318,39 @@ def test_tensor_with_the_one_term_unit_changes_nothing():
     assert len(t.diff) == len(p.diff)
 
 
+def summand_graph_components(p):
+    """Connected components of the summand graph (edges at nonzero d)."""
+    parent = {s.sid: s.sid for s in p.summands}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in p.diff:
+        parent[find(a)] = find(b)
+    groups = {}
+    for s in p.summands:
+        groups.setdefault(find(s.sid), []).append(s.sid)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def test_perversity_and_graph():
+    # F is perverse, multiplicity free, and its summand graph is connected
+    f = build_F(3)
+    assert all(s.shift == s.degree for s in f.summands)
+    assert len({(repr(s.label), s.degree) for s in f.summands}) == len(f.summands)
+    assert len(summand_graph_components(f)) == 1
+    # direct sum of two shifted identities has a disconnected graph
+    ar = SignArithmetic()
+    p = Pseudocomplex(
+        ar,
+        [Summand(0, frozenset(), 0, 0), Summand(1, frozenset(), 2, 2)],
+        {},
+    )
+    assert summand_graph_components(p) == [[0], [1]]
+
+
 def test_perverse_complexes_admit_no_homotopies():
     # all candidate homotopy slots between perverse complexes have negative
     # degree, hence the search space is empty

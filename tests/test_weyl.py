@@ -54,6 +54,14 @@ def test_longest_word_is_reduced(n):
         assert len(longest_word(n, I)) == longest_element(n, I).length()
 
 
+def test_descents():
+    assert ExtendedWeylElement.identity(3).left_descents() == frozenset()
+    w = longest_element(4, {0, 1})
+    assert w.right_descents() == frozenset({0, 1})
+    w = longest_element(4, {0}) * h_of(4, {1, 2})
+    assert w.right_descents() == frozenset({1})
+
+
 def test_h_of():
     assert h_of(9, {0, 1, 3, 4, 6, 8}, 7).is_identity() is False
     assert anticyclic_word(9, frozenset({0, 1, 3, 4, 6, 8}), 7) == (6, 4, 3, 1, 0, 8)
