@@ -2,8 +2,16 @@
 
 ``LaurentPoly`` is Z[v, v^-1] with integer coefficients.  ``RingElement`` is
 the polynomial ring Q[x_1, ..., x_n, d] of the standard affine realization,
-where ``d`` denotes the invariant element delta = sum of the simple roots.
-Exponent vectors are stored sparsely; x_i and d each have (doubled) degree 2.
+where ``d`` denotes the invariant element delta = sum of the simple roots;
+x_i and d each have (doubled) degree 2.  A ``RingElement`` stores only its
+nonzero terms, each under its exponent vector packed into one int: a field
+of ``_WIDTH`` bits per variable, x_1 most significant and d least, whose top
+bit is a guard.  Integer order is then the lex order of exponent vectors, a
+product of monomials is one addition, and a set guard bit is an exponent
+that reached ``EXPONENT_LIMIT`` (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+Exponent vectors enter and leave as tuples: through the constructor,
+``exponents()``, ``parse_ring_element`` and the text.
 
 All values are immutable after construction and every operation is a pure
 function, so elements can be shared freely between threads.
@@ -12,9 +20,10 @@ function, so elements can be shared freely between threads.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, sub
+from functools import lru_cache, reduce
+from operator import or_
 
 from .weyl import CACHE_SIZE
 
@@ -164,32 +173,68 @@ def _cleaned(acc):
     return {m: c if type(c) is int else _coeff(c) for m, c in acc.items() if c}
 
 
+_WIDTH = 16  # bits per packed exponent: 15 value bits under one guard bit
+EXPONENT_LIMIT = 1 << (_WIDTH - 1)  # every exponent is below it
+_FIELD = EXPONENT_LIMIT - 1  # the value bits of the lowest field, d's
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _guards(n):
+    """The guard bits of the n + 1 fields of a packed monomial."""
+    return sum(EXPONENT_LIMIT << (k * _WIDTH) for k in range(n + 1))
+
+
+def _pack(n, mono):
+    """The packed monomial of an exponent vector (x_1, ..., x_n, d); refuses
+    a vector of another length or an exponent outside 0..EXPONENT_LIMIT-1."""
+    mono = tuple(mono)
+    if len(mono) != n + 1:
+        raise ValueError(f"monomial {mono} has {len(mono)} exponents, not n + 1 = {n + 1}")
+    packed = 0
+    for e in mono:
+        if not 0 <= e < EXPONENT_LIMIT:
+            raise ValueError(
+                f"exponent {e} of monomial {mono} is outside 0..{EXPONENT_LIMIT - 1}"
+            )
+        packed = packed << _WIDTH | e
+    return packed
+
+
+def _unpack(n, packed):
+    """The exponent vector (x_1, ..., x_n, d) of a packed monomial."""
+    return tuple((packed >> (k * _WIDTH)) & _FIELD for k in range(n, -1, -1))
+
+
 def _unit_mono(n, index):
-    """The exponent vector of the single variable at position index."""
-    mono = [0] * (n + 1)
-    mono[index] = 1
-    return tuple(mono)
+    """The packed monomial of the single variable at position index."""
+    return 1 << ((n - index) * _WIDTH)
 
 
 def accumulate_product(acc, f, g):
     """acc += f * g on raw term dicts; clean acc with from_accumulated."""
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
-            m = tuple(map(add, m1, m2))
+            m = m1 + m2
             acc[m] = acc.get(m, 0) + c1 * c2
 
 
 def from_accumulated(n, acc):
-    """The RingElement of a term dict built by accumulate_product."""
+    """The RingElement of a term dict built by accumulate_product; raises
+    OverflowError when a product reached EXPONENT_LIMIT in some exponent."""
+    if acc and reduce(or_, acc) & _guards(n):
+        raise OverflowError(f"a product has an exponent of at least {EXPONENT_LIMIT}")
     return RingElement._trusted(n, _cleaned(acc))
 
 
 class RingElement:
     """Element of R = Q[x_1..x_n, d] with sparse rational terms.
 
-    Exponent vectors are tuples of length n+1 ordered (x_1, ..., x_n, d).
-    No zero coefficients are stored; a coefficient is an int when it is
-    integral and a Fraction otherwise.
+    terms maps the packed monomial of each exponent vector (x_1, ..., x_n, d)
+    to its coefficient; see the module docstring for the packing, and
+    exponents() for the terms under exponent tuples.  The constructor takes
+    exponent tuples and refuses one of the wrong length or with an exponent
+    outside 0..EXPONENT_LIMIT-1.  No zero coefficients are stored; a
+    coefficient is an int when it is integral and a Fraction otherwise.
     """
 
     __slots__ = ("n", "terms")
@@ -199,15 +244,15 @@ class RingElement:
         clean = {}
         if terms:
             for mono, c in terms.items():
+                m = _pack(n, mono)
                 c = _coeff(c)
                 if c:
-                    mono = tuple(mono)
-                    clean[mono] = clean.get(mono, 0) + c
+                    clean[m] = clean.get(m, 0) + c
         self.terms = _cleaned(clean)
 
     @classmethod
     def _trusted(cls, n, terms):
-        """Wrap a dict of tuple monomials to nonzero, normalized coefficients."""
+        """Wrap a dict of packed monomials to nonzero, normalized coefficients."""
         out = object.__new__(cls)
         out.n = n
         out.terms = terms
@@ -219,12 +264,12 @@ class RingElement:
 
     @classmethod
     def one(cls, n):
-        return cls._trusted(n, {(0,) * (n + 1): 1})
+        return cls._trusted(n, {0: 1})
 
     @classmethod
     def constant(cls, n, c):
         c = _coeff(c)
-        return cls._trusted(n, {(0,) * (n + 1): c} if c else {})
+        return cls._trusted(n, {0: c} if c else {})
 
     @classmethod
     def x(cls, n, i):
@@ -236,6 +281,11 @@ class RingElement:
     @classmethod
     def delta(cls, n):
         return cls._trusted(n, {_unit_mono(n, n): 1})
+
+    def exponents(self):
+        """The terms as {exponent tuple (x_1, ..., x_n, d): coefficient}."""
+        n = self.n
+        return {_unpack(n, m): c for m, c in self.terms.items()}
 
     def is_zero(self):
         return not self.terms
@@ -306,60 +356,72 @@ class RingElement:
         """Doubled degree of a homogeneous element; raises otherwise."""
         if not self.terms:
             return None
-        degs = {2 * sum(m) for m in self.terms}
+        # a _WIDTH = 16 field is one native unsigned short of the bytes
+        size = 2 * (self.n + 1)
+        degs = {
+            2 * sum(memoryview(m.to_bytes(size, sys.byteorder)).cast("H"))
+            for m in self.terms
+        }
         if len(degs) != 1:
             raise ValueError(f"inhomogeneous element {self}")
         return degs.pop()
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * (self.n + 1), 0)
+        return self.terms.get(0, 0)
 
     def is_unit(self):
         """Nonzero constant (the units of the polynomial ring over Q)."""
-        return len(self.terms) == 1 and (0,) * (self.n + 1) in self.terms
+        return len(self.terms) == 1 and 0 in self.terms
 
     def subs_delta_zero(self):
         """The image in R/(d), exact quotient-set arithmetic."""
-        n = self.n
         return RingElement._trusted(
-            n, {m: c for m, c in self.terms.items() if m[n] == 0}
+            self.n, {m: c for m, c in self.terms.items() if not m & _FIELD}
         )
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        names = [f"x{i}" for i in range(1, self.n + 1)] + ["d"]
-        parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            facs = []
-            for name, e in zip(names, m):
-                if e == 1:
-                    facs.append(name)
-                elif e > 1:
-                    facs.append(f"{name}^{e}")
-            coeff = abs(c)
-            if not facs:
-                body = str(coeff)
-            elif coeff == 1:
-                body = "*".join(facs)
-            else:
-                body = "*".join([str(coeff)] + facs)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+        return _ring_text(self.n, tuple(sorted(self.terms.items(), reverse=True)))
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _ring_text(n, terms):
+    """The text of an element of Q[x_1..x_n, d] from its (packed monomial,
+    coefficient) terms, highest monomial first."""
+    if not terms:
+        return "0"
+    names = [f"x{i}" for i in range(1, n + 1)] + ["d"]
+    parts = []
+    for m, c in terms:
+        facs = []
+        for name, e in zip(names, _unpack(n, m)):
+            if e == 1:
+                facs.append(name)
+            elif e > 1:
+                facs.append(f"{name}^{e}")
+        coeff = abs(c)
+        if not facs:
+            body = str(coeff)
+        elif coeff == 1:
+            body = "*".join(facs)
+        else:
+            body = "*".join([str(coeff)] + facs)
+        parts.append(("-" if c < 0 else "+", body))
+    sign, first = parts[0]
+    text = ("-" if sign == "-" else "") + first
+    for sign, term in parts[1:]:
+        text += f" {sign} {term}"
+    return text
 
 
 _TOKEN = re.compile(r"\s*([+-]|\*|\^|x\d+|d|\d+/\d+|\d+)")
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def parse_ring_element(n, text):
-    """Parse the serialization produced by RingElement.__str__."""
+    """Parse the serialization produced by RingElement.__str__.  Memoized:
+    elements are immutable, so every parse of one text shares its result."""
     pos, tokens = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -426,7 +488,7 @@ def _apply_variable_map(f, images):
     n = f.n
     out = {}
     power_cache = [{0: RingElement.one(n)} for _ in range(n + 1)]
-    for mono, c in f.terms.items():
+    for mono, c in f.exponents().items():
         term = RingElement.constant(n, c)
         for v, e in enumerate(mono):
             if e:
@@ -450,13 +512,16 @@ def act_simple(i, f):
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for n={n}")
     if i != 0:
-        # swap the exponents of x_i and x_{i+1}: a bijection on monomials
-        out = {}
-        for mono, c in f.terms.items():
-            m = list(mono)
-            m[i - 1], m[i] = m[i], m[i - 1]
-            out[tuple(m)] = c
-        return RingElement._trusted(n, out)
+        # swap the exponents of x_i and x_{i+1}, a bijection on monomials:
+        # adding (e_{i+1} - e_i) * (2^high - 2^low) moves each into the
+        # other's field
+        low = (n - i) * _WIDTH
+        high = low + _WIDTH
+        step = (1 << high) - (1 << low)
+        return RingElement._trusted(n, {
+            m + (((m >> low) & _FIELD) - ((m >> high) & _FIELD)) * step: c
+            for m, c in f.terms.items()
+        })
     images = [RingElement.x(n, j) for j in range(1, n + 1)] + [RingElement.delta(n)]
     images[0] = RingElement.x(n, n) + RingElement.delta(n)  # s_0(x_1) = x_n + d
     images[n - 1] = RingElement.x(n, 1) - RingElement.delta(n)  # s_0(x_n) = x_1 - d
@@ -470,11 +535,15 @@ def exact_div(f, g):
 
     Long division in the lex order of exponent vectors.  The quotient stays
     integral when the leading coefficient of g is +-1, as for every simple
-    root; otherwise it is rational.
+    root; otherwise it is rational.  A packed monomial m divides the lead
+    when (lead | guards) - m borrows no guard bit, and that difference with
+    its guard bits cleared is the quotient.  Raises OverflowError when a
+    remainder term reaches EXPONENT_LIMIT in some exponent.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     n = f.n
+    guards = _guards(n)
     g_lead = max(g.terms)
     g_c = g.terms[g_lead]
     g_rest = [(m, c) for m, c in g.terms.items() if m != g_lead]
@@ -482,11 +551,18 @@ def exact_div(f, g):
     rem = dict(f.terms)
     while rem:
         lead = max(rem)
-        q_mono = tuple(map(sub, lead, g_lead))
-        if min(q_mono) < 0:
+        q_mono = (lead | guards) - g_lead
+        # a lead with a guard bit set has overflowed: it would pass the
+        # borrow test with a wrong quotient
+        if lead & guards or q_mono & guards != guards:
+            if reduce(or_, rem) & guards:
+                raise OverflowError(
+                    f"a remainder has an exponent of at least {EXPONENT_LIMIT}"
+                )
             raise ArithmeticError(
                 f"non-divisible remainder {RingElement._trusted(n, rem)}"
             )
+        q_mono ^= guards
         c = rem.pop(lead)
         if g_c == 1:
             q_c = c
@@ -497,7 +573,7 @@ def exact_div(f, g):
         # the lead strictly decreases, so each quotient monomial is new
         quo[q_mono] = q_c
         for m, gc in g_rest:
-            m2 = tuple(map(add, q_mono, m))
+            m2 = q_mono + m
             new = rem.get(m2, 0) - q_c * gc
             if not new:
                 del rem[m2]
@@ -508,13 +584,12 @@ def exact_div(f, g):
 
 def divide_by_delta(f):
     """Exact division by d, cheap path (every monomial must carry d)."""
-    n = f.n
     out = {}
-    for mono, c in f.terms.items():
-        if mono[n] == 0:
+    for m, c in f.terms.items():
+        if not m & _FIELD:
             raise ArithmeticError(f"{f} is not divisible by d")
-        out[mono[:n] + (mono[n] - 1,)] = c
-    return RingElement._trusted(n, out)
+        out[m - 1] = c
+    return RingElement._trusted(f.n, out)
 
 
 def demazure(i, f):

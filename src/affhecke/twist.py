@@ -129,8 +129,7 @@ def _coordinates(entries, tag):
         for (a, b), mor in entries.items()
         for r, row in enumerate(mor.matrix)
         for c, x in enumerate(row)
-        for mono, coeff in x.terms.items()
-        if not mono[-1]
+        for mono, coeff in x.subs_delta_zero().terms.items()
     }
 
 

@@ -12,7 +12,7 @@ def act_sigma(f):
     """sigma(x_i) = -x_{n+1-i}, sigma(d) = d."""
     n = f.n
     out = {}
-    for mono, c in f.terms.items():
+    for mono, c in f.exponents().items():
         xs = mono[:n]
         m = tuple(reversed(xs)) + (mono[n],)
         out[m] = -c if sum(xs) & 1 else c

@@ -5,13 +5,12 @@ budgets are asserted with a wall clock.
 """
 
 import itertools
-import random
 import time
 
 import pytest
 
-from affhecke import bimod, homalg
-from affhecke.braid import jm_braid, w_lambda, y_braid
+from affhecke import bimod
+from affhecke.braid import jm_braid, w_lambda
 from affhecke.complexes import (
     build_F,
     check_d2_signs,

@@ -31,7 +31,6 @@ from affhecke.bimod import (
     split_core,
     startdot,
     startdot_core,
-    subs_delta_zero,
     tensor,
     theta,
     xi,

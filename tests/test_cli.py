@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from affhecke import cli, complexes
-from affhecke.rings import RingElement
+from affhecke.rings import EXPONENT_LIMIT, RingElement
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -461,6 +461,21 @@ def test_check_file_truncated_is_a_verdict(tmp_path):
         assert result.stdout.startswith("FAIL: JSONDecodeError: "), result.stdout
         assert result.stdout.count("\n") == 1
         assert result.stderr == ""
+
+
+def test_check_file_exponent_out_of_range_is_a_verdict(tmp_path):
+    out = tmp_path / "f2_bimodule.json"
+    assert run_cli("build-f", "--n", "2", "--backend", "bimodule", "--out", str(out)).returncode == 0
+    data = json.loads(out.read_text())
+    data["diff"][0]["morphism"]["matrix"][0][0] = "x1^40000"
+    out.write_text(json.dumps(data))
+    result = run_cli("check-file", str(out))
+    assert result.returncode == 1
+    assert result.stdout == (
+        "FAIL: ValueError: exponent 40000 of monomial (40000, 0, 0) is outside "
+        f"0..{EXPONENT_LIMIT - 1}\n"
+    )
+    assert result.stderr == ""
 
 
 def test_check_file_dangling_summand_is_a_verdict(tmp_path):

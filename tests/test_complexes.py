@@ -30,7 +30,7 @@ from affhecke.complexes import (
 from affhecke.hecke import HeckeElement, b_simple, kl_basis
 from affhecke.rings import LaurentPoly
 from affhecke.suites import proper_subsets
-from affhecke.weyl import ExtendedWeylElement, h_of, longest_element
+from affhecke.weyl import h_of, longest_element
 from bimodule_bases import adjoint
 
 

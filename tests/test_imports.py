@@ -1,7 +1,7 @@
 """Import and definition hygiene of the package, checked on the syntax tree
-(no linter is needed): every imported name is used, no module reaches into
-another affhecke module for one of its private (underscore) names, and every
-definition serves a verdict."""
+(no linter is needed): every name that the package or its tests import is
+used, no module reaches into another affhecke module for one of its private
+(underscore) names, and every definition serves a verdict."""
 
 import ast
 import pathlib
@@ -27,7 +27,9 @@ def imports(tree):
                 yield alias.asname or alias.name, alias.name, node.level, node.lineno
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_or_private_imports(path):
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text)

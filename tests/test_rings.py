@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
 from affhecke.rings import (
+    EXPONENT_LIMIT,
     LaurentPoly,
     RingElement,
     _apply_variable_map,
@@ -240,12 +243,12 @@ def test_laurent_refuses_non_integral_terms():
 def test_ring_coefficients_are_int_when_integral():
     mono = (1, 0, 0)
     two = RingElement(2, {mono: Fraction(4, 2)})
-    assert type(two.terms[mono]) is int and two.terms[mono] == 2
+    assert type(two.exponents()[mono]) is int and two.exponents()[mono] == 2
     half = RingElement(2, {mono: Fraction(1, 2)})
-    assert half.terms[mono] == Fraction(1, 2)
-    assert type((half + half).terms[mono]) is int
-    assert type((half * 2).terms[mono]) is int
-    assert type((half * half * 4).terms[(2, 0, 0)]) is int
+    assert half.exponents()[mono] == Fraction(1, 2)
+    assert type((half + half).exponents()[mono]) is int
+    assert type((half * 2).exponents()[mono]) is int
+    assert type((half * half * 4).exponents()[(2, 0, 0)]) is int
     assert type(RingElement.constant(2, Fraction(6, 3)).constant_coefficient()) is int
 
 
@@ -254,21 +257,21 @@ def test_int_and_fraction_coefficients_agree():
     for n in (2, 3):
         for _ in range(20):
             f = random_element(rng, n)
-            as_fractions = {m: Fraction(c) for m, c in f.terms.items()}
+            as_fractions = {m: Fraction(c) for m, c in f.exponents().items()}
             g = RingElement(n, as_fractions)
             assert g == f and hash(g) == hash(f)
 
 
 def test_ring_drops_cancelled_coefficients():
     x1, x2 = x(2, 1), x(2, 2)
-    assert ((x1 + x2) - x2).terms == {(1, 0, 0): 1}
-    assert ((x1 - x2) * (x1 + x2)).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
-    assert (x1 + (-x1)).terms == {}
-    assert (x1 * 0).terms == {}
-    assert (x1 * Fraction(0)).terms == {}
+    assert ((x1 + x2) - x2).exponents() == {(1, 0, 0): 1}
+    assert ((x1 - x2) * (x1 + x2)).exponents() == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert (x1 + (-x1)).exponents() == {}
+    assert (x1 * 0).exponents() == {}
+    assert (x1 * Fraction(0)).exponents() == {}
     half = RingElement(2, {(1, 0, 0): Fraction(1, 2)})
-    assert (half - x1 + half).terms == {}
-    assert parse_ring_element(2, "x1 + x1 - 2*x1").terms == {}
+    assert (half - x1 + half).exponents() == {}
+    assert parse_ring_element(2, "x1 + x1 - 2*x1").exponents() == {}
     assert parse_ring_element(2, "1/2*x2 + 1/2*x2") == x2
     rng = random.Random(9)
     for n in (2, 3):
@@ -308,3 +311,197 @@ def test_act_simple_is_a_ring_homomorphism():
                 f, g = random_element(rng, n), random_element(rng, n)
                 assert act_simple(i, f * g) == act_simple(i, f) * act_simple(i, g)
                 assert act_simple(i, f + g) == act_simple(i, f) + act_simple(i, g)
+
+
+# The tuple kernel that packed monomials replaced, kept as their oracle: terms
+# are {exponent tuple (x_1, ..., x_n, d): coefficient} dicts.
+
+
+def tuple_sum(f, g, sign=1):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_product(f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_exact_div(f, g):
+    """Long division in the lex order of exponent tuples; None when a lead
+    of the remainder is not divisible by the lead of g."""
+    g_lead = max(g)
+    quo, rem = {}, dict(f)
+    while rem:
+        lead = max(rem)
+        q = tuple(map(sub, lead, g_lead))
+        if min(q) < 0:
+            return None
+        quo[q] = Fraction(rem[lead]) / g[g_lead]
+        rem = tuple_sum(rem, tuple_product({q: quo[q]}, g), -1)
+    return quo
+
+
+def tuple_unit(n, index):
+    return tuple(int(k == index) for k in range(n + 1))
+
+
+def tuple_act_simple(n, i, f):
+    if i:
+        out = {}
+        for m, c in f.items():
+            m = list(m)
+            m[i - 1], m[i] = m[i], m[i - 1]
+            out[tuple(m)] = c
+        return out
+    images = [{tuple_unit(n, k): 1} for k in range(n + 1)]
+    images[0] = {tuple_unit(n, n - 1): 1, tuple_unit(n, n): 1}  # x_n + d
+    images[n - 1] = {tuple_unit(n, 0): 1, tuple_unit(n, n): -1}  # x_1 - d
+    out = {}
+    for m, c in f.items():
+        term = {(0,) * (n + 1): c}
+        for k, e in enumerate(m):
+            for _ in range(e):
+                term = tuple_product(term, images[k])
+        out = tuple_sum(out, term)
+    return out
+
+
+def tuple_simple_root(n, i):
+    if i:
+        return {tuple_unit(n, i - 1): 1, tuple_unit(n, i): -1}
+    return {tuple_unit(n, n - 1): 1, tuple_unit(n, 0): -1, tuple_unit(n, n): 1}
+
+
+def tuple_demazure(n, i, f):
+    num = tuple_sum(f, tuple_act_simple(n, i, f), -1)
+    return tuple_exact_div(num, tuple_simple_root(n, i)) if num else {}
+
+
+def tuple_text(n, f):
+    """The text of RingElement.__str__, formatted from exponent tuples."""
+    if not f:
+        return "0"
+    names = [f"x{i}" for i in range(1, n + 1)] + ["d"]
+    parts = []
+    for m in sorted(f, reverse=True):
+        facs = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e]
+        coeff = abs(f[m])
+        body = "*".join(([] if coeff == 1 and facs else [str(coeff)]) + facs)
+        parts.append(("-" if f[m] < 0 else "+", body))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(f" {sign} {term}" for sign, term in parts[1:])
+
+
+def random_terms(rng, n, top, terms=4):
+    """Seeded terms whose exponents are each small or just below top."""
+    out = {}
+    for _ in range(terms):
+        mono = tuple(
+            rng.choice((rng.randrange(min(6, top)), rng.randrange(max(top - 3, 0), top)))
+            for _ in range(n + 1)
+        )
+        out[mono] = out.get(mono, 0) + rng.choice((-3, -1, 1, 2, Fraction(1, 2)))
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_packed_kernel_matches_tuple_oracle(n):
+    rng = random.Random(40 + n)
+    for _ in range(25):
+        # factors below half the limit, so that every product fits
+        f_t = random_terms(rng, n, EXPONENT_LIMIT // 2)
+        g_t = random_terms(rng, n, EXPONENT_LIMIT // 2)
+        f, g = RingElement(n, f_t), RingElement(n, g_t)
+        assert f.exponents() == f_t and g.exponents() == g_t
+        fg = f * g
+        assert fg.exponents() == tuple_product(f_t, g_t)
+        if g_t:
+            assert exact_div(fg, g) == f
+        # a divisor that need not divide: the oracle and exact_div refuse
+        # alike.  Small exponents, since a long division runs until the lead
+        # of the remainder is not divisible
+        p_t, q_t = random_terms(rng, n, 6), random_terms(rng, n, 6, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            p_t = tuple_product(p_t, q_t)
+        if q_t:
+            expected = tuple_exact_div(p_t, q_t)
+            if expected is None:
+                with pytest.raises(ArithmeticError, match="non-divisible"):
+                    exact_div(RingElement(n, p_t), RingElement(n, q_t))
+            else:
+                assert exact_div(RingElement(n, p_t), RingElement(n, q_t)).exponents() == expected
+        # single operands reach the limit
+        h_t = random_terms(rng, n, EXPONENT_LIMIT)
+        h = RingElement(n, h_t)
+        assert str(h) == tuple_text(n, h_t)
+        assert parse_ring_element(n, str(h)) == h
+        assert parse_ring_element(n, str(h)).exponents() == h_t
+        assert h.subs_delta_zero().exponents() == {m: c for m, c in h_t.items() if not m[n]}
+        if all(m[n] for m in h_t):
+            assert divide_by_delta(h).exponents() == {
+                m[:n] + (m[n] - 1,): c for m, c in h_t.items()
+            }
+        else:
+            with pytest.raises(ArithmeticError):
+                divide_by_delta(h)
+        for i in range(1, n):
+            assert act_simple(i, h).exponents() == tuple_act_simple(n, i, h_t)
+        # s_0 expands binomials and a Demazure quotient has one term per
+        # power, so those take small exponents
+        if n >= 2:
+            s_t = random_terms(rng, n, 5)
+            s = RingElement(n, s_t)
+            for i in range(n):
+                assert act_simple(i, s).exponents() == tuple_act_simple(n, i, s_t)
+                assert demazure(i, s).exponents() == tuple_demazure(n, i, s_t)
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            # x_i / x_j is refused unless i = j, by the oracle as well
+            expected = tuple_exact_div({tuple_unit(n, i - 1): 1}, {tuple_unit(n, j - 1): 1})
+            if i == j:
+                assert exact_div(x(n, i), x(n, j)).exponents() == expected
+            else:
+                assert expected is None
+                with pytest.raises(ArithmeticError, match="non-divisible"):
+                    exact_div(x(n, i), x(n, j))
+
+
+def test_exponent_range_is_checked_never_wrapped():
+    limit = EXPONENT_LIMIT
+    for mono, e in (((limit, 0, 0), limit), ((0, 0, limit), limit), ((0, -1, 0), -1)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"exponent {e} of monomial {mono} is outside 0..{limit - 1}"
+        )):
+            RingElement(2, {mono: 1})
+    for mono in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"monomial {mono} has {len(mono)} exponents, not n + 1 = 3"
+        )):
+            RingElement(2, {mono: 1})
+    top = RingElement(2, {(limit - 1, 0, limit - 1): 1})
+    assert top.exponents() == {(limit - 1, 0, limit - 1): 1}
+    for k in range(3):
+        half = RingElement(2, {tuple(limit // 2 if j == k else 0 for j in range(3)): 1})
+        with pytest.raises(OverflowError):
+            half * half
+        below = RingElement(2, {tuple(limit // 2 - 1 if j == k else 0 for j in range(3)): 1})
+        assert (below * below).exponents() == {
+            tuple(limit - 2 if j == k else 0 for j in range(3)): 1
+        }
+    with pytest.raises(ValueError, match=f"exponent {limit} of monomial"):
+        parse_ring_element(2, f"x1^{limit}")
+    with pytest.raises(ValueError, match=f"exponent {limit} of monomial"):
+        parse_ring_element(2, f"d^{limit // 2}*d^{limit // 2}")
+    # dividing by x1 + d^(L-1) leaves remainder terms with d^L or more: the
+    # division is refused as an overflow, not continued on a wrapped lead
+    divisor = RingElement(1, {(1, 0): 1, (0, limit - 1): 1})
+    for mono in ((limit - 1, 0), (2, 1)):
+        with pytest.raises(OverflowError):
+            exact_div(RingElement(1, {mono: 1}), divisor)
