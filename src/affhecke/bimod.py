@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import polymat
 from .rings import RingElement, demazure, simple_root
-from .weyl import CACHE_SIZE, anticyclic_word
+from .weyl import CACHE_SIZE, preferred_word
 
 
 def xi(n, i):
@@ -37,23 +37,6 @@ def basis_degree(word, mask):
 
 def rank(word):
     return 1 << len(word)
-
-
-def basis(n, word):
-    """The ordered right-module basis of BS(word).
-
-    Entry k is (bits, degree): per letter i the factor basis is {1, xi_i},
-    bit 1 selecting xi_i; bit positions read the word left to right from the
-    high end.  The graded rank is the product of (v + v^-1) over the letters.
-    """
-    word = tuple(k % n for k in word)
-    out = []
-    for mask in range(rank(word)):
-        bits = tuple(
-            (mask >> (len(word) - 1 - slot)) & 1 for slot in range(len(word))
-        )
-        out.append((bits, basis_degree(word, mask)))
-    return out
 
 
 class Morphism:
@@ -370,21 +353,6 @@ def theta(n, word_from, word_to):
     """The signed rex move: (-1)^(#crossings) times the crossing product."""
     sign, mor = rex_move(n, word_from, word_to)
     return mor if sign == 1 else -mor
-
-
-def preferred_word(n, X):
-    """The globally fixed reduced expression of h_X.
-
-    The anticyclic word for aleph = min(S \\ X) in the natural order
-    0 < 1 < ... < n-1.
-    """
-    X = frozenset(x % n for x in X)
-    if len(X) >= n:
-        raise ValueError("X must be a proper subset")
-    if not X:
-        return ()
-    aleph = min(set(range(n)) - X)
-    return anticyclic_word(n, X, aleph)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -54,16 +54,6 @@ class BraidWord:
                 inv.append(("f", tok[1], -tok[2]))
         return BraidWord(self.n, tuple(inv), self.flavor)
 
-    def bar(self):
-        """The bar involution at word level: every crossing flips, omega fixed."""
-        out = []
-        for tok in self.letters:
-            if tok[0] == "w":
-                out.append(tok)
-            else:
-                out.append(("f", tok[1], -tok[2]))
-        return BraidWord(self.n, tuple(out), self.flavor)
-
     def __str__(self):
         parts = []
         for tok in self.letters:
@@ -72,22 +62,6 @@ class BraidWord:
             else:
                 parts.append(f"f{tok[1] % self.n}" + ("" if tok[2] > 0 else "-"))
         return " ".join(parts)
-
-
-def word(n, letters):
-    """Build a braid word from shorthand: 'w', 'w-', ('f', i, e), or int i (= f_i)."""
-    out = []
-    for tok in letters:
-        if tok == "w":
-            out.append(("w", 1))
-        elif tok == "w-":
-            out.append(("w", -1))
-        elif isinstance(tok, int):
-            out.append(("f", tok % n, 1))
-        else:
-            kind, i, e = tok
-            out.append(("f", i % n, e))
-    return BraidWord(n, tuple(out))
 
 
 def parse(n, text):

@@ -65,11 +65,7 @@ def _emit_certificate(args, record):
 def _suite_d2(n, args):
     cases = []
     if n <= BIMODULE_EXACT_MAX:
-        f = complexes.build_F(n, "bimodule")
-        mu = f.monodromy()
-        expected = complexes.monodromy_map(n, f)
-        ok = mu.add(expected.negate()).is_zero()
-        # monodromy() divided every d^2 entry by delta: d^2 = 0 at delta = 0
+        ok, _ = complexes.check_d2_exact(n)
         cases.append((f"bimodule d^2 = mu.delta at n={n}", ok))
     cases.append((f"sign-level d^2 cancellation at n={n}", complexes.check_d2_signs(n)))
     return cases
@@ -278,11 +274,11 @@ def _load_verify(path):
         print(f"FAIL: summands differ from F_{n} ({len(loaded)} loaded, {count} expected)")
         return 1
     if backend == "bimodule":
-        mu = p.monodromy()
-        if not mu.add(complexes.monodromy_map(n, p).negate()).is_zero():
-            print(f"FAIL: mu differs from monodromy_map ({len(mu.entries)} mu entries)")
+        ok, entries = complexes.check_d2_exact(n, p)
+        if not ok:
+            print(f"FAIL: mu differs from monodromy_map ({entries} mu entries)")
             return 1
-        print(f"d^2 divisible by delta: PASS ({len(mu.entries)} mu entries)")
+        print(f"d^2 divisible by delta: PASS ({entries} mu entries)")
         return 0
     ok = complexes.check_d2_signs(n, p)
     print(f"sign-level d^2 on the loaded data: {'PASS' if ok else 'FAIL'}")

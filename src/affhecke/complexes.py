@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from . import RefusedInput, bimod, homalg
-from .bimod import eps_sign, preferred_word, signed_dot
+from .bimod import eps_sign, signed_dot
 from .hecke import (
     HeckeElement,
     braid_hecke_image,
@@ -29,6 +29,7 @@ from .weyl import (
     ExtendedWeylElement,
     h_of,
     longest_element,
+    preferred_word,
     tau_components,
 )
 
@@ -146,6 +147,16 @@ def check_d2_signs(n, F=None):
     """
     F = F if F is not None else build_F(n)
     return F.d_squared() == {key: n for key in monodromy_map(n, F).entries}
+
+
+def check_d2_exact(n, F=None):
+    """Exact d^2 check on the bimodule F (built when not given): the
+    monodromy mu, every d^2 entry divided by delta, must equal
+    monodromy_map, so d^2 = mu.delta and d^2 = 0 at delta = 0.  Returns
+    (verdict, number of mu entries)."""
+    F = F if F is not None else build_F(n, "bimodule")
+    mu = F.monodromy()
+    return mu.add(monodromy_map(n, F).negate()).is_zero(), len(mu.entries)
 
 
 def wakimoto_assignment(n):

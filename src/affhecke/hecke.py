@@ -21,8 +21,8 @@ from .weyl import (
     CACHE_SIZE,
     DEFAULT_LENGTH_CAP,
     ExtendedWeylElement,
-    anticyclic_word,
     longest_element,
+    preferred_word,
     tau_components,
 )
 
@@ -412,7 +412,7 @@ def _c_element(n, I, X, Y, comps, length_cap, memo):
         w = longest_element(n, I)
         if w.length() > length_cap:
             raise ValueError(f"length {w.length()} exceeds cap {length_cap}")
-        out = _stepped_by_b(w, anticyclic_word(n, X, min(set(range(n)) - X)))
+        out = _stepped_by_b(w, preferred_word(n, X))
         memo[key] = out
         return out
     # peel the last-absorbed index of some component suffix

@@ -11,7 +11,7 @@ product of monomials is one addition, and a set guard bit is an exponent
 that reached ``EXPONENT_LIMIT`` (Monagan and Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
 Exponent vectors enter and leave as tuples: through the constructor,
-``exponents()``, ``parse_ring_element`` and the text.
+``parse_ring_element`` and the text.
 
 All values are immutable after construction and every operation is a pure
 function, so elements can be shared freely between threads.
@@ -23,6 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import comb
 from operator import or_
 
 from .weyl import CACHE_SIZE
@@ -124,9 +125,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def coefficient(self, power):
-        return self.coeffs.get(power, 0)
 
     def __str__(self):
         return _laurent_text(tuple(sorted(self.coeffs.items(), reverse=True)))
@@ -230,11 +228,11 @@ class RingElement:
     """Element of R = Q[x_1..x_n, d] with sparse rational terms.
 
     terms maps the packed monomial of each exponent vector (x_1, ..., x_n, d)
-    to its coefficient; see the module docstring for the packing, and
-    exponents() for the terms under exponent tuples.  The constructor takes
-    exponent tuples and refuses one of the wrong length or with an exponent
-    outside 0..EXPONENT_LIMIT-1.  No zero coefficients are stored; a
-    coefficient is an int when it is integral and a Fraction otherwise.
+    to its coefficient; see the module docstring for the packing.  The
+    constructor takes exponent tuples and refuses one of the wrong length or
+    with an exponent outside 0..EXPONENT_LIMIT-1.  No zero coefficients are
+    stored; a coefficient is an int when it is integral and a Fraction
+    otherwise.
     """
 
     __slots__ = ("n", "terms")
@@ -281,11 +279,6 @@ class RingElement:
     @classmethod
     def delta(cls, n):
         return cls._trusted(n, {_unit_mono(n, n): 1})
-
-    def exponents(self):
-        """The terms as {exponent tuple (x_1, ..., x_n, d): coefficient}."""
-        n = self.n
-        return {_unpack(n, m): c for m, c in self.terms.items()}
 
     def is_zero(self):
         return not self.terms
@@ -483,29 +476,6 @@ def simple_root(n, i):
     )
 
 
-def _apply_variable_map(f, images):
-    """Ring homomorphism determined by images of (x_1..x_n, d)."""
-    n = f.n
-    out = {}
-    power_cache = [{0: RingElement.one(n)} for _ in range(n + 1)]
-    for mono, c in f.exponents().items():
-        term = RingElement.constant(n, c)
-        for v, e in enumerate(mono):
-            if e:
-                cache = power_cache[v]
-                if e not in cache:
-                    p = max(cache)
-                    acc = cache[p]
-                    while p < e:
-                        acc = acc * images[v]
-                        p += 1
-                        cache[p] = acc
-                term = term * cache[e]
-        for m, t in term.terms.items():
-            out[m] = out.get(m, 0) + t
-    return from_accumulated(n, out)
-
-
 def act_simple(i, f):
     """Apply the simple reflection s_i to f."""
     n = f.n
@@ -522,12 +492,25 @@ def act_simple(i, f):
             m + (((m >> low) & _FIELD) - ((m >> high) & _FIELD)) * step: c
             for m, c in f.terms.items()
         })
-    images = [RingElement.x(n, j) for j in range(1, n + 1)] + [RingElement.delta(n)]
-    images[0] = RingElement.x(n, n) + RingElement.delta(n)  # s_0(x_1) = x_n + d
-    images[n - 1] = RingElement.x(n, 1) - RingElement.delta(n)  # s_0(x_n) = x_1 - d
     if n == 1:
         raise ValueError("n must be at least 2")
-    return _apply_variable_map(f, images)
+    # s_0(x_1) = x_n + d and s_0(x_n) = x_1 - d, so s_0 sends x_1^a x_n^b to
+    # the sum of C(a, p) C(b, q) (-1)^(b-q) x_1^q x_n^p d^(a-p+b-q); the
+    # check keeps d's exponent below its guard bit
+    high = n * _WIDTH
+    out = {}
+    for m, c in f.terms.items():
+        a, b, e = m >> high & _FIELD, m >> _WIDTH & _FIELD, m & _FIELD
+        if e + a + b >= EXPONENT_LIMIT:
+            raise OverflowError(f"s_0 gives an exponent of at least {EXPONENT_LIMIT}")
+        rest = m - (a << high) - (b << _WIDTH) + a + b
+        for p in range(a + 1):
+            cp = comb(a, p) * c
+            for q in range(b + 1):
+                mono = rest + (q << high) + (p << _WIDTH) - p - q
+                cq = comb(b, q) * cp
+                out[mono] = out.get(mono, 0) + (-cq if b - q & 1 else cq)
+    return RingElement._trusted(n, _cleaned(out))
 
 
 def exact_div(f, g):
@@ -559,8 +542,9 @@ def exact_div(f, g):
                 raise OverflowError(
                     f"a remainder has an exponent of at least {EXPONENT_LIMIT}"
                 )
+            # the lead alone: a whole remainder may not fit into a str
             raise ArithmeticError(
-                f"non-divisible remainder {RingElement._trusted(n, rem)}"
+                f"non-divisible remainder with leading monomial {_unpack(n, lead)}"
             )
         q_mono ^= guards
         c = rem.pop(lead)

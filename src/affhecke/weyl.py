@@ -129,10 +129,6 @@ class ExtendedWeylElement:
             self.omega + other.omega, window_compose(u, other.window)
         )
 
-    def inverse(self):
-        inv = window_inverse(self.window)
-        return ExtendedWeylElement(-self.omega, window_tau(inv, self.omega))
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtendedWeylElement)
@@ -202,15 +198,6 @@ class ExtendedWeylElement:
 
     __repr__ = __str__
 
-    @classmethod
-    def parse(cls, n, text):
-        head, _, tail = text.partition("|")
-        omega = int(head.strip().removeprefix("w^"))
-        window = tuple(int(t) for t in tail.split())
-        if len(window) != n:
-            raise ValueError(f"expected window of length {n}")
-        return cls(omega, window)
-
 
 def from_word(n, word):
     """Evaluate a word in tokens: integers are s_i, 'w'/'w-' are omega^{+-1}."""
@@ -233,17 +220,25 @@ def anticyclic_word(n, X, aleph):
     return tuple(sorted(X, key=lambda v: (v - aleph) % n, reverse=True))
 
 
+def preferred_word(n, X):
+    """The globally fixed reduced expression of h_X: the anticyclic word for
+    aleph = min(S \\ X) in the natural order 0 < 1 < ... < n-1."""
+    X = frozenset(x % n for x in X)
+    if len(X) >= n:
+        raise ValueError("X must be a proper subset")
+    return anticyclic_word(n, X, min(set(range(n)) - X))
+
+
 def h_of(n, X, aleph=None):
     """The anticyclic Coxeter element h_X of the parabolic W_X.
 
-    Independent of the choice of aleph not in X.
+    Independent of the choice of aleph not in X; the default is the one of
+    preferred_word.
     """
     X = frozenset(x % n for x in X)
     if len(X) >= n:
         raise ValueError("X must be a proper subset")
-    if aleph is None:
-        aleph = min(set(range(n)) - X)
-    word = anticyclic_word(n, X, aleph)
+    word = preferred_word(n, X) if aleph is None else anticyclic_word(n, X, aleph)
     out = ExtendedWeylElement.identity(n)
     for k in word:
         out = out.times_simple(k)

@@ -1,18 +1,24 @@
 """Invertible basis changes of Bott-Samelson bimodules, the inputs of the
 invertibility tests: the Gram matrix of the intersection form and the matrix
 of the Dynkin flip sigma, each in the mask basis of bimod; and the adjoint
-under the intersection form, the oracle of the duality tests."""
+under the intersection form, the oracle of the duality tests.  Also the
+terms of a ring element under exponent tuples, read by the ring tests."""
 
 from affhecke import polymat
 from affhecke.bimod import Morphism, left_mult_matrix, rank, xi
-from affhecke.rings import RingElement, demazure
+from affhecke.rings import RingElement, _unpack, demazure
+
+
+def exponents(f):
+    """The terms of f as {exponent tuple (x_1, ..., x_n, d): coefficient}."""
+    return {_unpack(f.n, m): c for m, c in f.terms.items()}
 
 
 def act_sigma(f):
     """sigma(x_i) = -x_{n+1-i}, sigma(d) = d."""
     n = f.n
     out = {}
-    for mono, c in f.exponents().items():
+    for mono, c in exponents(f).items():
         xs = mono[:n]
         m = tuple(reversed(xs)) + (mono[n],)
         out[m] = -c if sum(xs) & 1 else c

@@ -8,11 +8,26 @@ from affhecke.braid import (
     jm_braid,
     parse,
     w_lambda,
-    word,
     y_braid,
 )
 from affhecke.hecke import HeckeElement, braid_hecke_image
 from affhecke.weyl import ExtendedWeylElement
+
+
+def word(n, letters):
+    """A braid word from shorthand: 'w', 'w-', ('f', i, e), or int i (= f_i)."""
+    out = []
+    for tok in letters:
+        if tok == "w":
+            out.append(("w", 1))
+        elif tok == "w-":
+            out.append(("w", -1))
+        elif isinstance(tok, int):
+            out.append(("f", tok % n, 1))
+        else:
+            _, i, e = tok
+            out.append(("f", i % n, e))
+    return BraidWord(n, tuple(out))
 
 
 def test_parse_print_round_trip():
@@ -76,13 +91,6 @@ def test_hecke_image_commutativity():
         images = [braid_hecke_image(y_braid(n, i)) for i in range(1, n + 1)]
         for a, b in itertools.combinations(images, 2):
             assert a * b == b * a
-
-
-def test_bar_word():
-    b = word(3, ["w", 1, ("f", 0, -1)])
-    assert b.bar().letters == (("w", 1), ("f", 1, -1), ("f", 0, 1))
-    # dual translation at n=2: bar(y_1) = w f1-
-    assert str(y_braid(2, 1).bar()) == "w f1-"
 
 
 def test_finite_flavor_guard():

@@ -30,7 +30,7 @@ from affhecke.complexes import (
 from affhecke.hecke import HeckeElement, b_simple, kl_basis
 from affhecke.rings import LaurentPoly
 from affhecke.suites import proper_subsets
-from affhecke.weyl import h_of, longest_element
+from affhecke.weyl import h_of, longest_element, preferred_word
 from bimodule_bases import adjoint
 
 
@@ -605,9 +605,9 @@ def test_wakimoto_cubes_are_rouquier_complexes(n):
         for (a, b), mor in cube.diff.items():
             wa, wb = members[a], members[b]
             X, Y = frozenset(wa), frozenset(wb)
-            transported = bimod.theta(n, bimod.preferred_word(n, Y), wb).compose(
+            transported = bimod.theta(n, preferred_word(n, Y), wb).compose(
                 bimod.signed_dot(n, X, Y)
-            ).compose(bimod.theta(n, wa, bimod.preferred_word(n, X)))
+            ).compose(bimod.theta(n, wa, preferred_word(n, X)))
             assert (mor - transported).is_zero(), (wa, wb)
 
 

@@ -109,7 +109,7 @@ def in_positive_v(p):
 
 def symmetric_part(p):
     """The unique bar-invariant q with q = p mod vZ[v]."""
-    out = {0: p.coefficient(0)}
+    out = {0: p.coeffs.get(0, 0)}
     for e, c in p.coeffs.items():
         if e < 0:
             out[e] = out.get(e, 0) + c

@@ -69,81 +69,143 @@ def _is_def(node):
     return isinstance(node, (ast.FunctionDef, ast.ClassDef))
 
 
-def _read_names(node):
-    """(name, is an attribute, is called) of every name and attribute that a
-    definition reads outside the bodies of the definitions nested in it; their
-    decorators and defaults count as read here."""
-    called = set()
-    stack = [node]
+# the nodes that open a scope of local names
+_SCOPES = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_names(scope):
+    """The names that a function, lambda or comprehension binds for itself:
+    its parameters and the names it assigns outside the scopes and
+    definitions nested in it, less those it declares global or nonlocal."""
+    names, declared = set(), set()
+    args = getattr(scope, "args", None)
+    if args:
+        names.update(a.arg for a in args.posonlyargs + args.args + args.kwonlyargs)
+        names.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    stack = list(ast.iter_child_nodes(scope))
     while stack:
         cur = stack.pop()
+        if isinstance(cur, ast.Name) and not isinstance(cur.ctx, ast.Load):
+            names.add(cur.id)
+        elif isinstance(cur, ast.ExceptHandler) and cur.name:
+            names.add(cur.name)
+        elif isinstance(cur, (ast.Global, ast.Nonlocal)):
+            declared.update(cur.names)
+        if not (_is_def(cur) or isinstance(cur, _SCOPES)):
+            stack.extend(ast.iter_child_nodes(cur))
+    return names - declared
+
+
+def module_aliases(tree, modules):
+    """name -> module, for each name that an import in tree binds to one of
+    the affhecke modules (``from . import m``, ``from affhecke import m``)."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, None), (0, "affhecke"))
+        for alias in node.names
+        if alias.name in modules
+    }
+
+
+def _read_names(node, aliases, bound=frozenset()):
+    """(name, receiver, is called) of every name and attribute that a
+    definition loads outside the bodies of the definitions nested in it; their
+    decorators and defaults count as read here.  receiver is None for a bare
+    name, the module for an attribute of a name in aliases (as module_aliases
+    gives them), and "" for any other attribute.  A bare name that the
+    function reading it binds (see _bound_names), or that bound holds for the
+    functions enclosing it, is left out, and so is not a module receiver."""
+    called = set()
+    stack = [(node, bound)]
+    while stack:
+        cur, bound = stack.pop()
+        if isinstance(cur, _SCOPES):
+            bound = bound | _bound_names(cur)
         if isinstance(cur, ast.Call):
             called.add(id(cur.func))
         for child in ast.iter_child_nodes(cur):
             if _is_def(child):
-                stack.extend(child.decorator_list)
+                stack.extend((d, bound) for d in child.decorator_list)
                 if isinstance(child, ast.FunctionDef):
-                    stack.append(child.args)
+                    stack.append((child.args, bound))
                 continue
-            if isinstance(child, ast.Name):
-                yield child.id, False, id(child) in called
-            elif isinstance(child, ast.Attribute):
-                yield child.attr, True, id(child) in called
-            stack.append(child)
+            load = isinstance(getattr(child, "ctx", None), ast.Load)
+            if load and isinstance(child, ast.Name):
+                if child.id not in bound:
+                    yield child.id, None, id(child) in called
+            elif load and isinstance(child, ast.Attribute):
+                value = child.value
+                module = isinstance(value, ast.Name) and value.id not in bound
+                receiver = aliases.get(value.id, "") if module else ""
+                yield child.attr, receiver, id(child) in called
+            stack.append((child, bound))
 
 
 def unreached_definitions(trees, roots):
     """Qualified names of the functions, classes and methods of the modules
-    in trees (module name -> syntax tree) that roots, a set of (name, is an
-    attribute, is called) as _read_names yields them, do not reach.
+    in trees (module name -> syntax tree) that roots, a set of (name,
+    receiver, is called) as _read_names yields them, do not reach.
 
-    A reached definition reaches what its body names: a function or class by
-    a name or an attribute, a method by an attribute, and a method that
-    shares its name with a data attribute (assigned to an attribute or
-    declared as a class field) only by a call.  A reached class reaches its
-    dunder methods.  A definition nested in an unreached one is not listed
-    apart from it.
+    A reached definition reaches what its body reads: a module-level
+    function or class by its bare name or as an attribute of its module, a
+    definition nested in a function by its bare name, a method by any
+    attribute of its name, and a method that shares its name with a data
+    attribute (assigned to an attribute or declared as a class field) only
+    by a call.  A reached class reaches its dunder methods.  A definition
+    nested in an unreached one is not listed apart from it.
     """
-    defs = {}  # qualname -> (node, enclosing definition, is a method)
+    defs = {}  # qualname -> (node, enclosing definition, kind, names bound around it)
     fields = set()
 
-    def visit(parent, prefix, enclosing):
+    def visit(parent, prefix, enclosing, bound):
         for node in ast.iter_child_nodes(parent):
             if _is_def(node):
                 name = f"{prefix}.{node.name}"
-                defs[name] = (node, enclosing, isinstance(parent, ast.ClassDef))
-                visit(node, name, name)
+                kind = ("method" if isinstance(parent, ast.ClassDef)
+                        else "nested" if enclosing else "module")
+                defs[name] = (node, enclosing, kind, bound)
+                # a class body binds nothing for the functions in it
+                inner = bound | _bound_names(node) if isinstance(node, ast.FunctionDef) else bound
+                visit(node, name, name, inner)
             else:
                 if isinstance(parent, ast.ClassDef) and isinstance(node, ast.AnnAssign):
                     fields.add(node.target.id)
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                     fields.add(node.attr)
-                visit(node, prefix, enclosing)
+                visit(node, prefix, enclosing, bound)
 
     for module, tree in trees.items():
-        visit(tree, module, None)
+        visit(tree, module, None, frozenset())
+    aliases = {module: module_aliases(tree, trees) for module, tree in trees.items()}
     by_name = {}
-    for qualname, (node, _, method) in defs.items():
+    for qualname, (node, _, kind, _) in defs.items():
         property_ = any(getattr(d, "id", None) == "property" for d in node.decorator_list)
-        called_only = method and node.name in fields and not property_
-        by_name.setdefault(node.name, []).append((qualname, method, called_only))
+        called_only = kind == "method" and node.name in fields and not property_
+        by_name.setdefault(node.name, []).append((qualname, kind, called_only))
     reached = set()
     todo = list(roots)
     while todo:
-        name, attribute, called = todo.pop()
-        for qualname, method, called_only in by_name.get(name, ()):
-            if qualname in reached or (method and not attribute) or (called_only and not called):
+        name, receiver, called = todo.pop()
+        for qualname, kind, called_only in by_name.get(name, ()):
+            module = qualname.split(".")[0]
+            if kind == "method":
+                reaches = receiver is not None and (called or not called_only)
+            else:
+                reaches = receiver is None or kind == "module" and receiver == module
+            if qualname in reached or not reaches:
                 continue
             reached.add(qualname)
-            node = defs[qualname][0]
-            todo.extend(_read_names(node))
+            node, _, _, bound = defs[qualname]
+            todo.extend(_read_names(node, aliases[module], bound))
             if isinstance(node, ast.ClassDef):
                 todo.extend(
-                    (child.name, True, True) for child in node.body
+                    (child.name, "", True) for child in node.body
                     if _is_def(child) and child.name.startswith("__")
                 )
     return sorted(
-        qualname for qualname, (node, enclosing, _) in defs.items()
+        qualname for qualname, (node, enclosing, _, _) in defs.items()
         if qualname not in reached and (enclosing is None or enclosing in reached)
         and not (node.name.startswith("__") and node.name.endswith("__"))
     )
@@ -153,15 +215,17 @@ def verdict_roots():
     """What a verdict starts from, as _read_names yields it: the module-level
     code of cli, the console scripts of pyproject.toml (called) and every
     name in the acceptance tests."""
+    modules = {path.stem for path in MODULES}
     cli = ast.parse((ROOT / "src" / "affhecke" / "cli.py").read_text(encoding="utf-8"))
-    roots = set(_read_names(cli))
+    roots = set(_read_names(cli, module_aliases(cli, modules)))
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = pyproject.split("[project.scripts]")[1].split("\n[")[0]
-    roots.update((name, False, True) for name in re.findall(r'"affhecke\.cli:(\w+)"', scripts))
+    roots.update((name, "cli", True) for name in re.findall(r'"affhecke\.cli:(\w+)"', scripts))
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    aliases = module_aliases(acceptance, modules)
     for node in ast.walk(acceptance):
         if isinstance(node, (ast.Module, ast.FunctionDef)):
-            roots.update(_read_names(node))
+            roots.update(_read_names(node, aliases))
     return roots
 
 
@@ -174,7 +238,7 @@ def test_every_definition_serves_a_verdict():
         path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES
     }
     roots = verdict_roots()
-    assert ("main", False, True) in roots
+    assert ("main", "cli", True) in roots
     unreached = unreached_definitions(trees, roots)
     assert not set(unreached) - set(UNREACHED_ALLOWED), (
         f"reached by no verdict: {sorted(set(unreached) - set(UNREACHED_ALLOWED))}"
@@ -182,6 +246,14 @@ def test_every_definition_serves_a_verdict():
     assert not set(UNREACHED_ALLOWED) - set(unreached), (
         f"allowlisted but reached or gone: {sorted(set(UNREACHED_ALLOWED) - set(unreached))}"
     )
+    # an entry kept for the benchmark is named there
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    named = {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(workloads)}
+    stale = [
+        qualname for qualname, reason in UNREACHED_ALLOWED.items()
+        if "bench/" in reason and qualname.split(".")[-1] not in named
+    ]
+    assert not stale, f"allowlisted for bench/ but not named in bench/workloads.py: {stale}"
 
 
 def test_reachability_catches_an_orphan():
@@ -207,15 +279,28 @@ def test_reachability_catches_an_orphan():
     )
     # a self-call does not reach; the methods size and shift, named like
     # fields, are reached only by calling an attribute of that name
-    roots = {("Piece", False, True), ("used", True, True), ("shift", False, True)}
+    roots = {("Piece", None, True), ("used", "", True), ("shift", None, True)}
     assert unreached_definitions({"m": tree}, roots) == [
         "m.Piece.shift", "m.Piece.size", "m.helper.inner", "m.orphan",
     ]
-    # a root that reads the field p.shift reaches the function shift (as
-    # module.shift would) but not the method
-    roots = {("Piece", False, True), ("shift", True, False)}
-    assert unreached_definitions({"m": tree}, roots) == [
-        "m.Piece.shift", "m.Piece.size", "m.Piece.used", "m.helper", "m.orphan",
+    # an attribute reaches a module-level function only on a name bound to
+    # its module: the field read p.shift does not reach the function shift,
+    # m.shift does, and neither reaches the method
+    unreached = ["m.Piece.shift", "m.Piece.size", "m.Piece.used", "m.helper", "m.orphan"]
+    roots = {("Piece", None, True), ("shift", "", False)}
+    assert unreached_definitions({"m": tree}, roots) == sorted(unreached + ["m.shift"])
+    roots = {("Piece", None, True), ("shift", "m", False)}
+    assert unreached_definitions({"m": tree}, roots) == unreached
+    # read from another module: the local helper shadows the function
+    # helper, args.orphan() has no module receiver, and m.shift reaches shift
+    reader = ast.parse(
+        "from . import m\n"
+        "def run(args):\n"
+        "    helper = args.helper()\n"
+        "    return helper(args.orphan(), m.shift)\n"
+    )
+    assert unreached_definitions({"m": tree, "r": reader}, {("run", None, True)}) == [
+        "m.Piece", "m.helper", "m.orphan",
     ]
 
 
