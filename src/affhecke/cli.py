@@ -20,7 +20,7 @@ import sys
 import traceback
 
 from . import RefusedInput, braid, complexes, homalg, twist
-from .hecke import HeckeElement, b_simple, kl_basis
+from .hecke import HeckeElement, b_simple, kl_basis, term_key
 from .rings import LaurentPoly
 from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
 from .weyl import DEFAULT_LENGTH_CAP, ExtendedWeylElement, from_word
@@ -183,7 +183,7 @@ def _kl_expand(element):
     rest = element
     parts = []
     while not rest.is_zero():
-        w = max(rest.coeffs, key=lambda u: (u.length(), u.window, u.omega))
+        w = max(rest.coeffs, key=lambda u: term_key(u)[0])
         coeff = rest.coefficient(w)
         rest = rest - kl_basis(w).scale(coeff)
         name = f"b({w})"

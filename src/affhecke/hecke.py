@@ -5,7 +5,10 @@ the standard basis {H_w}.  Multiplication uses the quadratic relation
 H_s^2 = (v^-1 - v) H_s + 1 and omega-conjugation H_w H_omega =
 H_{omega} H_{tau^{-1}(w)}.  Right multiplication by H_s, H_s^-1 and
 b_s = H_s + v is one step H_w -> H_{ws} + c H_w with c chosen by the
-descent; for b_s, c is v or v^-1, so the step only shifts exponents.
+descent; for b_s, c is v or v^-1, so the step only shifts exponents.  The
+step pairs w with ws and writes each output coefficient once, and a product
+whose right factor is b_s is that step.  Serialize reads each element's
+place in the term order and its text from one memo.
 Kazhdan-Lusztig elements b_w are computed by the mu-rule
 b_w = b_{ws} b_s - sum mu(y, ws) b_y.  The base case b_{w_I} b_{h_X} of
 c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X, each prefix of that
@@ -15,6 +18,7 @@ word once per process.  The omega power is carried exactly in Z.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .rings import LaurentPoly, gauss
 from .weyl import (
@@ -137,13 +141,26 @@ class HeckeElement:
 
         Every such product sends p H_w to p H_{ws} + f(p) H_w, where f is
         descent(p) when ws < w and ascent(p) otherwise; None stands for f = 0.
+        s_k pairs the support off, so the output at w is coeffs[ws] + f(p),
+        made in one pass: a w whose ws lies outside the support hands p to ws
+        and keeps f(p), and a sum that cancels is dropped.
         """
+        coeffs = self.coeffs
         out = {}
-        for w, p in self.coeffs.items():
-            _add_term(out, w.times_simple(k), p)
+        for w, p in coeffs.items():
+            ws = w.times_simple(k)
             f = descent if w.has_right_descent(k) else ascent
-            if f is not None:
-                _add_term(out, w, f(p))
+            q = coeffs.get(ws)
+            if q is None:
+                out[ws] = p
+                if f is not None:
+                    out[w] = f(p)
+            elif f is None:
+                out[w] = q
+            else:
+                q = q + f(p)
+                if q.coeffs:
+                    out[w] = q
         return HeckeElement._trusted(self.n, out)
 
     def times_simple(self, k):
@@ -204,9 +221,31 @@ class HeckeElement:
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("mismatched n")
+        k = other._b_simple_index()
+        if k is not None:
+            return self.times_b_simple(k)
         return other._expand(
             self.times_omega, HeckeElement.times_simple, lambda p: p
         )
+
+    def _b_simple_index(self):
+        """k when self is b_{s_k} = H_{s_k} + v, else None: exactly two
+        terms, an omega-free length-1 element with coefficient 1 and the
+        identity with coefficient v."""
+        if len(self.coeffs) != 2:
+            return None
+        (x, p), (y, q) = self.coeffs.items()
+        if x.is_identity():
+            x, p, y, q = y, q, x, p
+        if not (
+            y.is_identity()
+            and q.coeffs == {1: 1}
+            and p.coeffs == {0: 1}
+            and not x.omega
+            and x.length() == 1
+        ):
+            return None
+        return next(k for k in range(self.n) if x.has_right_descent(k))
 
     def bar(self):
         """Kazhdan-Lusztig bar involution: v -> v^-1, H_w -> H_{w^-1}^{-1}."""
@@ -221,16 +260,23 @@ class HeckeElement:
         return self.coeffs.get(w, LaurentPoly.zero())
 
     def serialize(self):
-        """Stable text form, lines ordered by (length, window lex)."""
-        items = sorted(
-            self.coeffs.items(), key=lambda kv: (kv[0].length(), kv[0].window, kv[0].omega)
-        )
-        return "\n".join(f"({w.omega}, {' '.join(map(str, w.window))}) : {p}" for w, p in items)
+        """Stable text form, lines ordered by (length, window lex, omega)."""
+        items = [term_key(w) + (p,) for w, p in self.coeffs.items()]
+        items.sort(key=itemgetter(0))
+        return "\n".join([f"{label} : {p}" for _, label, p in items])
 
     def __str__(self):
         return self.serialize() if self.coeffs else "0"
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def term_key(w):
+    """The place of H_w in the term order and its text: the sort key
+    (length, window, omega) that serialize and the Kazhdan-Lusztig expansion
+    read, and the label "(omega, window)" of its serialize line."""
+    return (w.length(), w.window, w.omega), f"({w.omega}, {' '.join(map(str, w.window))})"
 
 
 def b_simple(n, k):

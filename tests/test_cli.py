@@ -168,6 +168,15 @@ HECKE_N2_WINV_B1_MINUS_VINV_H0 = (
     "kazhdan-lusztig basis:\n"
     "(1) b(w^-1 | 2 1) + (-v^-1) b(w^0 | 0 3) + (1) b(w^0 | 1 2)\n"
 )
+HECKE_N3_W_B1_B2_MINUS_B0_W = (
+    "standard basis:\n"
+    "(1, 1 2 3) : v^2 - v\n"
+    "(1, 1 3 2) : v - 1\n"
+    "(1, 2 1 3) : v\n"
+    "(1, 2 3 1) : 1\n"
+    "kazhdan-lusztig basis:\n"
+    "(1) b(w^1 | 2 3 1) + (-1) b(w^1 | 1 3 2)\n"
+)
 
 
 def test_kl_and_hecke_output_pinned():
@@ -186,6 +195,8 @@ def test_kl_and_hecke_output_pinned():
         (("hecke", "--n", "2", "--expr", "b1 * -1"), HECKE_N2_MINUS_B1),
         (("hecke", "--n", "2", "--expr", "b1*-1"), HECKE_N2_MINUS_B1),
         (("hecke", "--n", "2", "--expr", "v -1"), HECKE_N2_MINUS_V),
+        # omega on both sides, and right factors b_s and omega
+        (("hecke", "--n", "3", "--expr", "w * b1 * b2 - b0 * w"), HECKE_N3_W_B1_B2_MINUS_B0_W),
     ):
         result = run_cli(*args)
         assert result.returncode == 0

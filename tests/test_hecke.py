@@ -387,6 +387,12 @@ def test_cancellation_stores_no_zero():
     assert prod.coeffs == HeckeElement.unit(2).coeffs
 
 
+def general_product(h, b):
+    """h * b through _expand, the path __mul__ takes for every right factor
+    other than a b_s."""
+    return b._expand(h.times_omega, HeckeElement.times_simple, lambda p: p)
+
+
 def annihilated_by_b(u, k):
     """H_x - v H_{xs} with x < xs, for x in {u, us}: (H_s + v)(H_s - v^-1) = 0
     makes its product with b_s vanish."""
@@ -409,5 +415,84 @@ def test_times_b_simple_matches_product():
             mixed = a + annihilated_by_b(w, k).scale(LaurentPoly({rng.randint(-2, 2): rng.choice((-1, 2))}))
             for x in (a, mixed, cancel):
                 got = x.times_b_simple(k)
-                assert got == x * b_simple(n, k)
+                assert got == general_product(x, b_simple(n, k))
                 assert all(not p.is_zero() for p in got.coeffs.values())
+
+
+def term_by_term_step(h, k, descent, ascent):
+    """Reference for HeckeElement._step: each term p H_w added on its own,
+    p to H_{ws} and then f(p) to H_w."""
+    out = {}
+    for w, p in h.coeffs.items():
+        hecke._add_term(out, w.times_simple(k), p)
+        f = descent if w.has_right_descent(k) else ascent
+        if f is not None:
+            hecke._add_term(out, w, f(p))
+    return HeckeElement._trusted(h.n, out)
+
+
+# (descent, ascent) of H_s, H_s^-1 and b_s, as in the docstrings of hecke
+STEPS = {
+    "times_simple": (lambda p: p * LaurentPoly({-1: 1, 1: -1}), None),
+    "times_simple_inverse": (None, lambda p: p * LaurentPoly({1: 1, -1: -1})),
+    "times_b_simple": (lambda p: p * LaurentPoly.v(-1), lambda p: p * LaurentPoly.v(1)),
+}
+
+
+def test_pairwise_step_matches_term_by_term():
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        for k in range(n):
+            for name, (descent, ascent) in STEPS.items():
+                for _ in range(6):
+                    a = random_element(rng, n)
+                    w = rng.choice(sorted(a.coeffs, key=str))
+                    if not w.omega:
+                        e = rng.choice((-2, -1, 1, 2))
+                        a, w = a.times_omega(e), w * ExtendedWeylElement.rotation(n, e)
+                    ws = w.times_simple(k)
+                    # both w and ws in the support, with independent coefficients
+                    paired = a + HeckeElement.std(ws, LaurentPoly({rng.randint(-2, 2): rng.choice((-3, 1, 2))}))
+                    # p H_x - f(p) H_{xs}: the output at x is f(p) - f(p) = 0
+                    x = w if (descent if w.has_right_descent(k) else ascent) else ws
+                    f = descent if x.has_right_descent(k) else ascent
+                    p = LaurentPoly({rng.randint(-2, 2): rng.choice((-1, 2)), 3: 1})
+                    cancel = HeckeElement(n, {x: p, x.times_simple(k): -f(p)})
+                    assert x.omega and w in paired.coeffs and ws in paired.coeffs
+                    for h in (a, paired, cancel, paired + cancel):
+                        got = getattr(h, name)(k)
+                        assert got == term_by_term_step(h, k, descent, ascent)
+                        assert all(q.coeffs for q in got.coeffs.values())
+                    assert x not in getattr(cancel, name)(k).coeffs
+
+
+def test_mul_by_b_simple_is_one_step(monkeypatch):
+    steps = []
+    step = HeckeElement.times_b_simple
+    monkeypatch.setattr(HeckeElement, "times_b_simple", lambda h, k: steps.append(k) or step(h, k))
+    rng = random.Random(47)
+    one, v, v_inv = LaurentPoly.one(), LaurentPoly.v(1), LaurentPoly.v(-1)
+    for n in (2, 3, 4, 5):
+        e = ExtendedWeylElement.identity(n)
+        om = ExtendedWeylElement.rotation(n, 1)
+        for k in range(n):
+            s = ExtendedWeylElement.simple(n, k)
+            bs = b_simple(n, k)
+            look_alikes = (
+                HeckeElement(n, {s: one, e: v_inv}),
+                bs.scale(LaurentPoly({0: 2})),
+                HeckeElement(n, {om * s: one, e: v}),
+                HeckeElement(n, {s: v, e: one}),
+                bs + HeckeElement.std(s.times_simple((k + 1) % n)),
+            )
+            for _ in range(3):
+                h = random_element(rng, n)
+                steps.clear()
+                assert h * bs == general_product(h, bs)
+                assert steps == [k]
+                for b in look_alikes:
+                    steps.clear()
+                    assert h * b == general_product(h, b)
+                    assert steps == []
+            with pytest.raises(ValueError, match="mismatched n"):
+                random_element(rng, n) * b_simple(n + 1, k)
