@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polymat
+from .polymat import Matrix
 from .rings import RingElement, demazure, simple_root
 from .weyl import CACHE_SIZE, preferred_word
 
@@ -42,8 +43,9 @@ def rank(word):
 class Morphism:
     """A right-R-linear map BS(src) -> BS(tgt) with a homogeneous degree.
 
-    matrix[r][c] is the coefficient of target basis vector r on the image of
-    source basis vector c.
+    matrix is a polymat.Matrix of width rank(src): matrix[r].get(c) is the
+    coefficient of target basis vector r on the image of source basis
+    vector c, absent when it is 0.
     """
 
     __slots__ = ("n", "src", "tgt", "matrix", "degree")
@@ -52,13 +54,11 @@ class Morphism:
         self.n = n
         self.src = tuple(src)
         self.tgt = tuple(tgt)
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self.matrix = matrix
         if check:
             degs = set()
-            for r, row in enumerate(self.matrix):
-                for c, entry in enumerate(row):
-                    if entry.is_zero():
-                        continue
+            for r, row in enumerate(matrix):
+                for c, entry in row.items():
                     degs.add(
                         entry.degree()
                         + basis_degree(self.tgt, r)
@@ -140,12 +140,13 @@ class Morphism:
         return (
             isinstance(other, Morphism)
             and (self.n, self.src, self.tgt) == (other.n, other.src, other.tgt)
-            and polymat.mat_eq(self.matrix, other.matrix)
+            and self.matrix == other.matrix
         )
 
     def __str__(self):
         rows = [
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix
+            "[" + ", ".join(str(row.get(c, "0")) for c in range(self.matrix.width)) + "]"
+            for row in self.matrix
         ]
         return (
             f"Morphism {self.src} -> {self.tgt} (degree {self.degree})\n"
@@ -159,7 +160,8 @@ def left_mult_matrix(n, word, f):
     """Matrix of left multiplication by f on BS(word), by forcing rightward.
 
     word may be any sequence of letters; it is reduced mod n once and the
-    matrix, an immutable tuple of tuples, comes from the memo.
+    matrix, a polymat.Matrix whose rows are never mutated, comes from the
+    memo.
     """
     return _forced(n, tuple(k % n for k in word), f)
 
@@ -169,7 +171,7 @@ def _forced(n, word, f):
     """left_mult_matrix on a reduced tuple word: each suffix block is memoized
     too, so words sharing a tail share its blocks."""
     if not word:
-        return ((f,),)
+        return Matrix(n, 1, ({0: f} if f.terms else {},))
     i = word[0]
     rest = word[1:]
     x = xi(n, i)
@@ -211,20 +213,20 @@ def _whisker(n, left, core, right):
     """
     rl, rr = rank(left), rank(right)
     rows, cols = rank(core.tgt), rank(core.src)
-    zero = RingElement.zero(n)
-    out = [[zero] * (rl * cols * rr) for _ in range(rl * rows * rr)]
+    out = [{} for _ in range(rl * rows * rr)]
     for r, row in enumerate(core.matrix):
-        for c, f in enumerate(row):
-            if not f.terms:
-                continue
+        for c, f in row.items():
             block = left_mult_matrix(n, right, f)
             for u in range(rl):
                 r0 = (u * rows + r) * rr
                 c0 = (u * cols + c) * rr
                 for k, brow in enumerate(block):
-                    out[r0 + k][c0:c0 + rr] = brow
+                    target = out[r0 + k]
+                    for cb, x in brow.items():
+                        target[c0 + cb] = x
+    matrix = Matrix(n, rl * cols * rr, out)
     return Morphism(
-        n, left + core.src + right, left + core.tgt + right, out, core.degree,
+        n, left + core.src + right, left + core.tgt + right, matrix, core.degree,
         check=False,
     )
 
@@ -232,39 +234,30 @@ def _whisker(n, left, core, right):
 def startdot_core(n, i):
     """R -> B_i, 1 |-> (1/2)(alpha (x) 1 + 1 (x) alpha): barbell square root."""
     i = i % n
-    alpha = simple_root(n, i)
-    return Morphism(n, (), (i,), ((alpha - xi(n, i),), (RingElement.one(n),)), 1)
+    # alpha_i - xi_i is -x_{i+1}, or d - x_1 for i = 0: never 0
+    cells = ({0: simple_root(n, i) - xi(n, i)}, {0: RingElement.one(n)})
+    return Morphism(n, (), (i,), Matrix(n, 1, cells), 1)
 
 
 def enddot_core(n, i):
     """B_i -> R, f (x) g |-> fg."""
     i = i % n
-    return Morphism(n, (i,), (), ((RingElement.one(n), xi(n, i)),), 1)
+    return Morphism(n, (i,), (), Matrix(n, 2, ({0: RingElement.one(n), 1: xi(n, i)},)), 1)
 
 
 def merge_core(n, i):
     """B_i B_i -> B_i, f (x) g (x) h |-> f d_i(g) (x) h."""
     i = i % n
-    z = RingElement.zero(n)
     one = RingElement.one(n)
     # columns in mask order 00, 01, 10, 11 (bit 0 = second letter)
-    return Morphism(
-        n, (i, i), (i,),
-        ((z, one, z, z), (z, z, z, one)),
-        -1,
-    )
+    return Morphism(n, (i, i), (i,), Matrix(n, 4, ({1: one}, {3: one})), -1)
 
 
 def split_core(n, i):
     """B_i -> B_i B_i, f (x) g |-> f (x) 1 (x) g."""
     i = i % n
-    z = RingElement.zero(n)
     one = RingElement.one(n)
-    return Morphism(
-        n, (i,), (i, i),
-        ((one, z), (z, z), (z, one), (z, z)),
-        -1,
-    )
+    return Morphism(n, (i,), (i, i), Matrix(n, 2, ({0: one}, {}, {1: one}, {})), -1)
 
 
 def crossing_core(n, i, j):
@@ -272,15 +265,9 @@ def crossing_core(n, i, j):
     i, j = i % n, j % n
     if (j - i) % n in (1, n - 1) or i == j:
         raise ValueError(f"colors {i},{j} are not distant")
-    z = RingElement.zero(n)
     one = RingElement.one(n)
-    rows = []
-    for r in range(4):
-        row = [z] * 4
-        swapped = ((r & 1) << 1) | (r >> 1)
-        row[swapped] = one
-        rows.append(tuple(row))
-    return Morphism(n, (i, j), (j, i), rows, 0)
+    rows = tuple({((r & 1) << 1) | (r >> 1): one} for r in range(4))
+    return Morphism(n, (i, j), (j, i), Matrix(n, 4, rows), 0)
 
 
 def identity_word(n, word):
@@ -426,8 +413,5 @@ def is_bimodule_map(mor):
 
 
 def subs_delta_zero(mor):
-    return Morphism(
-        mor.n, mor.src, mor.tgt,
-        tuple(tuple(x.subs_delta_zero() for x in row) for row in mor.matrix),
-        mor.degree, check=False,
-    )
+    matrix = polymat.mat_map(mor.matrix, RingElement.subs_delta_zero)
+    return Morphism(mor.n, mor.src, mor.tgt, matrix, mor.degree, check=False)

@@ -18,7 +18,8 @@ import heapq
 from dataclasses import dataclass
 
 from . import bimod, polymat
-from .rings import RingElement, divide_by_delta, parse_ring_element
+from .polymat import Matrix
+from .rings import divide_by_delta, parse_ring_element
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,10 @@ class MatrixArithmetic:
         return polymat.mat_is_zero(f)
 
     def equal(self, f, g):
-        return polymat.mat_eq(f, g)
+        return f == g
 
     def divide_delta(self, f):
-        return tuple(tuple(divide_by_delta(x) for x in row) for row in f)
+        return polymat.mat_map(f, divide_by_delta)
 
     def is_isomorphism(self, f, src, tgt):
         rows, cols = polymat.mat_shape(f)
@@ -81,7 +82,11 @@ class MatrixArithmetic:
 
     def tensor(self, f, g):
         """The Kronecker product: block (r, c) is g scaled by f[r][c]."""
-        return polymat.mat_blocks([[polymat.mat_scale(g, x) for x in row] for row in f])
+        zero = polymat.mat_zero(self.n, len(g), g.width)
+        return polymat.mat_blocks([
+            [polymat.mat_scale(g, row[c]) if c in row else zero for c in range(f.width)]
+            for row in f
+        ])
 
     def tensor_label(self, a, b):
         return self.rank(a) * self.rank(b)
@@ -208,9 +213,7 @@ class BimoduleArithmetic:
         return f == g
 
     def divide_delta(self, f):
-        matrix = tuple(
-            tuple(divide_by_delta(x) for x in row) for row in f.matrix
-        )
+        matrix = polymat.mat_map(f.matrix, divide_by_delta)
         deg = None if f.degree is None else f.degree - 2
         return bimod.Morphism(f.n, f.src, f.tgt, matrix, deg, check=False)
 
@@ -233,21 +236,31 @@ class BimoduleArithmetic:
         return tuple(a) + tuple(b)
 
     def encode(self, f):
+        """The dense JSON form: every cell's text, "0" where none is stored."""
+        width = range(f.matrix.width)
         return {
             "src": list(f.src),
             "tgt": list(f.tgt),
-            "matrix": [[str(x) for x in row] for row in f.matrix],
+            "matrix": [[str(row[c]) if c in row else "0" for c in width] for row in f.matrix],
         }
 
     def decode(self, data):
-        zero = RingElement.zero(self.n)  # most cells are the literal "0"
-        matrix = tuple(
-            tuple(zero if x == "0" else parse_ring_element(self.n, x) for x in row)
-            for row in data["matrix"]
-        )
-        return bimod.Morphism(
-            self.n, tuple(data["src"]), tuple(data["tgt"]), matrix
-        )
+        """The morphism of encode's form; a cell whose text is 0 (the literal
+        "0", unparsed, or any text that parses to 0) is not stored."""
+        src, tgt, cells = tuple(data["src"]), tuple(data["tgt"]), data["matrix"]
+        height, width = bimod.rank(tgt), bimod.rank(src)
+        if len(cells) != height or any(len(row) != width for row in cells):
+            raise ValueError(f"a morphism {src} -> {tgt} has a {height} x {width} matrix")
+        rows = []
+        for row in cells:
+            out = {}
+            for c, text in enumerate(row):
+                if text != "0":
+                    x = parse_ring_element(self.n, text)
+                    if x.terms:
+                        out[c] = x
+            rows.append(out)
+        return bimod.Morphism(self.n, src, tgt, Matrix(self.n, width, rows))
 
     def encode_label(self, label):
         return list(label)

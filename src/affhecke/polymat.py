@@ -1,8 +1,9 @@
-"""Dense matrices over RingElement: exact products, block assembly,
+"""Sparse matrices over RingElement: exact products, block assembly,
 determinants, inverses.
 
-Matrices are tuples of tuples of RingElement, all sharing the same n.  Used
-by the bimodule model and by the matrix backend of the pseudocomplex engine.
+A matrix is a `Matrix`: a tuple of row dicts {column: RingElement} that hold
+the nonzero cells only, with the ring's n and the exact width.  Used by the
+bimodule model and by the matrix backend of the pseudocomplex engine.
 Determinants and inverses come from one fraction-free Gauss-Jordan
 elimination over R, so a matrix is inverted exactly when its determinant is
 a unit.  `echelon` with `back_substitute` serves the rational linear
@@ -12,37 +13,79 @@ systems: ranks, nullspaces and particular solutions.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 
 from .rings import RingElement, accumulate_product, exact_div, from_accumulated
 
 
+class Matrix(tuple):
+    """A tuple of sparse rows {column: RingElement} over Q[x_1..x_n, d]: no
+    row stores a zero cell or a column outside 0..width-1.  Rows are shared
+    between matrices and never mutated."""
+
+    def __new__(cls, n, width, rows):
+        m = tuple.__new__(cls, rows)
+        m.n = n
+        m.width = width
+        return m
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and (self.n, self.width) == (other.n, other.width)
+            and tuple.__eq__(self, other)
+        )
+
+    def __ne__(self, other):
+        return not self == other
+
+
 def mat_shape(m):
-    return len(m), len(m[0]) if m else 0
+    return len(m), m.width
 
 
 def mat_zero(n, rows, cols):
-    z = RingElement.zero(n)
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
+    return Matrix(n, cols, ({},) * rows)
 
 
 def mat_identity(n, size):
     one = RingElement.one(n)
-    z = RingElement.zero(n)
-    return tuple(
-        tuple(one if r == c else z for c in range(size)) for r in range(size)
-    )
+    return Matrix(n, size, tuple({r: one} for r in range(size)))
 
 
 def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    rows = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for c, y in rb.items():
+            x = row.pop(c, None)
+            x = y if x is None else x + y
+            if x.terms:
+                row[c] = x
+        rows.append(row)
+    return Matrix(a.n, a.width, rows)
+
+
+def mat_map(a, f):
+    """The matrix of f(x) over the stored cells x of a; a cell that f sends
+    to 0 is not stored."""
+    rows = []
+    for row in a:
+        out = {}
+        for c, x in row.items():
+            x = f(x)
+            if x.terms:
+                out[c] = x
+        rows.append(out)
+    return Matrix(a.n, a.width, rows)
 
 
 def mat_neg(a):
-    return tuple(tuple(-x for x in ra) for ra in a)
+    return mat_map(a, neg)
 
 
 def mat_scale(a, f):
-    return tuple(tuple(x * f for x in ra) for ra in a)
+    return mat_map(a, lambda x: x * f)
 
 
 def mat_blocks(grid):
@@ -50,11 +93,19 @@ def mat_blocks(grid):
 
     Blocks in one grid row share a height, blocks in one grid column a width.
     """
-    return tuple(
-        tuple(x for row in rows for x in row)
-        for blocks in grid
-        for rows in zip(*blocks)
-    )
+    offsets, width = [], 0
+    for block in grid[0]:
+        offsets.append(width)
+        width += block.width
+    rows = []
+    for blocks in grid:
+        for r in range(len(blocks[0])):
+            row = {}
+            for offset, block in zip(offsets, blocks):
+                for c, x in block[r].items():
+                    row[offset + c] = x
+            rows.append(row)
+    return Matrix(grid[0][0].n, width, rows)
 
 
 def mat_mul(a, b):
@@ -64,62 +115,63 @@ def mat_mul(a, b):
 
 def mat_mul_sum(pairs):
     """Exact sum of the products a . b over a nonempty sequence of pairs: the
-    one product kernel, accumulating each output cell once over every pair and
-    visiting only nonzero entries.  Middle dimensions may differ per pair."""
-    cols = mat_shape(pairs[0][1])[1]
+    one product kernel.  Each output cell is accumulated once over every
+    pair, walking the stored cells of a and, for each, the stored row of b
+    it selects; cells that cancel are not stored.  Middle dimensions may
+    differ per pair."""
+    first = pairs[0][1]
     cells = [{} for _ in pairs[0][0]]
     for a, b in pairs:
-        mid = len(a[0]) if a else 0
-        if len(a) != len(cells) or mid == 0 or len(b) != mid or len(b[0]) != cols:
+        if len(a) != len(cells) or not a.width or len(b) != a.width or b.width != first.width:
             raise ValueError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
-        b_rows = [[(c, y) for c, y in enumerate(row) if y.terms] for row in b]
         for row_cells, row in zip(cells, a):
-            for k, x in enumerate(row):
-                if not x.terms:
-                    continue
-                for c, y in b_rows[k]:
-                    accumulate_product(row_cells.setdefault(c, {}), x, y)
-    n = a[0][0].n
-    zero = RingElement.zero(n)
-    out = []
+            for k, x in row.items():
+                for c, y in b[k].items():
+                    acc = row_cells.get(c)
+                    if acc is None:
+                        acc = row_cells[c] = {}
+                    accumulate_product(acc, x, y)
+    rows = []
     for row_cells in cells:
-        out_row = [zero] * cols
+        row = {}
         for c, acc in row_cells.items():
-            out_row[c] = from_accumulated(n, acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+            x = from_accumulated(first.n, acc)
+            if x.terms:
+                row[c] = x
+        rows.append(row)
+    return Matrix(first.n, first.width, rows)
 
 
 def mat_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
-def mat_eq(a, b):
-    return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
+    return not any(a)
 
 
 def _gauss_jordan(a, inverse):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of a, or of [a | I]
     when `inverse` is set; returns (det a, det a . a^-1), or (0, None).
 
-    At pivot p in column k, each other row becomes (p row - row[k] row_k) / q
-    with q the previous pivot, so entries are minors and divisions exact.  A
-    row swap negates one of the two rows, so the last pivot is det a.
+    The elimination runs on a dense working copy.  At pivot p in column k,
+    each other row becomes (p row - row[k] row_k) / q with q the previous
+    pivot, so entries are minors and divisions exact.  A row swap negates
+    one of the two rows, so the last pivot is det a.
     """
     size, cols = mat_shape(a)
     if size != cols:
         raise ValueError(f"non-square matrix {size} x {cols}")
-    n = a[0][0].n if a else 0
-    right = mat_identity(n, size) if inverse else [()] * size
-    m = [list(row) + list(extra) for row, extra in zip(a, right)]
+    n = a.n
     prev = one = RingElement.one(n)
+    zero = RingElement.zero(n)
+    m = []
+    for r, row in enumerate(a):
+        dense = [row.get(c, zero) for c in range(size)]
+        if inverse:
+            dense += [one if c == r else zero for c in range(size)]
+        m.append(dense)
     for k in range(size):
         if m[k][k].is_zero():
             pivot = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
             if pivot is None:
-                return RingElement.zero(n), None
+                return zero, None
             m[k], m[pivot] = m[pivot], [-x for x in m[k]]
         row_k = m[k]
         p = row_k[k]
@@ -202,4 +254,5 @@ def mat_invert(a):
     if not det.is_unit():
         raise ArithmeticError("matrix is not invertible over the ring")
     scale = Fraction(1, det.constant_coefficient())
-    return tuple(tuple(x * scale for x in row) for row in block)
+    cells = ({c: x for c, x in enumerate(row) if x.terms} for row in block)
+    return mat_scale(Matrix(a.n, cols, cells), scale)

@@ -8,7 +8,7 @@ import random
 from . import RefusedInput, homalg
 from .bimod import distant
 from .homalg import MatrixArithmetic, Pseudocomplex, Summand, add_entries
-from .polymat import mat_invert, mat_mul, mat_scale
+from .polymat import Matrix, mat_identity, mat_invert, mat_mul, mat_scale
 from .rings import RingElement
 from .weyl import (
     ExtendedWeylElement,
@@ -139,11 +139,13 @@ def rewrite_cases(n):
 
 
 def _random_matrix(rng, rows, cols, scale):
-    """A rows x cols matrix over Q of integers drawn from [-scale, scale]."""
-    return tuple(
-        tuple(RingElement(0, {(0,): rng.randint(-scale, scale)}) for _ in range(cols))
-        for _ in range(rows)
-    )
+    """A rows x cols matrix over Q of integers drawn from [-scale, scale],
+    row by row."""
+    cells = []
+    for _ in range(rows):
+        drawn = (rng.randint(-scale, scale) for _ in range(cols))
+        cells.append({c: RingElement.constant(0, x) for c, x in enumerate(drawn) if x})
+    return Matrix(0, cols, cells)
 
 
 def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2)):
@@ -174,22 +176,26 @@ def random_pseudocomplex(rng, max_rank=3, degrees=(0, 1, 2)):
     for k in degrees:
         if k + 1 not in ranks:
             continue
-        rows, cols = ranks[k + 1], ranks[k]
-        mat = [[const(0, 0)] * cols for _ in range(rows)]
+        cells = [{} for _ in range(ranks[k + 1])]
         for (deg, col, row, scalar) in pieces:
             if deg == k:
-                mat[row][col] = scalar
-        base[k] = mat
+                cells[row][col] = scalar
+        base[k] = Matrix(0, ranks[k], cells)
     # random invertible change of basis per degree (unitriangular times perm)
     changes = {}
     for k, r in ranks.items():
-        mat = [[const(0, int(i == j)) for j in range(r)] for i in range(r)]
+        cells = [{i: const(0, 1)} for i in range(r)]
         for i in range(r):
             for j in range(i + 1, r):
-                mat[i][j] = const(0, rng.randint(-2, 2))
+                x = rng.randint(-2, 2)
+                if x:
+                    cells[i][j] = const(0, x)
         perm = list(range(r))
         rng.shuffle(perm)
-        changes[k] = [[mat[i][perm[j]] for j in range(r)] for i in range(r)]
+        # column j of the change is column perm[j] of the unitriangular matrix
+        column = {old: j for j, old in enumerate(perm)}
+        rows = tuple({column[c]: x for c, x in row.items()} for row in cells)
+        changes[k] = Matrix(0, r, rows)
     summands = [Summand(k, ranks[k], 0, k) for k in degrees]
     diff = {
         (k, k + 1): mat_mul(mat_mul(changes[k + 1], mat), mat_invert(changes[k]))
@@ -262,10 +268,9 @@ def simultaneous_vs_iterated_case(rng):
         summands.append(Summand(sid, 1, 0, 1))
         fp_ids.append(sid)
         sid += 1
-    one = RingElement.one(0)
     diff = {(0, c_id): _random_matrix(rng, 2, 2, 2)}
     for j in range(m):
-        diff[(f_ids[j], fp_ids[j])] = ((one,),)
+        diff[(f_ids[j], fp_ids[j])] = mat_identity(0, 1)
         diff[(0, fp_ids[j])] = _random_matrix(rng, 1, 2, 2)
         diff[(f_ids[j], c_id)] = _random_matrix(rng, 2, 1, 2)
     diff = {k: v for k, v in diff.items() if not ar.is_zero(v)}
@@ -284,19 +289,14 @@ def simultaneous_vs_iterated_case(rng):
 def pitfall_case():
     """The classic invalid iterated elimination must be refused."""
     ar = MatrixArithmetic(0)
-    one = RingElement.one(0)
     summands = [
         Summand(0, 1, 0, 0),
         Summand(1, 1, 0, 0),
         Summand(2, 1, 0, 1),
         Summand(3, 1, 0, 1),
     ]
-    diff = {
-        (0, 2): ((one,),),
-        (0, 3): ((one,),),
-        (1, 2): ((one,),),
-        (1, 3): ((one,),),
-    }
+    one = mat_identity(0, 1)
+    diff = {(0, 2): one, (0, 3): one, (1, 2): one, (1, 3): one}
     p = Pseudocomplex(ar, summands, diff)
     p.monodromy()
     try:

@@ -20,6 +20,7 @@ from . import bimod, homalg, polymat
 from .bimod import Morphism, basis_degree, rank
 from .complexes import build_F
 from .homalg import BimoduleArithmetic, add_entries, compose_entries, one_term_complex
+from .polymat import Matrix
 from .rings import RingElement
 
 
@@ -128,7 +129,7 @@ def _coordinates(entries, tag):
         (tag, a, b, r, c, mono): coeff
         for (a, b), mor in entries.items()
         for r, row in enumerate(mor.matrix)
-        for c, x in enumerate(row)
+        for c, x in row.items()
         for mono, coeff in x.subs_delta_zero().terms.items()
     }
 
@@ -177,12 +178,11 @@ class HomotopyProblem:
         """{coordinate: {unknown: coefficient}} of the images of the unknowns;
         images(key, mor) gives the coordinates of one elementary morphism."""
         rows = {}
-        zero = RingElement.zero(self.n)
         for v, (a, b, row, col, mono) in enumerate(self.unknowns):
             src, tgt = self._words(a, b)
-            matrix = [[zero] * rank(src) for _ in range(rank(tgt))]
-            matrix[row][col] = RingElement(self.n, {mono: 1})
-            mor = Morphism(self.n, src, tgt, matrix, check=False)
+            cells = [{}] * rank(tgt)
+            cells[row] = {col: RingElement(self.n, {mono: 1})}
+            mor = Morphism(self.n, src, tgt, Matrix(self.n, rank(src), cells), check=False)
             for coord, coeff in images((a, b), mor).items():
                 rows.setdefault(coord, {})[v] = coeff
         return rows
@@ -242,17 +242,17 @@ class HomotopyProblem:
 
     def solution_to_entries(self, solution):
         """The candidate with these coordinates, as its nonzero entries."""
-        cells = {}
+        terms = {}
         for (a, b, row, col, mono), value in zip(self.unknowns, solution):
             if value:
-                cells.setdefault((a, b), {}).setdefault((row, col), {})[mono] = value
+                terms.setdefault((a, b), {}).setdefault((row, col), {})[mono] = value
         out = {}
-        for (a, b), terms in cells.items():
+        for (a, b), cells in terms.items():
             src, tgt = self._words(a, b)
-            matrix = [
-                [RingElement(self.n, terms.get((r, c))) for c in range(rank(src))]
-                for r in range(rank(tgt))
-            ]
+            rows = [{} for _ in range(rank(tgt))]
+            for (row, col), cell in cells.items():
+                rows[row][col] = RingElement(self.n, cell)
+            matrix = Matrix(self.n, rank(src), rows)
             out[(a, b)] = Morphism(self.n, src, tgt, matrix, check=False)
         return out
 

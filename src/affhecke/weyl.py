@@ -18,7 +18,8 @@ DEFAULT_LENGTH_CAP = 14
 
 # slots of every memo.  Each holds its working set for n <= 8 in one
 # process: bimod.eps_sign about 1 760 pairs, the per-word memos 505 words,
-# the forced blocks of the exact checks at n = 2..7 about 2 200,
+# the forced blocks (sparse matrices) of the exact checks about 2 200 at
+# n = 2..7 and 3 200 at n = 8 alone (n = 2..8 in turn evict at n = 8),
 # hecke._kl_basis about 390 elements, hecke._stepped_by_b 500 prefixes,
 # hecke.term_key about 1 900 elements and rings._laurent_text 93 texts in a
 # hecke-kl benchmark pass, and _tau_components at most 2^n - 1 subsets per n.

@@ -2,11 +2,35 @@
 invertibility tests: the Gram matrix of the intersection form and the matrix
 of the Dynkin flip sigma, each in the mask basis of bimod; and the adjoint
 under the intersection form, the oracle of the duality tests.  Also the
-terms of a ring element under exponent tuples, read by the ring tests."""
+terms of a ring element under exponent tuples, read by the ring tests, and
+the two conversions between a sparse polymat.Matrix and the dense tuple of
+tuples that the cellwise oracles read and write."""
 
 from affhecke import polymat
 from affhecke.bimod import Morphism, left_mult_matrix, rank, xi
+from affhecke.polymat import Matrix
 from affhecke.rings import RingElement, _unpack, demazure
+
+
+def dense(m):
+    """The cells of a sparse matrix as a tuple of tuples, 0 where none is
+    stored; a morphism's matrix is read through it."""
+    zero = RingElement.zero(m.n)
+    return tuple(tuple(row.get(c, zero) for c in range(m.width)) for row in m)
+
+
+def sparse(rows):
+    """The sparse matrix of a nonempty dense grid of RingElements."""
+    return Matrix(
+        rows[0][0].n, len(rows[0]),
+        tuple({c: x for c, x in enumerate(row) if x.terms} for row in rows),
+    )
+
+
+def stores_no_zero(m):
+    """The sparse invariant: each stored cell is nonzero and lies inside the
+    width."""
+    return all(x.terms and 0 <= c < m.width for row in m for c, x in row.items())
 
 
 def exponents(f):
@@ -50,8 +74,8 @@ def gram_matrix(n, word):
                     g = g * xi(n, i)
                 acc = demazure(i, acc * g)
             row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return sparse(rows)
 
 
 def adjoint(mor):
@@ -61,7 +85,7 @@ def adjoint(mor):
     distant crossing (up to relabeling of endpoints).
     """
     n = mor.n
-    transpose = tuple(zip(*mor.matrix))
+    transpose = sparse(tuple(zip(*dense(mor.matrix))))
     m = polymat.mat_mul(
         polymat.mat_invert(gram_matrix(n, mor.src)),
         polymat.mat_mul(transpose, gram_matrix(n, mor.tgt)),
@@ -78,7 +102,7 @@ def sigma_basis_change(n, word):
     """
     word = tuple(k % n for k in word)
     if not word:
-        return ((RingElement.one(n),),)
+        return polymat.mat_identity(n, 1)
     i = word[0]
     corr = xi(n, (-i) % n) - act_sigma(xi(n, i))
     rest = word[1:]

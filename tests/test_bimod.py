@@ -37,6 +37,8 @@ from affhecke.bimod import (
 )
 from affhecke.complexes import build_F
 from affhecke.hecke import kl_basis
+from affhecke.homalg import BimoduleArithmetic
+from affhecke.polymat import Matrix
 from affhecke.rings import (
     RingElement,
     accumulate_product,
@@ -46,7 +48,7 @@ from affhecke.rings import (
 )
 from affhecke.suites import proper_subsets
 from affhecke.weyl import longest_element, preferred_word
-from bimodule_bases import adjoint, gram_matrix
+from bimodule_bases import adjoint, dense, gram_matrix, sparse, stores_no_zero
 
 
 def rand_poly(rng, n, deg=2):
@@ -109,12 +111,13 @@ def test_barbell_and_broken():
         for i in range(n):
             sd, ed = startdot_core(n, i), enddot_core(n, i)
             barbell = ed.compose(sd)
-            assert barbell.matrix[0][0] == simple_root(n, i)
+            assert dense(barbell.matrix)[0][0] == simple_root(n, i)
             # d^2 from R(-1) to R(1) at n=2 is delta
             if n == 2:
                 total = RingElement.zero(2)
                 for j in range(2):
-                    total = total + enddot_core(2, j).compose(startdot_core(2, j)).matrix[0][0]
+                    barbell = enddot_core(2, j).compose(startdot_core(2, j))
+                    total = total + dense(barbell.matrix)[0][0]
                 assert total == RingElement.delta(2)
 
 
@@ -147,7 +150,7 @@ def test_invariant_commutators_vanish(n):
             [rand_poly(rng, n, deg=1) for _ in range(2 ** len(src))]
             for _ in range(2 ** len(tgt))
         ]
-        mor = Morphism(n, src, tgt, matrix, check=False)
+        mor = Morphism(n, src, tgt, sparse(matrix), check=False)
         assert left_commutator(mor, RingElement.delta(n)).is_zero()
         total = left_commutator(mor, RingElement.x(n, n))
         for i in range(1, n):
@@ -160,7 +163,7 @@ def test_perturbed_generator_is_not_a_bimodule_map():
         for i in range(n):
             for core in (startdot_core, enddot_core, merge_core, split_core):
                 mor = core(n, i)
-                matrix = [list(row) for row in mor.matrix]
+                matrix = [list(row) for row in dense(mor.matrix)]
                 r, c = next(
                     (r, c)
                     for r, row in enumerate(matrix)
@@ -168,7 +171,7 @@ def test_perturbed_generator_is_not_a_bimodule_map():
                     if not entry.is_zero()
                 )
                 matrix[r][c] = matrix[r][c] * RingElement.x(n, 1)
-                perturbed = Morphism(n, mor.src, mor.tgt, matrix, check=False)
+                perturbed = Morphism(n, mor.src, mor.tgt, sparse(matrix), check=False)
                 assert not is_bimodule_map(perturbed), (core.__name__, n, i)
 
 
@@ -382,7 +385,7 @@ def test_composition_endpoint_mismatch():
 
 def test_gram_and_adjoint_involution():
     n = 3
-    g = gram_matrix(n, (1, 2))
+    g = dense(gram_matrix(n, (1, 2)))
     assert g[0][3] == RingElement.one(n) or g[3][0] == RingElement.one(n)
     for mor in (startdot_core(n, 0), merge_core(n, 2), split_core(n, 1)):
         assert adjoint(adjoint(mor)) == mor
@@ -432,17 +435,17 @@ def test_left_mult_matrix_matches_uncached_forcing(n):
     words = [w for k in range(5) for w in itertools.product(range(n), repeat=k)]
     for idx, word in enumerate(words):
         f = fs[idx % len(fs)]
-        assert left_mult_matrix(n, word, f) == _left_mult_reference(n, word, f), (word, f)
+        assert dense(left_mult_matrix(n, word, f)) == _left_mult_reference(n, word, f), (word, f)
     for word in ((), (0,), tuple(range(n))[:4]):
         for f in fs:
-            assert left_mult_matrix(n, word, f) == _left_mult_reference(n, word, f)
+            assert dense(left_mult_matrix(n, word, f)) == _left_mult_reference(n, word, f)
 
 
 def test_left_mult_matrix_repeat_and_list_word():
     n = 4
     f = rand_poly(random.Random(7), n) + RingElement.x(n, 2)
     first = left_mult_matrix(n, (1, 0, 3), f)
-    assert isinstance(first, tuple) and all(isinstance(row, tuple) for row in first)
+    assert isinstance(first, Matrix) and all(isinstance(row, dict) for row in first)
     assert left_mult_matrix(n, (1, 0, 3), f) == first
     assert left_mult_matrix(n, [1, 0, 3], f) == first
     # letters are read mod n
@@ -455,13 +458,13 @@ def _tensor_reference(a, b):
     accumulated per target cell."""
     n = a.n
     rb_s, rb_t = bimod.rank(b.src), bimod.rank(b.tgt)
-    b_rows = [[(cb, y) for cb, y in enumerate(row) if y.terms] for row in b.matrix]
+    b_rows = [[(cb, y) for cb, y in enumerate(row) if y.terms] for row in dense(b.matrix)]
     cells = {}
-    for ra, rowa in enumerate(a.matrix):
+    for ra, rowa in enumerate(dense(a.matrix)):
         for ca, f in enumerate(rowa):
             if f.is_zero():
                 continue
-            for rb, lf_row in enumerate(left_mult_matrix(n, b.tgt, f)):
+            for rb, lf_row in enumerate(dense(left_mult_matrix(n, b.tgt, f))):
                 for mid, coeff in enumerate(lf_row):
                     if not coeff.terms:
                         continue
@@ -477,7 +480,7 @@ def _tensor_reference(a, b):
     deg = None
     if a.degree is not None and b.degree is not None:
         deg = a.degree + b.degree
-    return Morphism(n, a.src + b.src, a.tgt + b.tgt, out, deg, check=False)
+    return Morphism(n, a.src + b.src, a.tgt + b.tgt, sparse(out), deg, check=False)
 
 
 def _random_morphism(rng, n):
@@ -494,7 +497,7 @@ def _random_morphism(rng, n):
         for _ in range(bimod.rank(tgt))
     ]
     degree = rng.choice((None, -2, 0, 1, 3))
-    return Morphism(n, src, tgt, matrix, degree, check=False)
+    return Morphism(n, src, tgt, sparse(matrix), degree, check=False)
 
 
 def _whisker_reference(n, word, p, core, width):
@@ -579,3 +582,51 @@ def test_every_cache_is_bounded():
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.currsize <= info.maxsize, name
+
+def test_cancelling_morphism_operations_store_no_zero_cell():
+    # every operation that can cancel drops the cell instead of storing 0
+    n = 3
+    ar = BimoduleArithmetic(n)
+    delta = RingElement.delta(n)
+    rng = random.Random(37)
+    for i in range(n):
+        dot = startdot_core(n, i)
+        mor = _random_morphism(rng, n)
+        cancelled = [mor + (-mor), mor - mor, mor.scale(0), mor.scale(RingElement.zero(n))]
+        # [1, -(alpha_i - xi_i)] after the startdot: the two paths cancel
+        alpha = dense(dot.matrix)[0][0]
+        undo = Morphism(n, (i,), (), sparse(((RingElement.one(n), -alpha),)), check=False)
+        cancelled.append(undo.compose(dot))
+        # identity times delta vanishes at delta = 0
+        word = tuple(rng.randrange(n) for _ in range(2))
+        cancelled.append(bimod.subs_delta_zero(Morphism.identity(n, word).scale(delta)))
+        for m in cancelled:
+            assert stores_no_zero(m.matrix) and m.is_zero()
+        divided = ar.divide_delta(mor.scale(delta))
+        for m in (mor + mor, mor.scale(delta), bimod.subs_delta_zero(mor), divided):
+            assert stores_no_zero(m.matrix)
+        assert ar.divide_delta(mor.scale(delta)) == mor
+    for mu in build_F(3, "bimodule").monodromy().entries.values():
+        assert stores_no_zero(mu.matrix) and not mu.is_zero()
+
+
+def test_decoded_cells_that_parse_to_zero_are_not_stored():
+    # "x1 - x1" and "0*x1" parse to 0, like the literal "0"
+    n = 3
+    ar = BimoduleArithmetic(n)
+    mor = startdot(n, (1,), 0, 2)
+    data = ar.encode(mor)
+    assert ar.decode(data) == mor
+    zeros = 0
+    for row in data["matrix"]:
+        for c, text in enumerate(row):
+            if text == "0":
+                row[c] = ("x1 - x1", "0*x1")[zeros % 2]
+                zeros += 1
+    assert zeros >= 2
+    decoded = ar.decode(data)
+    assert stores_no_zero(decoded.matrix)
+    assert decoded == mor and decoded.degree == mor.degree
+    # encode writes the dense text back: "0" for every absent cell
+    assert ar.encode(decoded) == ar.encode(mor)
+    assert sum(text == "0" for row in ar.encode(decoded)["matrix"] for text in row) == zeros

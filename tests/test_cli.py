@@ -565,3 +565,40 @@ def test_check_file_rejects_tampered_file(tmp_path, f3_files, backend, tamper, l
     result = run_cli("check-file", str(out))
     assert result.returncode == 1
     assert result.stdout == line + "\n"
+
+
+def test_check_file_cells_that_parse_to_zero_are_zero_cells(tmp_path, f3_files):
+    # "x1 - x1" and "0*x1" parse to 0: the loaded matrices store no cell for
+    # them, and the verdict is the one of the file with "0"
+    data = json.loads(json.dumps(f3_files["bimodule"]))
+    zeros = 0
+    for entry in data["diff"]:
+        for row in entry["morphism"]["matrix"]:
+            for c, text in enumerate(row):
+                if text == "0":
+                    row[c] = ("x1 - x1", "0*x1")[zeros % 2]
+                    zeros += 1
+    assert zeros >= 40
+    plain, rewritten = tmp_path / "plain.json", tmp_path / "rewritten.json"
+    plain.write_text(json.dumps(f3_files["bimodule"]))
+    rewritten.write_text(json.dumps(data))
+    expected = run_cli("check-file", str(plain))
+    result = run_cli("check-file", str(rewritten))
+    assert expected.returncode == 0
+    assert (result.returncode, result.stdout) == (expected.returncode, expected.stdout)
+
+
+def test_check_file_matrix_of_the_wrong_shape_is_a_verdict(tmp_path, f3_files):
+    data = json.loads(json.dumps(f3_files["bimodule"]))
+    morphism = data["diff"][0]["morphism"]
+    morphism["matrix"][0].append("0")
+    out = tmp_path / "f3.json"
+    out.write_text(json.dumps(data))
+    result = run_cli("check-file", str(out))
+    assert result.returncode == 1
+    src, tgt = tuple(morphism["src"]), tuple(morphism["tgt"])
+    assert result.stdout == (
+        f"FAIL: ValueError: a morphism {src} -> {tgt} has a "
+        f"{2 ** len(tgt)} x {2 ** len(src)} matrix\n"
+    )
+    assert result.stderr == ""

@@ -38,7 +38,7 @@ from affhecke.suites import (
     simultaneous_vs_iterated_case,
     tensor_monodromy_case,
 )
-from bimodule_bases import gram_matrix
+from bimodule_bases import dense, gram_matrix, sparse, stores_no_zero
 
 
 def _kronecker_reference(f, g):
@@ -71,7 +71,9 @@ def test_matrix_tensor_is_the_kronecker_product():
             tuple(tuple(entry(n) for _ in range(cols)) for _ in range(rows))
             for rows, cols in [(rng.randint(1, 3), rng.randint(1, 3)) for _ in "fg"]
         )
-        assert ar.tensor(f, g) == _kronecker_reference(f, g)
+        product = ar.tensor(sparse(f), sparse(g))
+        assert dense(product) == _kronecker_reference(f, g)
+        assert stores_no_zero(product)
 
 
 def test_two_term_identity_eliminates_to_zero():
@@ -80,7 +82,7 @@ def test_two_term_identity_eliminates_to_zero():
     p = Pseudocomplex(
         ar,
         [Summand(0, 1, 0, 0), Summand(1, 1, 0, 1)],
-        {(0, 1): ((one,),)},
+        {(0, 1): sparse(((one,),))},
     )
     q, alpha, beta, h = p.gaussian_eliminate((0, 1))
     assert not q.summands
@@ -95,7 +97,7 @@ def test_ge_on_a_complex_with_survivors():
     ar = MatrixArithmetic(0)
 
     def q(*coeffs):
-        return ((RingElement(0, {(e,): c for e, c in enumerate(coeffs)}),),)
+        return sparse(((RingElement(0, {(e,): c for e, c in enumerate(coeffs)}),),))
 
     A, B, C, D, E = range(5)
     summands = [Summand(A, 1, 0, 0), Summand(B, 1, 0, 0), Summand(C, 1, 0, 1),
@@ -127,7 +129,7 @@ def test_elimination_of_a_non_graded_invertible_entry():
     # degree is not nilpotent: is_isomorphism and invert must agree on it
     ar = MatrixArithmetic(0)
     one, d = RingElement.one(0), RingElement.delta(0)
-    phi = ((one + d * d, d), (d, one))
+    phi = sparse(((one + d * d, d), (d, one)))
     p = Pseudocomplex(ar, [Summand(0, 2, 0, 0), Summand(1, 2, 0, 1)], {(0, 1): phi})
     reduced, alpha, beta, homotopy = p.gaussian_eliminate((0, 1))
     assert not reduced.summands
@@ -161,16 +163,16 @@ def test_invert_fails_exactly_when_is_isomorphism_is_false():
 
     ar, rng = MatrixArithmetic(0), random.Random(35)
     one, d = RingElement.one(0), RingElement.delta(0)
-    matrices = [((one + d * d, d), (d, one)), ((one, d),), ((d,), (one,))]
+    matrices = [sparse(m) for m in (((one + d * d, d), (d, one)), ((one, d),), ((d,), (one,)))]
     for _ in range(300):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         if rng.random() < 0.5:
             cols = rows
-        matrices.append(tuple(
+        matrices.append(sparse(tuple(
             tuple(RingElement(0, {(0,): rng.randint(-2, 2), (1,): rng.choice((0, 0, 1, -1))})
                   for _ in range(cols))
             for _ in range(rows)
-        ))
+        )))
     outcomes = {}
     for m in matrices:
         rows, cols = polymat.mat_shape(m)
@@ -197,11 +199,11 @@ def test_each_pivot_is_decided_by_one_gauss_jordan_pass(monkeypatch):
     # decides and inverts each pivot with one pass of the kernel over [phi | I]
     ar = MatrixArithmetic(0)
     one, d, zero = RingElement.one(0), RingElement.delta(0), RingElement.zero(0)
-    phi = ((one + d * d, d), (d, one))
+    phi = sparse(((one + d * d, d), (d, one)))
     F1, F2, Fp1, Fp2 = range(4)
     summands = [Summand(F1, 2, 0, 0), Summand(F2, 2, 0, 0),
                 Summand(Fp1, 2, 0, 1), Summand(Fp2, 2, 0, 1)]
-    diff = {(F1, Fp1): phi, (F2, Fp2): phi, (F1, Fp2): ((d, zero), (zero, d))}
+    diff = {(F1, Fp1): phi, (F2, Fp2): phi, (F1, Fp2): sparse(((d, zero), (zero, d)))}
     p = Pseudocomplex(ar, summands, diff)
     passes = []
     kernel = polymat._gauss_jordan
@@ -278,7 +280,7 @@ def test_monodromy_error_names_entry():
     p = Pseudocomplex(
         ar,
         [Summand(0, 1, 0, 0), Summand(1, 1, 0, 1), Summand(2, 1, 0, 2)],
-        {(0, 1): ((one,),), (1, 2): ((one,),)},
+        {(0, 1): sparse(((one,),)), (1, 2): sparse(((one,),))},
     )
     with pytest.raises(ValueError, match="0->2"):
         p.monodromy()
@@ -618,7 +620,7 @@ def random_engine_entries(rng, backend):
             def entry():
                 return RingElement(0, {(rng.randint(0, 1),): rng.randint(-1, 1)})
 
-            return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+            return sparse(tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
     a_ids, b_ids, c_ids = range(0, 4), range(4, 8), range(8, 12)
     earlier = random_entries(rng, ranks, a_ids, b_ids, make)
     later = random_entries(rng, ranks, b_ids, c_ids, make)
@@ -768,7 +770,7 @@ def random_family(rng):
             a, b = rng.choices(range(-2, 3), k=2)
             return q(0, b) if scale_d else q(a, b)
 
-        return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+        return sparse(tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
 
     summands, ranks = [], {}
 
@@ -786,7 +788,7 @@ def random_family(rng):
     diff = {}
     for j in range(m):
         pivot = rng.choice((1, -1, 2, -3)) if rng.random() > 0.025 else 0
-        diff[(f_ids[j], fp_ids[j])] = ((q(pivot, 0 if pivot else 1),),)
+        diff[(f_ids[j], fp_ids[j])] = sparse(((q(pivot, 0 if pivot else 1),),))
     order = list(range(m))
     rng.shuffle(order)
     for a, j in enumerate(order):
@@ -803,7 +805,7 @@ def random_family(rng):
     pairs = list(zip(f_ids, fp_ids))
     if rng.random() < 0.5:
         g, gp = add(1), add(2)
-        diff[(g, gp)] = ((q(rng.choice((1, -1, 2))),),)
+        diff[(g, gp)] = sparse(((q(rng.choice((1, -1, 2))),),))
         for a in sources + f_ids:
             if rng.random() < 0.5:
                 diff[(a, g)] = mat(1, ranks[a], scale_d=True)
@@ -853,15 +855,15 @@ def test_simultaneous_eliminate_refuses_invertible_dependent_family():
     ar = MatrixArithmetic(0)
 
     def c(x):
-        return ((RingElement.constant(0, x),),)
+        return sparse(((RingElement.constant(0, x),),))
 
     F1, F2, Fp1, Fp2 = range(4)
     summands = [Summand(F1, 1, 0, 0), Summand(F2, 1, 0, 0),
                 Summand(Fp1, 1, 0, 1), Summand(Fp2, 1, 0, 1)]
     diff = {(F1, Fp1): c(1), (F2, Fp2): c(1), (F1, Fp2): c(1), (F2, Fp1): c(2)}
     p = Pseudocomplex(ar, summands, diff)
-    block = ((RingElement.one(0), RingElement.constant(0, 2)),
-             (RingElement.one(0), RingElement.one(0)))
+    block = sparse(((RingElement.one(0), RingElement.constant(0, 2)),
+                    (RingElement.one(0), RingElement.one(0))))
     assert ar.is_isomorphism(block, None, None)
     message = "family is not independent: nonzero zigzag 1->3 through (0,)"
     for eliminate in (Pseudocomplex.simultaneous_eliminate,

@@ -4,21 +4,31 @@ from fractions import Fraction
 import pytest
 
 from affhecke.polymat import (
+    Matrix,
     back_substitute,
     det_bareiss,
     echelon,
     mat_blocks,
-    mat_eq,
     mat_identity,
     mat_invert,
     mat_add,
+    mat_is_zero,
     mat_mul,
     mat_mul_sum,
+    mat_neg,
+    mat_scale,
     mat_shape,
     mat_zero,
 )
 from affhecke.rings import RingElement
-from bimodule_bases import exponents, gram_matrix, sigma_basis_change
+from bimodule_bases import (
+    dense,
+    exponents,
+    gram_matrix,
+    sigma_basis_change,
+    sparse,
+    stores_no_zero,
+)
 
 
 def random_entry(rng, n):
@@ -65,19 +75,20 @@ def test_mat_mul_matches_dense_reference():
         rows, mid, cols = (rng.randint(1, 6) for _ in range(3))
         a = random_sparse_matrix(rng, n, rows, mid)
         b = random_sparse_matrix(rng, n, mid, cols)
-        product = mat_mul(a, b)
+        product = mat_mul(sparse(a), sparse(b))
         assert mat_shape(product) == (rows, cols)
-        assert mat_eq(product, naive_mul(a, b))
+        assert dense(product) == naive_mul(a, b)
+        assert stores_no_zero(product)
         for row in product:
-            for entry in row:
+            for entry in row.values():
                 assert all(entry.terms.values())
 
 
 def test_mat_mul_cancellation_gives_zero_entries():
     x1 = RingElement.x(2, 1)
-    a = ((x1, x1),)
-    b = ((x1,), (-x1,))
-    assert mat_mul(a, b)[0][0].terms == {}
+    a = sparse(((x1, x1),))
+    b = sparse(((x1,), (-x1,)))
+    assert mat_mul(a, b) == mat_zero(2, 1, 1)
 
 
 def test_mat_mul_sum_is_the_sum_of_mat_muls():
@@ -89,61 +100,68 @@ def test_mat_mul_sum_is_the_sum_of_mat_muls():
         pairs = []
         for _ in range(rng.randint(1, 4)):
             mid = rng.randint(1, 5)
-            pairs.append(
-                (random_sparse_matrix(rng, n, rows, mid), random_sparse_matrix(rng, n, mid, cols))
-            )
+            pairs.append((
+                sparse(random_sparse_matrix(rng, n, rows, mid)),
+                sparse(random_sparse_matrix(rng, n, mid, cols)),
+            ))
         expected = mat_zero(n, rows, cols)
         for a, b in pairs:
             expected = mat_add(expected, mat_mul(a, b))
         got = mat_mul_sum(pairs)
         assert mat_shape(got) == (rows, cols)
-        assert mat_eq(got, expected)
-        assert all(all(x.terms.values()) for row in got for x in row)
+        assert got == expected
+        assert stores_no_zero(got) and stores_no_zero(expected)
+        assert all(all(x.terms.values()) for row in got for x in row.values())
         # a pair and its negative cancel in every cell
         a, b = pairs[0]
-        negated = tuple(tuple(-x for x in row) for row in a)
-        assert all(x.terms == {} for row in mat_mul_sum([(a, b), (negated, b)]) for x in row)
+        negated = sparse(tuple(tuple(-x for x in row) for row in dense(a)))
+        assert mat_mul_sum([(a, b), (negated, b)]) == mat_zero(n, rows, cols)
 
 
 def test_mat_mul_sum_shape_mismatch():
     rng = random.Random(14)
-    a, b = random_sparse_matrix(rng, 2, 2, 3), random_sparse_matrix(rng, 2, 3, 4)
+
+    def draw(rows, cols):
+        return sparse(random_sparse_matrix(rng, 2, rows, cols))
+
+    a, b = draw(2, 3), draw(3, 4)
     for bad in (
-        (random_sparse_matrix(rng, 2, 3, 3), random_sparse_matrix(rng, 2, 3, 4)),  # rows
-        (random_sparse_matrix(rng, 2, 2, 3), random_sparse_matrix(rng, 2, 3, 2)),  # columns
-        (random_sparse_matrix(rng, 2, 2, 2), random_sparse_matrix(rng, 2, 3, 4)),  # middle
+        (draw(3, 3), draw(3, 4)),  # rows
+        (draw(2, 3), draw(3, 2)),  # columns
+        (draw(2, 2), draw(3, 4)),  # middle
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^shape mismatch \(\d, \d\) x \(\d, \d\)$"):
             mat_mul_sum([(a, b), bad])
 
 
 def test_mat_blocks_places_non_square_blocks():
     rng = random.Random(5)
     heights, widths = (1, 2), (2, 3)
-    grid = [[random_sparse_matrix(rng, 2, h, w) for w in widths] for h in heights]
+    grid = [[sparse(random_sparse_matrix(rng, 2, h, w)) for w in widths] for h in heights]
     m = mat_blocks(grid)
-    assert isinstance(m, tuple) and all(isinstance(row, tuple) for row in m)
+    assert isinstance(m, Matrix) and all(isinstance(row, dict) for row in m)
     assert mat_shape(m) == (3, 5)
+    assert stores_no_zero(m)
     for bi, h in enumerate(heights):
         for bj, w in enumerate(widths):
             for r in range(h):
                 for c in range(w):
-                    assert m[sum(heights[:bi]) + r][sum(widths[:bj]) + c] is grid[bi][bj][r][c]
+                    got = m[sum(heights[:bi]) + r].get(sum(widths[:bj]) + c)
+                    assert got is grid[bi][bj][r].get(c)
 
 
 def test_mat_blocks_of_one_block_is_that_matrix():
-    a = random_sparse_matrix(random.Random(6), 3, 2, 4)
+    a = sparse(random_sparse_matrix(random.Random(6), 3, 2, 4))
     assert mat_blocks([[a]]) == a
-    x = ((RingElement.x(2, 1),),)
+    x = sparse(((RingElement.x(2, 1),),))
     assert mat_blocks(((x,),)) == x
 
 
 def test_mat_mul_shape_mismatch():
-    z = RingElement.zero(2)
-    with pytest.raises(ValueError):
-        mat_mul(((z, z),), ((z, z),))
-    with pytest.raises(ValueError):
-        mat_mul(((),), ((z,),))
+    with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) x \(1, 2\)$"):
+        mat_mul(mat_zero(2, 1, 2), mat_zero(2, 1, 2))
+    with pytest.raises(ValueError, match=r"^shape mismatch \(1, 0\) x \(1, 1\)$"):
+        mat_mul(mat_zero(2, 1, 0), mat_zero(2, 1, 1))
 
 
 def dense_rank(rows):
@@ -258,7 +276,7 @@ def test_rational_inverse_matches_dense_reference():
     for _ in range(60):
         size = rng.randint(1, 5)
         m = random_rational_matrix(rng, size, size)
-        a = tuple(tuple(RingElement.constant(0, x) for x in row) for row in m)
+        a = sparse(tuple(tuple(RingElement.constant(0, x) for x in row) for row in m))
         expected = dense_inverse(m)
         if expected is None:
             singular += 1
@@ -266,7 +284,10 @@ def test_rational_inverse_matches_dense_reference():
                 mat_invert(a)
         else:
             got = mat_invert(a)
-            assert got == tuple(tuple(RingElement.constant(0, x) for x in row) for row in expected)
+            assert stores_no_zero(got)
+            assert dense(got) == tuple(
+                tuple(RingElement.constant(0, x) for x in row) for row in expected
+            )
     assert singular >= 10
 
 
@@ -274,16 +295,16 @@ def test_invert_beyond_the_constant_part():
     # the constant part [[1, 0], [0, 1]] does not decide: det = 1, and the
     # part of positive degree is not nilpotent
     one, d = RingElement.one(0), RingElement.delta(0)
-    a = ((one + d * d, d), (d, one))
+    a = sparse(((one + d * d, d), (d, one)))
     assert det_bareiss(a) == one
-    assert mat_invert(a) == ((one, -d), (-d, one + d * d))
+    assert mat_invert(a) == sparse(((one, -d), (-d, one + d * d)))
 
 
 def unit_det_matrix(rng, size):
     """A product of elementary matrices with entries c d^k, a permutation and
     a diagonal of nonzero rationals: the determinant is a unit."""
     d = RingElement.delta(0)
-    m = [list(row) for row in mat_identity(0, size)]
+    m = [list(row) for row in dense(mat_identity(0, size))]
     for _ in range(rng.randint(0, 2 * size)):
         i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
         if i == j:
@@ -294,7 +315,9 @@ def unit_det_matrix(rng, size):
         m[i] = [x + f * y for x, y in zip(m[i], m[j])]
     perm = rng.sample(range(size), size)
     scale = [RingElement.constant(0, rng.choice([1, -1, 3, Fraction(-2, 3)])) for _ in range(size)]
-    return tuple(tuple(m[perm[r]][c] * scale[r] for c in range(size)) for r in range(size))
+    return sparse(tuple(
+        tuple(m[perm[r]][c] * scale[r] for c in range(size)) for r in range(size)
+    ))
 
 
 def check_invertibility_decision(a):
@@ -307,7 +330,8 @@ def check_invertibility_decision(a):
         assert not unit
         return False
     assert unit
-    assert mat_eq(mat_mul(a, inverse), mat_identity(a[0][0].n, len(a)))
+    assert stores_no_zero(inverse)
+    assert mat_mul(a, inverse) == mat_identity(a.n, len(a))
     return True
 
 
@@ -319,13 +343,13 @@ def test_invertible_exactly_when_det_is_a_unit():
         size = rng.randint(1, 4)
         a = unit_det_matrix(rng, size)
         assert check_invertibility_decision(a)
-        non_constant += any(m != (0,) for row in a for x in row for m in exponents(x))
+        non_constant += any(m != (0,) for row in a for x in row.values() for m in exponents(x))
         # a factor d in one row makes det d times a unit: not a unit
         r = rng.randrange(size)
-        b = tuple(tuple(x * d for x in row) if i == r else row for i, row in enumerate(a))
-        assert not check_invertibility_decision(b)
+        b = tuple(tuple(x * d for x in row) if i == r else row for i, row in enumerate(dense(a)))
+        assert not check_invertibility_decision(sparse(b))
         check_invertibility_decision(
-            tuple(tuple(random_entry(rng, 0) for _ in range(size)) for _ in range(size))
+            sparse(tuple(tuple(random_entry(rng, 0) for _ in range(size)) for _ in range(size)))
         )
     assert non_constant >= 30
 
@@ -337,3 +361,48 @@ def test_bimodule_basis_changes_invert():
             word = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
             assert check_invertibility_decision(gram_matrix(n, word))
             assert check_invertibility_decision(sigma_basis_change(n, word))
+
+
+def test_cancelling_operations_store_no_zero_cell():
+    # f + (-f), a product whose paths cancel and scaling by 0 leave every
+    # cell empty; no operation stores a zero
+    rng = random.Random(36)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        rows, mid, cols = (rng.randint(1, 4) for _ in range(3))
+        a = sparse(random_sparse_matrix(rng, n, rows, mid))
+        b = sparse(random_sparse_matrix(rng, n, mid, cols))
+        zero = mat_zero(n, rows, mid)
+        for m in (
+            mat_add(a, mat_neg(a)),
+            mat_scale(a, 0),
+            mat_scale(a, RingElement.zero(n)),
+            mat_add(mat_mul(a, b), mat_mul(mat_neg(a), b)),
+        ):
+            assert stores_no_zero(m) and mat_is_zero(m)
+            assert not any(m)
+        assert mat_add(a, mat_neg(a)) == zero and mat_scale(a, 0) == zero
+        assert mat_mul_sum([(a, b), (mat_neg(a), b)]) == mat_zero(n, rows, cols)
+        for m in (mat_add(a, a), mat_neg(a), mat_scale(a, Fraction(-1, 2)), mat_mul(a, b)):
+            assert stores_no_zero(m)
+    # x1 x1 - x1 x1: the two paths of the one cell cancel
+    x1 = RingElement.x(2, 1)
+    product = mat_mul(sparse(((x1, x1),)), sparse(((x1,), (-x1,))))
+    assert product == mat_zero(2, 1, 1) and product[0] == {}
+
+
+def test_width_is_carried_exactly():
+    # a last column with no stored cell still counts: the shape is never
+    # read off the largest stored column
+    one = RingElement.one(2)
+    a = Matrix(2, 3, ({0: one}, {1: one}))
+    assert mat_shape(a) == (2, 3)
+    assert a != Matrix(2, 2, ({0: one}, {1: one}))
+    with pytest.raises(ValueError, match=r"^non-square matrix 2 x 3$"):
+        det_bareiss(a)
+    with pytest.raises(ArithmeticError, match=r"^a 2 x 3 matrix is not invertible$"):
+        mat_invert(a)
+    assert mat_shape(mat_mul(mat_identity(2, 2), a)) == (2, 3)
+    with pytest.raises(ValueError, match=r"^shape mismatch \(2, 3\) x \(2, 2\)$"):
+        mat_mul(a, mat_identity(2, 2))
+    assert mat_shape(mat_mul(a, mat_zero(2, 3, 4))) == (2, 4)
