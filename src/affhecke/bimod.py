@@ -43,8 +43,8 @@ def rank(word):
 class Morphism:
     """A right-R-linear map BS(src) -> BS(tgt) with a homogeneous degree.
 
-    matrix is a polymat.Matrix of width rank(src): matrix[r].get(c) is the
-    coefficient of target basis vector r on the image of source basis
+    matrix is a polymat.Matrix of width rank(src): matrix.rows[r].get(c) is
+    the coefficient of target basis vector r on the image of source basis
     vector c, absent when it is 0.
     """
 
@@ -57,7 +57,7 @@ class Morphism:
         self.matrix = matrix
         if check:
             degs = set()
-            for r, row in enumerate(matrix):
+            for r, row in enumerate(matrix.rows):
                 for c, entry in row.items():
                     degs.add(
                         entry.degree()
@@ -145,8 +145,7 @@ class Morphism:
 
     def __str__(self):
         rows = [
-            "[" + ", ".join(str(row.get(c, "0")) for c in range(self.matrix.width)) + "]"
-            for row in self.matrix
+            "[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix
         ]
         return (
             f"Morphism {self.src} -> {self.tgt} (degree {self.degree})\n"
@@ -214,13 +213,13 @@ def _whisker(n, left, core, right):
     rl, rr = rank(left), rank(right)
     rows, cols = rank(core.tgt), rank(core.src)
     out = [{} for _ in range(rl * rows * rr)]
-    for r, row in enumerate(core.matrix):
+    for r, row in enumerate(core.matrix.rows):
         for c, f in row.items():
             block = left_mult_matrix(n, right, f)
             for u in range(rl):
                 r0 = (u * rows + r) * rr
                 c0 = (u * cols + c) * rr
-                for k, brow in enumerate(block):
+                for k, brow in enumerate(block.rows):
                     target = out[r0 + k]
                     for cb, x in brow.items():
                         target[c0 + cb] = x

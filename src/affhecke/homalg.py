@@ -82,10 +82,10 @@ class MatrixArithmetic:
 
     def tensor(self, f, g):
         """The Kronecker product: block (r, c) is g scaled by f[r][c]."""
-        zero = polymat.mat_zero(self.n, len(g), g.width)
+        zero = polymat.mat_zero(self.n, len(g.rows), g.width)
         return polymat.mat_blocks([
             [polymat.mat_scale(g, row[c]) if c in row else zero for c in range(f.width)]
-            for row in f
+            for row in f.rows
         ])
 
     def tensor_label(self, a, b):
@@ -241,7 +241,7 @@ class BimoduleArithmetic:
         return {
             "src": list(f.src),
             "tgt": list(f.tgt),
-            "matrix": [[str(row[c]) if c in row else "0" for c in width] for row in f.matrix],
+            "matrix": [[str(row[c]) if c in row else "0" for c in width] for row in f.matrix.rows],
         }
 
     def decode(self, data):

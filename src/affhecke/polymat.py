@@ -1,8 +1,8 @@
 """Sparse matrices over RingElement: exact products, block assembly,
 determinants, inverses.
 
-A matrix is a `Matrix`: a tuple of row dicts {column: RingElement} that hold
-the nonzero cells only, with the ring's n and the exact width.  Used by the
+A matrix is a `Matrix`: its rows, a tuple of dicts {column: RingElement}
+that hold the nonzero cells only, with the ring's n and the exact width.  Used by the
 bimodule model and by the matrix backend of the pseudocomplex engine.
 Determinants and inverses come from one fraction-free Gauss-Jordan
 elimination over R, so a matrix is inverted exactly when its determinant is
@@ -18,30 +18,50 @@ from operator import neg
 from .rings import RingElement, accumulate_product, exact_div, from_accumulated
 
 
-class Matrix(tuple):
-    """A tuple of sparse rows {column: RingElement} over Q[x_1..x_n, d]: no
-    row stores a zero cell or a column outside 0..width-1.  Rows are shared
-    between matrices and never mutated."""
+class Matrix:
+    """A matrix over Q[x_1..x_n, d] of `len(rows)` rows and `width` columns.
+    `rows` is a tuple of sparse rows {column: RingElement}: no row stores a
+    zero cell or a column outside 0..width-1.  Rows are shared between
+    matrices and never mutated, and the arithmetic here walks them only.
 
-    def __new__(cls, n, width, rows):
-        m = tuple.__new__(cls, rows)
-        m.n = n
-        m.width = width
-        return m
+    As a sequence a Matrix reads as its dense rows: row r is a tuple of
+    `width` cells, 0 where none is stored, for a reader that takes cells by
+    position, such as the dense working copy of `_gauss_jordan`.
+    """
+
+    __slots__ = ("n", "width", "rows")
+
+    def __init__(self, n, width, rows):
+        self.n = n
+        self.width = width
+        self.rows = tuple(rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, r):
+        cells = [RingElement.zero(self.n)] * self.width
+        for c, x in self.rows[r].items():
+            cells[c] = x
+        return tuple(cells)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and (self.n, self.width) == (other.n, other.width)
-            and tuple.__eq__(self, other)
+            and (self.n, self.width, self.rows) == (other.n, other.width, other.rows)
         )
 
     def __ne__(self, other):
         return not self == other
 
+    __hash__ = None
+
 
 def mat_shape(m):
-    return len(m), m.width
+    return len(m.rows), m.width
 
 
 def mat_zero(n, rows, cols):
@@ -55,7 +75,7 @@ def mat_identity(n, size):
 
 def mat_add(a, b):
     rows = []
-    for ra, rb in zip(a, b):
+    for ra, rb in zip(a.rows, b.rows):
         row = dict(ra)
         for c, y in rb.items():
             x = row.pop(c, None)
@@ -70,7 +90,7 @@ def mat_map(a, f):
     """The matrix of f(x) over the stored cells x of a; a cell that f sends
     to 0 is not stored."""
     rows = []
-    for row in a:
+    for row in a.rows:
         out = {}
         for c, x in row.items():
             x = f(x)
@@ -99,10 +119,10 @@ def mat_blocks(grid):
         width += block.width
     rows = []
     for blocks in grid:
-        for r in range(len(blocks[0])):
+        for r in range(len(blocks[0].rows)):
             row = {}
             for offset, block in zip(offsets, blocks):
-                for c, x in block[r].items():
+                for c, x in block.rows[r].items():
                     row[offset + c] = x
             rows.append(row)
     return Matrix(grid[0][0].n, width, rows)
@@ -120,13 +140,14 @@ def mat_mul_sum(pairs):
     it selects; cells that cancel are not stored.  Middle dimensions may
     differ per pair."""
     first = pairs[0][1]
-    cells = [{} for _ in pairs[0][0]]
+    cells = [{} for _ in pairs[0][0].rows]
     for a, b in pairs:
-        if len(a) != len(cells) or not a.width or len(b) != a.width or b.width != first.width:
+        b_rows = b.rows
+        if len(a.rows) != len(cells) or not a.width or len(b_rows) != a.width or b.width != first.width:
             raise ValueError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
-        for row_cells, row in zip(cells, a):
+        for row_cells, row in zip(cells, a.rows):
             for k, x in row.items():
-                for c, y in b[k].items():
+                for c, y in b_rows[k].items():
                     acc = row_cells.get(c)
                     if acc is None:
                         acc = row_cells[c] = {}
@@ -143,14 +164,14 @@ def mat_mul_sum(pairs):
 
 
 def mat_is_zero(a):
-    return not any(a)
+    return not any(a.rows)
 
 
 def _gauss_jordan(a, inverse):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of a, or of [a | I]
     when `inverse` is set; returns (det a, det a . a^-1), or (0, None).
 
-    The elimination runs on a dense working copy.  At pivot p in column k,
+    The elimination runs on a dense working copy, a's dense rows.  At pivot p in column k,
     each other row becomes (p row - row[k] row_k) / q with q the previous
     pivot, so entries are minors and divisions exact.  A row swap negates
     one of the two rows, so the last pivot is det a.
@@ -161,12 +182,10 @@ def _gauss_jordan(a, inverse):
     n = a.n
     prev = one = RingElement.one(n)
     zero = RingElement.zero(n)
-    m = []
-    for r, row in enumerate(a):
-        dense = [row.get(c, zero) for c in range(size)]
-        if inverse:
-            dense += [one if c == r else zero for c in range(size)]
-        m.append(dense)
+    m = [list(row) for row in a]
+    if inverse:
+        for r, row in enumerate(m):
+            row += [one if c == r else zero for c in range(size)]
     for k in range(size):
         if m[k][k].is_zero():
             pivot = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)

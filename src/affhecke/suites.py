@@ -144,7 +144,7 @@ def _random_matrix(rng, rows, cols, scale):
     cells = []
     for _ in range(rows):
         drawn = (rng.randint(-scale, scale) for _ in range(cols))
-        cells.append({c: RingElement.constant(0, x) for c, x in enumerate(drawn) if x})
+        cells.append({c: RingElement(0, {(0,): x}) for c, x in enumerate(drawn) if x})
     return Matrix(0, cols, cells)
 
 

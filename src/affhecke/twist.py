@@ -128,7 +128,7 @@ def _coordinates(entries, tag):
     return {
         (tag, a, b, r, c, mono): coeff
         for (a, b), mor in entries.items()
-        for r, row in enumerate(mor.matrix)
+        for r, row in enumerate(mor.matrix.rows)
         for c, x in row.items()
         for mono, coeff in x.subs_delta_zero().terms.items()
     }

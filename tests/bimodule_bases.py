@@ -14,9 +14,8 @@ from affhecke.rings import RingElement, _unpack, demazure
 
 def dense(m):
     """The cells of a sparse matrix as a tuple of tuples, 0 where none is
-    stored; a morphism's matrix is read through it."""
-    zero = RingElement.zero(m.n)
-    return tuple(tuple(row.get(c, zero) for c in range(m.width)) for row in m)
+    stored: its dense rows; a morphism's matrix is read through it."""
+    return tuple(m)
 
 
 def sparse(rows):
@@ -30,7 +29,7 @@ def sparse(rows):
 def stores_no_zero(m):
     """The sparse invariant: each stored cell is nonzero and lies inside the
     width."""
-    return all(x.terms and 0 <= c < m.width for row in m for c, x in row.items())
+    return all(x.terms and 0 <= c < m.width for row in m.rows for c, x in row.items())
 
 
 def exponents(f):

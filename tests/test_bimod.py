@@ -445,7 +445,7 @@ def test_left_mult_matrix_repeat_and_list_word():
     n = 4
     f = rand_poly(random.Random(7), n) + RingElement.x(n, 2)
     first = left_mult_matrix(n, (1, 0, 3), f)
-    assert isinstance(first, Matrix) and all(isinstance(row, dict) for row in first)
+    assert isinstance(first, Matrix) and all(isinstance(row, dict) for row in first.rows)
     assert left_mult_matrix(n, (1, 0, 3), f) == first
     assert left_mult_matrix(n, [1, 0, 3], f) == first
     # letters are read mod n

@@ -79,7 +79,7 @@ def test_mat_mul_matches_dense_reference():
         assert mat_shape(product) == (rows, cols)
         assert dense(product) == naive_mul(a, b)
         assert stores_no_zero(product)
-        for row in product:
+        for row in product.rows:
             for entry in row.values():
                 assert all(entry.terms.values())
 
@@ -111,7 +111,7 @@ def test_mat_mul_sum_is_the_sum_of_mat_muls():
         assert mat_shape(got) == (rows, cols)
         assert got == expected
         assert stores_no_zero(got) and stores_no_zero(expected)
-        assert all(all(x.terms.values()) for row in got for x in row.values())
+        assert all(all(x.terms.values()) for row in got.rows for x in row.values())
         # a pair and its negative cancel in every cell
         a, b = pairs[0]
         negated = sparse(tuple(tuple(-x for x in row) for row in dense(a)))
@@ -139,15 +139,15 @@ def test_mat_blocks_places_non_square_blocks():
     heights, widths = (1, 2), (2, 3)
     grid = [[sparse(random_sparse_matrix(rng, 2, h, w)) for w in widths] for h in heights]
     m = mat_blocks(grid)
-    assert isinstance(m, Matrix) and all(isinstance(row, dict) for row in m)
+    assert isinstance(m, Matrix) and all(isinstance(row, dict) for row in m.rows)
     assert mat_shape(m) == (3, 5)
     assert stores_no_zero(m)
     for bi, h in enumerate(heights):
         for bj, w in enumerate(widths):
             for r in range(h):
                 for c in range(w):
-                    got = m[sum(heights[:bi]) + r].get(sum(widths[:bj]) + c)
-                    assert got is grid[bi][bj][r].get(c)
+                    got = m.rows[sum(heights[:bi]) + r].get(sum(widths[:bj]) + c)
+                    assert got is grid[bi][bj].rows[r].get(c)
 
 
 def test_mat_blocks_of_one_block_is_that_matrix():
@@ -343,7 +343,7 @@ def test_invertible_exactly_when_det_is_a_unit():
         size = rng.randint(1, 4)
         a = unit_det_matrix(rng, size)
         assert check_invertibility_decision(a)
-        non_constant += any(m != (0,) for row in a for x in row.values() for m in exponents(x))
+        non_constant += any(m != (0,) for row in a.rows for x in row.values() for m in exponents(x))
         # a factor d in one row makes det d times a unit: not a unit
         r = rng.randrange(size)
         b = tuple(tuple(x * d for x in row) if i == r else row for i, row in enumerate(dense(a)))
@@ -380,7 +380,7 @@ def test_cancelling_operations_store_no_zero_cell():
             mat_add(mat_mul(a, b), mat_mul(mat_neg(a), b)),
         ):
             assert stores_no_zero(m) and mat_is_zero(m)
-            assert not any(m)
+            assert not any(m.rows)
         assert mat_add(a, mat_neg(a)) == zero and mat_scale(a, 0) == zero
         assert mat_mul_sum([(a, b), (mat_neg(a), b)]) == mat_zero(n, rows, cols)
         for m in (mat_add(a, a), mat_neg(a), mat_scale(a, Fraction(-1, 2)), mat_mul(a, b)):
@@ -388,7 +388,7 @@ def test_cancelling_operations_store_no_zero_cell():
     # x1 x1 - x1 x1: the two paths of the one cell cancel
     x1 = RingElement.x(2, 1)
     product = mat_mul(sparse(((x1, x1),)), sparse(((x1,), (-x1,))))
-    assert product == mat_zero(2, 1, 1) and product[0] == {}
+    assert product == mat_zero(2, 1, 1) and product.rows[0] == {}
 
 
 def test_width_is_carried_exactly():
@@ -406,3 +406,15 @@ def test_width_is_carried_exactly():
     with pytest.raises(ValueError, match=r"^shape mismatch \(2, 3\) x \(2, 2\)$"):
         mat_mul(a, mat_identity(2, 2))
     assert mat_shape(mat_mul(a, mat_zero(2, 3, 4))) == (2, 4)
+
+
+def test_a_matrix_reads_as_its_dense_rows():
+    # by position every cell reads, 0 where none is stored; an empty row
+    # and a last column with no stored cell still count
+    one, x1, zero = RingElement.one(2), RingElement.x(2, 1), RingElement.zero(2)
+    a = Matrix(2, 3, ({0: one}, {}, {1: x1}))
+    assert len(a) == 3 and len(a[1]) == 3
+    assert tuple(a) == ((one, zero, zero), (zero, zero, zero), (zero, x1, zero))
+    assert [a[r] for r in range(len(a))] == list(a)
+    assert sparse(tuple(a)) == a
+    assert not Matrix(2, 0, ({}, {}))[0] and not Matrix(2, 3, ())
