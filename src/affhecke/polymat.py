@@ -54,11 +54,6 @@ class Matrix:
             and (self.n, self.width, self.rows) == (other.n, other.width, other.rows)
         )
 
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = None
-
 
 def mat_shape(m):
     return len(m.rows), m.width
