@@ -55,6 +55,9 @@ class MatrixArithmetic:
     def compose_sum(self, pairs):
         return polymat.mat_mul_sum(pairs)
 
+    def compose_sum_for_call(self):
+        return self.compose_sum
+
     def add(self, f, g):
         return polymat.mat_add(f, g)
 
@@ -117,6 +120,11 @@ class SignArithmetic:
             total += f * g
         return total
 
+    def compose_sum_for_call(self):
+        """compose_sum itself: a two-path sign sum costs about what a memo
+        key would."""
+        return self.compose_sum
+
     def add(self, f, g):
         return f + g
 
@@ -156,6 +164,9 @@ class SignArithmetic:
 
     def decode(self, data):
         return int(data)
+
+    def decode_for_load(self):
+        return self.decode
 
     def encode_label(self, label):
         if isinstance(label, frozenset):
@@ -199,6 +210,23 @@ class BimoduleArithmetic:
         matrix = polymat.mat_mul_sum([(f.matrix, g.matrix) for f, g in pairs])
         degree = min(degrees, default=None)
         return bimod.Morphism(self.n, src, tgt, matrix, degree, check=False)
+
+    def compose_sum_for_call(self):
+        """compose_sum behind a memo for one compose_entries call, keyed by
+        the identities of the pairs in order and with multiplicity, so a sum
+        of the same products in several degrees is computed once.  The
+        call's entry dicts keep every keyed morphism alive, so no id is
+        reused while the memo lives."""
+        memo = {}
+
+        def compose_sum(pairs):
+            key = tuple([id(x) for pair in pairs for x in pair])
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = self.compose_sum(pairs)
+            return got
+
+        return compose_sum
 
     def add(self, f, g):
         return f + g
@@ -262,6 +290,28 @@ class BimoduleArithmetic:
             rows.append(out)
         return bimod.Morphism(self.n, src, tgt, Matrix(self.n, width, rows))
 
+    def decode_for_load(self):
+        """decode behind a memo for one load, keyed by the full content (src,
+        tgt and every cell's text), so equal entries share one morphism as
+        in a built complex; each distinct content runs all of decode's
+        checks, and content that cannot be keyed is decoded unshared."""
+        memo = {}
+
+        def decode(data):
+            try:
+                key = (
+                    tuple(data["src"]), tuple(data["tgt"]),
+                    tuple(map(tuple, data["matrix"])),
+                )
+                got = memo.get(key)
+            except (KeyError, TypeError):
+                return self.decode(data)
+            if got is None:
+                got = memo[key] = self.decode(data)
+            return got
+
+        return decode
+
     def encode_label(self, label):
         return list(label)
 
@@ -284,7 +334,10 @@ def compose_entries(ar, later, earlier):
     `later` is indexed by source once, and `earlier` by source among the
     entries whose target some entry of `later` leaves.  One source row at a
     time, the paths a -> b -> c are grouped by c, and each entry (a, c) is
-    one `compose_sum` over its paths; zero sums are dropped.
+    one sum over its paths by the arithmetic's `compose_sum_for_call()`;
+    zero sums are dropped.  Over bimodules that sum is memoized for the
+    call, so entries made of the same products in the same order (a signed
+    dot sits in several degrees of F) share one computed morphism.
     """
     by_src = {}
     for (b, c), mor in later.items():
@@ -293,6 +346,7 @@ def compose_entries(ar, later, earlier):
     for (a, b), first in earlier.items():
         if b in by_src:
             rows.setdefault(a, []).append((b, first))
+    compose_sum = ar.compose_sum_for_call()
     out = {}
     for a, firsts in rows.items():
         paths = {}
@@ -300,7 +354,7 @@ def compose_entries(ar, later, earlier):
             for c, second in by_src[b]:
                 paths.setdefault(c, []).append((second, first))
         for c, pairs in paths.items():
-            mor = ar.compose_sum(pairs)
+            mor = compose_sum(pairs)
             if not ar.is_zero(mor):
                 out[(a, c)] = mor
     return out
@@ -633,10 +687,8 @@ class Pseudocomplex:
             )
             for s in data["summands"]
         ]
-        diff = {
-            (e["from"], e["to"]): arithmetic.decode(e["morphism"])
-            for e in data["diff"]
-        }
+        decode = arithmetic.decode_for_load()
+        diff = {(e["from"], e["to"]): decode(e["morphism"]) for e in data["diff"]}
         return cls(arithmetic, summands, diff)
 
 

@@ -16,14 +16,15 @@ from itertools import combinations
 # longest w whose KL element is expanded by default
 DEFAULT_LENGTH_CAP = 14
 
-# slots of every memo.  Each holds its working set for n <= 8 in one
-# process: bimod.eps_sign about 1 760 pairs, the per-word memos 505 words,
-# the forced blocks (sparse matrices) of the exact checks about 2 200 at
-# n = 2..7 and 3 200 at n = 8 alone (n = 2..8 in turn evict at n = 8),
-# hecke._kl_basis about 390 elements, hecke._stepped_by_b 500 prefixes,
-# hecke.term_key about 1 900 elements and rings._laurent_text 93 texts in a
-# hecke-kl benchmark pass, and _tau_components at most 2^n - 1 subsets per n.
-CACHE_SIZE = 4096
+# slots of every memo.  Each holds its working set for n <= 9 in one
+# process, so the exact checks of n = 2..9 in turn evict nothing: the forced
+# blocks (sparse matrices) of those checks number 5 413 at n = 2..8 and
+# 12 835 at n = 2..9, bimod.signed_dot 3 514 and 8 104 pairs; bimod.eps_sign
+# about 1 760 pairs, the per-word memos 505 words, hecke._kl_basis about 390
+# elements, hecke._stepped_by_b 500 prefixes, hecke.term_key about 1 900
+# elements and rings._laurent_text 93 texts in a hecke-kl benchmark pass,
+# and _tau_components at most 2^n - 1 subsets per n.
+CACHE_SIZE = 16384
 
 
 def window_apply(window, i):

@@ -78,7 +78,18 @@ def test_criterion_01_d2_equals_mu_delta():
 @pytest.mark.slow
 def test_criterion_01_exact_n8():
     assert_exact_d2(8)
+    # the forced blocks of n <= 8 fit the memo: none is evicted
+    info = bimod._forced.cache_info()
+    assert info.currsize < info.maxsize
     report("1+", "d^2 = mu.delta, exact at n=8")
+
+
+@pytest.mark.slow
+def test_criterion_01_exact_n9():
+    assert_exact_d2(9)
+    info = bimod._forced.cache_info()
+    assert info.currsize < info.maxsize
+    report("1+", "d^2 = mu.delta, exact at n=9")
 
 
 def test_criterion_02_golden_figures():

@@ -427,6 +427,46 @@ def test_compose_entries_refuses_mismatched_bimodule_paths():
         compose_entries(ar, {(1, 2): enddot_core(n, 2)}, {(0, 1): up})
 
 
+def test_compose_entries_sums_repeated_paths_with_multiplicity():
+    # a -> b1 -> c and a -> b2 -> c made of the same two objects are two
+    # paths: the memo keys on the pairs in order, not on the set of them
+    n = 3
+    ar = BimoduleArithmetic(n)
+    up, down = startdot_core(n, 1), enddot_core(n, 1)
+    once = down.compose(up)
+    earlier = {(0, 1): up, (0, 2): up, (4, 1): up, (5, 2): up}
+    got = compose_entries(ar, {(1, 3): down, (2, 3): down}, earlier)
+    assert got[(0, 3)] == once + once and got[(4, 3)] == once
+    # rows 4 and 5 sum the same product through different b: one morphism
+    assert got[(5, 3)] is got[(4, 3)]
+    # the memo lives for one call only
+    assert compose_entries(ar, {(1, 3): down}, {(4, 1): up})[(4, 3)] is not got[(4, 3)]
+
+
+def test_d_squared_sums_each_distinct_product_once(monkeypatch):
+    # a signed dot sits in several degrees of F_5, so its 529 sums of d^2
+    # are only 306 distinct sequences of (second, first) morphisms
+    f = build_F(5, "bimodule")
+    by_src = {}
+    for a, b in f.diff:
+        by_src.setdefault(a, []).append(b)
+    sums = {(a, c) for a, b in f.diff for c in by_src.get(b, ())}
+    assert len(sums) == 529
+    calls = []
+    mul_sum = polymat.mat_mul_sum
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return mul_sum(pairs)
+
+    monkeypatch.setattr(polymat, "mat_mul_sum", counted)
+    d2 = f.d_squared()
+    assert len(calls) == 306
+    monkeypatch.setattr(polymat, "mat_mul_sum", mul_sum)
+    oracle, _ = pairwise_compose(f.arithmetic, f.diff, f.diff)
+    assert d2.keys() == oracle.keys() and all(d2[k] == oracle[k] for k in d2)
+
+
 def contents(p):
     """The summands and differential entries of a complex, for comparing
     complexes over the matrix arithmetic, which are not serialized."""
@@ -549,6 +589,63 @@ def test_json_round_trip_bimodule():
         assert (g.diff[key] - f.diff[key]).is_zero()
     # d^2 check passes on the reloaded complex without rebuilding
     g.monodromy()
+
+
+def test_from_json_shares_each_distinct_morphism():
+    # F_5's 320 entries are 150 distinct signed dots, in the built complex
+    # and in the loaded one
+    f = build_F(5, "bimodule")
+    g = Pseudocomplex.from_json(json.loads(json.dumps(f.to_json(5))))
+    assert len({id(m) for m in f.diff.values()}) == 150
+    assert len({id(m) for m in g.diff.values()}) == 150
+    assert g.diff == f.diff
+    assert g.d_squared() == f.d_squared()
+
+
+def shared_entries(data):
+    """Indices of two entries of a serialized complex with equal morphisms."""
+    seen = {}
+    for i, e in enumerate(data["diff"]):
+        key = json.dumps(e["morphism"])
+        if key in seen:
+            return seen[key], i
+        seen[key] = i
+    raise AssertionError("no shared morphism")
+
+
+def test_from_json_decodes_entries_differing_in_one_cell_apart():
+    f = build_F(3, "bimodule")
+    data = json.loads(json.dumps(f.to_json(3)))
+    first, second = shared_entries(data)
+    cells = data["diff"][second]["morphism"]["matrix"]
+    r, c = next(
+        (r, c) for r, row in enumerate(cells) for c, text in enumerate(row) if text != "0"
+    )
+    cells[r][c] = "0"
+    g = Pseudocomplex.from_json(data)
+    keys = [(e["from"], e["to"]) for e in (data["diff"][first], data["diff"][second])]
+    one, other = (g.diff[k] for k in keys)
+    assert one == f.diff[keys[0]] and other != one
+    assert c not in other.matrix.rows[r] and c in one.matrix.rows[r]
+
+
+@pytest.mark.parametrize("fault", ("variable", "shape", "list cell", "no tgt"))
+def test_from_json_refuses_a_malformed_copy_of_a_shared_entry(fault):
+    # the copy's content differs from the decoded one, so it is decoded
+    # with every check, never served from the first
+    data = json.loads(json.dumps(build_F(3, "bimodule").to_json(3)))
+    _, second = shared_entries(data)
+    morphism = data["diff"][second]["morphism"]
+    if fault == "variable":
+        morphism["matrix"][0][0] = "x9"
+    elif fault == "shape":
+        morphism["matrix"][0].append("0")
+    elif fault == "list cell":
+        morphism["matrix"][0][0] = [morphism["matrix"][0][0]]
+    else:
+        del morphism["tgt"]
+    with pytest.raises((ValueError, TypeError, KeyError)):
+        Pseudocomplex.from_json(data)
 
 
 def test_from_json_refuses_unknown_backend():
