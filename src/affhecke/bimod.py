@@ -95,7 +95,7 @@ class Morphism:
         ):
             raise ValueError("cannot add morphisms of different degrees")
         return Morphism(
-            self.n, self.src, self.tgt, polymat.mat_add(self.matrix, other.matrix),
+            self.n, self.src, self.tgt, self.matrix + other.matrix,
             deg, check=False,
         )
 
@@ -104,7 +104,7 @@ class Morphism:
 
     def __neg__(self):
         return Morphism(
-            self.n, self.src, self.tgt, polymat.mat_neg(self.matrix), self.degree,
+            self.n, self.src, self.tgt, -self.matrix, self.degree,
             check=False,
         )
 

@@ -103,8 +103,6 @@ def dot_complex(n, grading, backend="sign"):
     grading maps k -> list of subsets of Z/n; summand ids follow the order
     of k, then of each layer.  F, N_I and M_J are all built this way.
     """
-    if backend not in ("sign", "bimodule"):
-        raise ValueError(f"unknown backend {backend!r}")
     ar = arithmetic_for(backend, n)
     dot = _dot_sign if backend == "sign" else signed_dot
     sids = {}

@@ -9,7 +9,11 @@ products, splittings of a summand and minimal complexes.
 
 Three arithmetics ship: matrices over Q[d] (property tests), sign
 bookkeeping (object-level checks, morphisms are integers +-1 composed
-multiplicatively), and exact Bott-Samelson bimodule morphisms.
+multiplicatively), and exact Bott-Samelson bimodule morphisms.  An
+arithmetic supplies what differs between backends: zero and identity
+morphisms, composition and its sums, the zero test, degrees, division by
+delta, inversion, tensor products and serialization.  Morphism values add,
+negate and compare with the operators +, unary - and ==.
 """
 
 from __future__ import annotations
@@ -58,17 +62,8 @@ class MatrixArithmetic:
     def compose_sum_for_call(self):
         return self.compose_sum
 
-    def add(self, f, g):
-        return polymat.mat_add(f, g)
-
-    def negate(self, f):
-        return polymat.mat_neg(f)
-
     def is_zero(self, f):
         return polymat.mat_is_zero(f)
-
-    def equal(self, f, g):
-        return f == g
 
     def divide_delta(self, f):
         return polymat.mat_map(f, divide_by_delta)
@@ -125,17 +120,8 @@ class SignArithmetic:
         key would."""
         return self.compose_sum
 
-    def add(self, f, g):
-        return f + g
-
-    def negate(self, f):
-        return -f
-
     def is_zero(self, f):
         return f == 0
-
-    def equal(self, f, g):
-        return f == g
 
     def divide_delta(self, f):
         if f:
@@ -228,17 +214,8 @@ class BimoduleArithmetic:
 
         return compose_sum
 
-    def add(self, f, g):
-        return f + g
-
-    def negate(self, f):
-        return -f
-
     def is_zero(self, f):
         return f.is_zero()
-
-    def equal(self, f, g):
-        return f == g
 
     def divide_delta(self, f):
         matrix = polymat.mat_map(f.matrix, divide_by_delta)
@@ -365,9 +342,9 @@ def add_entries(ar, first, second, sign=1):
     out = dict(first)
     for key, mor in second.items():
         if sign < 0:
-            mor = ar.negate(mor)
+            mor = -mor
         cur = out.get(key)
-        out[key] = mor if cur is None else ar.add(cur, mor)
+        out[key] = mor if cur is None else cur + mor
     return {k: v for k, v in out.items() if not ar.is_zero(v)}
 
 
@@ -430,9 +407,9 @@ def _eliminate_pair(ar, by_sid, diff, out_of, into, f_id, fp_id, phi_inv):
         sb = by_sid[b]
         for c, e in rights:
             key = (b, c)
-            term = ar.negate(ar.compose(e, left))
+            term = -ar.compose(e, left)
             cur = diff.get(key)
-            mor = term if cur is None else ar.add(cur, term)
+            mor = term if cur is None else cur + term
             if ar.is_zero(mor):
                 if cur is not None:
                     del diff[key]
@@ -473,12 +450,6 @@ class Pseudocomplex:
                 )
             _check_entry_degree(arithmetic, sa, sb, mor)
             self.diff[(a, b)] = mor
-
-    def entry(self, a, b):
-        got = self.diff.get((a, b))
-        if got is None:
-            return self.arithmetic.zero(self.by_sid[a].label, self.by_sid[b].label)
-        return got
 
     def d_squared(self):
         """Sparse matrix of d^2 as a dict (a, c) -> morphism."""
@@ -523,9 +494,9 @@ class Pseudocomplex:
         alpha_entries = dict(identities)
         beta_entries = dict(identities)
         for c, e in rights:
-            alpha_entries[(fp_id, c)] = ar.negate(ar.compose(e, phi_inv))
+            alpha_entries[(fp_id, c)] = -ar.compose(e, phi_inv)
         for b, left in lefts:
-            beta_entries[(b, f_id)] = ar.negate(left)
+            beta_entries[(b, f_id)] = -left
         alpha = ChainMap(self, q, alpha_entries)
         beta = ChainMap(q, self, beta_entries)
         homotopy = Homotopy(self, self, {(fp_id, f_id): phi_inv})
@@ -628,12 +599,12 @@ class Pseudocomplex:
         ar = self.arithmetic
         old = self.by_sid[sid]
         pairs = [(iota, pi) for _, _, iota, pi in pieces]
-        if not pairs or not ar.equal(ar.compose_sum(pairs), ar.identity(old.label)):
+        if not pairs or ar.compose_sum(pairs) != ar.identity(old.label):
             raise ValueError("splitting data does not sum to the identity")
         for a, (label, _, _, pi) in enumerate(pieces):
             for b, (label_b, _, iota, _) in enumerate(pieces):
                 want = ar.identity(label) if a == b else ar.zero(label_b, label)
-                if not ar.equal(ar.compose(pi, iota), want):
+                if ar.compose(pi, iota) != want:
                     raise ValueError(f"pieces {a}, {b}: pi_a iota_b is not delta_ab id")
         next_sid = max(self.by_sid) + 1
         new_summands = [s for s in self.summands if s.sid != sid]
@@ -727,8 +698,7 @@ class ChainMap:
         return ChainMap(self.src, self.tgt, out, self.degree_shift)
 
     def negate(self):
-        ar = self.src.arithmetic
-        negated = {k: ar.negate(m) for k, m in self.entries.items()}
+        negated = {k: -m for k, m in self.entries.items()}
         return ChainMap(self.src, self.tgt, negated, self.degree_shift)
 
     def is_zero(self):
@@ -739,7 +709,7 @@ class ChainMap:
         if {s.sid for s in self.src.summands} != {s.sid for s in self.tgt.summands}:
             return False
         for s in self.src.summands:
-            if not ar.equal(self.entry(s.sid, s.sid), ar.identity(s.label)):
+            if self.entry(s.sid, s.sid) != ar.identity(s.label):
                 return False
         return all(a == b for (a, b) in self.entries)
 
@@ -809,7 +779,7 @@ def tensor(p, q):
         for a in p.summands:
             term = ar.tensor(ar.identity(a.label), mor)
             if a.degree % 2:
-                term = ar.negate(term)
+                term = -term
             diff[(index[(a.sid, b1)], index[(a.sid, b2)])] = term
     return Pseudocomplex(ar, summands, diff)
 

@@ -54,6 +54,21 @@ class Matrix:
             and (self.n, self.width, self.rows) == (other.n, other.width, other.rows)
         )
 
+    def __add__(self, other):
+        rows = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = dict(ra)
+            for c, y in rb.items():
+                x = row.pop(c, None)
+                x = y if x is None else x + y
+                if x.terms:
+                    row[c] = x
+            rows.append(row)
+        return Matrix(self.n, self.width, rows)
+
+    def __neg__(self):
+        return mat_map(self, neg)
+
 
 def mat_shape(m):
     return len(m.rows), m.width
@@ -68,19 +83,6 @@ def mat_identity(n, size):
     return Matrix(n, size, tuple({r: one} for r in range(size)))
 
 
-def mat_add(a, b):
-    rows = []
-    for ra, rb in zip(a.rows, b.rows):
-        row = dict(ra)
-        for c, y in rb.items():
-            x = row.pop(c, None)
-            x = y if x is None else x + y
-            if x.terms:
-                row[c] = x
-        rows.append(row)
-    return Matrix(a.n, a.width, rows)
-
-
 def mat_map(a, f):
     """The matrix of f(x) over the stored cells x of a; a cell that f sends
     to 0 is not stored."""
@@ -93,10 +95,6 @@ def mat_map(a, f):
                 out[c] = x
         rows.append(out)
     return Matrix(a.n, a.width, rows)
-
-
-def mat_neg(a):
-    return mat_map(a, neg)
 
 
 def mat_scale(a, f):

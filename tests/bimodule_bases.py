@@ -107,6 +107,6 @@ def sigma_basis_change(n, word):
     rest = word[1:]
     crest = sigma_basis_change(n, rest)
     lcorr = left_mult_matrix(n, sigma_word(n, rest), corr)
-    correction = polymat.mat_neg(polymat.mat_mul(lcorr, crest))
+    correction = -polymat.mat_mul(lcorr, crest)
     zero = polymat.mat_zero(n, rank(rest), rank(rest))
     return polymat.mat_blocks(((crest, correction), (zero, crest)))

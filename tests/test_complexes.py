@@ -560,7 +560,7 @@ def rouquier_tensor_dotted(n, letters):
             continue
         width = len(factor.summands)
         diff = {
-            (a, b): out.arithmetic.negate(m) if a // width == b // width else m
+            (a, b): -m if a // width == b // width else m
             for (a, b), m in out.diff.items()
         }
         out = homalg.Pseudocomplex(out.arithmetic, out.summands, diff)
@@ -647,7 +647,7 @@ def test_independent_pair_zigzag_formula():
     q, _trace = p.simultaneous_eliminate([(1, 4), (2, 5)])
     # c - e1 phi^-1 d1 - e2 psi^-1 d2 + e1 phi^-1 theta psi^-1 d2
     expected = 7 - 5 * 2 - 11 * 3 + 5 * 13 * 3
-    assert dense(q.entry(0, 3))[0][0] == RingElement.constant(0, expected)
+    assert dense(q.diff[(0, 3)])[0][0] == RingElement.constant(0, expected)
 
 
 def test_BsF_minimal_complex_n2():

@@ -1,7 +1,8 @@
 """Import and definition hygiene of the package, checked on the syntax tree
 (no linter is needed): every name that the package or its tests import is
 used, no module reaches into another affhecke module for one of its private
-(underscore) names, and every definition serves a verdict."""
+(underscore) names, every definition serves a verdict, and each arithmetic
+defines what the package reads off one."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import re
 import pytest
 
 import affhecke
+from affhecke.homalg import BimoduleArithmetic, MatrixArithmetic, SignArithmetic
 
 MODULES = sorted(pathlib.Path(affhecke.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -407,3 +409,46 @@ def test_no_unused_parameters():
                     continue
                 unread.append(f"{path.name} {name}({param})")
     assert not unread, f"parameters that are never read: {unread}"
+
+
+# (class, attribute) -> why that arithmetic may lack an attribute read off
+# an arithmetic somewhere in the package
+PROTOCOL_EXEMPT = {
+    **{
+        ("MatrixArithmetic", name): "complexes over Q[d] are built in memory only"
+        for name in (
+            "name", "encode", "decode_for_load", "encode_label", "decode_label",
+        )
+    },
+    ("SignArithmetic", "n"): "sign complexes carry no strand count",
+}
+
+
+def arithmetic_reads(tree):
+    """The attributes read off an arithmetic: ar.X, arithmetic.X and
+    <expr>.arithmetic.X."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in ("ar", "arithmetic")) or (
+                isinstance(owner, ast.Attribute) and owner.attr == "arithmetic"
+            ):
+                out.add(node.attr)
+    return out
+
+
+def test_every_arithmetic_supplies_the_protocol():
+    # what the package reads off an arithmetic, each of the three supplies:
+    # a read that only one backend answers fails on the others' paths,
+    # including paths no verdict runs yet
+    probe = "ar.one\narithmetic.two\np.arithmetic.three\nself.src.arithmetic.four\n"
+    assert arithmetic_reads(ast.parse(probe)) == {"one", "two", "three", "four"}
+    reads = set().union(*(arithmetic_reads(ast.parse(p.read_text("utf-8"))) for p in MODULES))
+    missing = [
+        f"{type(ar).__name__}.{name}"
+        for ar in (MatrixArithmetic(0), SignArithmetic(), BimoduleArithmetic(2))
+        for name in sorted(reads)
+        if not hasattr(ar, name) and (type(ar).__name__, name) not in PROTOCOL_EXEMPT
+    ]
+    assert not missing, f"read off an arithmetic but not defined: {missing}"

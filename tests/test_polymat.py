@@ -11,11 +11,9 @@ from affhecke.polymat import (
     mat_blocks,
     mat_identity,
     mat_invert,
-    mat_add,
     mat_is_zero,
     mat_mul,
     mat_mul_sum,
-    mat_neg,
     mat_scale,
     mat_shape,
     mat_zero,
@@ -106,7 +104,7 @@ def test_mat_mul_sum_is_the_sum_of_mat_muls():
             ))
         expected = mat_zero(n, rows, cols)
         for a, b in pairs:
-            expected = mat_add(expected, mat_mul(a, b))
+            expected = expected + mat_mul(a, b)
         got = mat_mul_sum(pairs)
         assert mat_shape(got) == (rows, cols)
         assert got == expected
@@ -374,16 +372,16 @@ def test_cancelling_operations_store_no_zero_cell():
         b = sparse(random_sparse_matrix(rng, n, mid, cols))
         zero = mat_zero(n, rows, mid)
         for m in (
-            mat_add(a, mat_neg(a)),
+            a + (-a),
             mat_scale(a, 0),
             mat_scale(a, RingElement.zero(n)),
-            mat_add(mat_mul(a, b), mat_mul(mat_neg(a), b)),
+            mat_mul(a, b) + mat_mul(-a, b),
         ):
             assert stores_no_zero(m) and mat_is_zero(m)
             assert not any(m.rows)
-        assert mat_add(a, mat_neg(a)) == zero and mat_scale(a, 0) == zero
-        assert mat_mul_sum([(a, b), (mat_neg(a), b)]) == mat_zero(n, rows, cols)
-        for m in (mat_add(a, a), mat_neg(a), mat_scale(a, Fraction(-1, 2)), mat_mul(a, b)):
+        assert a + (-a) == zero and mat_scale(a, 0) == zero
+        assert mat_mul_sum([(a, b), (-a, b)]) == mat_zero(n, rows, cols)
+        for m in (a + a, -a, mat_scale(a, Fraction(-1, 2)), mat_mul(a, b)):
             assert stores_no_zero(m)
     # x1 x1 - x1 x1: the two paths of the one cell cancel
     x1 = RingElement.x(2, 1)
