@@ -7,7 +7,11 @@ certificate for tensoring with a longest element, and the nulhomotopy H for
 left multiplication by x_1.
 
 Sign-level checks run at any small n; exact bimodule-matrix checks run up
-to n = cli.BIMODULE_EXACT_MAX (6).
+to n = cli.BIMODULE_EXACT_MAX (6).  The sign-level walks over subsets of
+Z/n (adjacent layers, the signed crossover N_I = M_tau(I), tau-equivariance)
+run on int bitmasks, each subset converted once per call; what they take and
+return stays frozensets: gradings, the pairs of adjacent_pairs, summand
+labels, the keys of tau_equivariance_signs and the arguments of eps_sign.
 """
 
 from __future__ import annotations
@@ -66,28 +70,36 @@ def summand_subset(label):
     return frozenset(label)
 
 
+def _subset_mask(X):
+    """The int with bit x set for each index x of the subset X of Z/n."""
+    return sum(1 << x for x in X)
+
+
 def adjacent_pairs(n, grading):
     """The (k, X, Y) with X in grading[k], Y in grading[k + 1] and X, Y
     differing by one index, in order of k, then X, then Y as listed.
 
-    grading maps k -> list of subsets of Z/n.  The neighbours of X are the
-    n subsets with one index toggled, looked up by position in the next
-    layer; the Y yielded are the subset objects of that layer.
+    grading maps k -> list of subsets of Z/n.  Each subset is read once as
+    its bitmask; the neighbours of X are its mask with one of the n bits
+    flipped, looked up by position in the next layer, and the Y yielded
+    are the subset objects of that layer.
     """
+    bits = [1 << x for x in range(n)]
+    masks = {k: [_subset_mask(X) for X in layer] for k, layer in grading.items()}
     for k in sorted(grading):
         if k + 1 not in grading:
             continue
         layer = grading[k + 1]
-        position = {Y: p for p, Y in enumerate(layer)}
-        for X in grading[k]:
-            toggled = (X ^ {x} for x in range(n))
-            for p in sorted(position[Z] for Z in toggled if Z in position):
+        position = {m: p for p, m in enumerate(masks[k + 1])}
+        for X, m in zip(grading[k], masks[k]):
+            hits = (position.get(m ^ b) for b in bits)
+            for p in sorted(p for p in hits if p is not None):
                 yield k, X, layer[p]
 
 
 def _dot_sign(n, X, Y):
     """The sign of the dot between subsets X, Y that differ by one index."""
-    return eps_sign(n, *sorted((X, Y), key=len))
+    return eps_sign(n, X, Y) if len(X) < len(Y) else eps_sign(n, Y, X)
 
 
 def summand_label(n, X, backend):
@@ -266,10 +278,15 @@ def crossover_sign(n, I, X):
 
 
 def _slot_parity(n, Z, x, aleph):
-    """(-1)^(letters to the left of x in the anticyclic word of h_Z)."""
-    key = (x - aleph) % n
-    before = sum(1 for z in Z if (z - aleph) % n > key)
-    return (-1) ** before
+    """(-1)^(letters to the left of x in the anticyclic word of h_Z), for
+    the bitmask Z of a subset of Z/n without aleph.
+
+    The word lists Z in decreasing order of (z - aleph) % n, so rotating Z
+    right by aleph puts z at that bit, and the letters left of x are the
+    bits above x's.
+    """
+    rotated = (Z >> aleph | Z << (n - aleph)) & ((1 << n) - 1)
+    return -1 if (rotated >> ((x - aleph) % n + 1)).bit_count() & 1 else 1
 
 
 def propagate_signs(nodes, edges):
@@ -317,59 +334,59 @@ def verify_N_equals_M(n, I):
     from .weyl import correspondent_Y
 
     I = frozenset(i % n for i in I)
-    J = frozenset((i + 1) % n for i in I)
-    comps = tau_components(n, I)
     sets = n_sets(n, I)
-    # Y and (-1)^{a(X)} of each X, shared by every edge at X
+    # the predicted discrepancy of an edge toggling x: (-1)^{|A|-1} for
+    # x = min(A) of a tau-component A, +1 otherwise.  Every X contains
+    # tau(I), so A - {min(A)} lies in both ends and A in the larger one:
+    # each such move removes x from a full component.
+    predicted_at = [1] * n
+    for comp in tau_components(n, I):
+        predicted_at[comp[0]] = (-1) ** (len(comp) - 1)
+    # the mask, Y, the mask of Y and (-1)^{a(X)} of each X, shared by every
+    # edge at X
     per_X = {}
     for members in sets.values():
         for X in members:
             if X not in per_X:
-                per_X[X] = (correspondent_Y(n, I, X), crossover_sign(n, I, X))
-    edges = {}
+                Y = correspondent_Y(n, I, X)
+                a = crossover_sign(n, I, X)
+                per_X[X] = (_subset_mask(X), Y, _subset_mask(Y), a)
+    all_indices = (1 << n) - 1
+    ratios = []
     for k, X, X2 in adjacent_pairs(n, sets):
-        (x,) = X ^ X2
-        Y = per_X[X][0]
-        Y2 = per_X[X2][0]
-        if len(Y ^ Y2) != 1:
+        mask, Y, y_mask, a = per_X[X]
+        mask2, Y2, y_mask2, a2 = per_X[X2]
+        y_bit = y_mask ^ y_mask2
+        if not y_bit or y_bit & (y_bit - 1):
             raise AssertionError("correspondents are not adjacent")
-        eps_n = _dot_sign(n, X, X2)
-        eps_m = _dot_sign(n, Y, Y2)
-        edges[((X, k), (X2, k + 1))] = (eps_n, eps_m, x, Y, Y2)
-    # (a) solve the diagonal sign by propagation (the graph is connected
-    # for every I since N_I is indecomposable)
-    nodes = [(X, k) for k in sorted(sets) for X in sets[k]]
-    ratios = (
-        (a, b, eps_n * eps_m) for (a, b), (eps_n, eps_m, *_) in edges.items()
-    )
-    if propagate_signs(nodes, ratios) is None:
-        raise AssertionError(
-            f"no diagonal sign isomorphism N_I = M_J for I={sorted(I)}"
-        )
-    # (b) + (c): the discrepancy mechanism and the a(X) bookkeeping
-    for ((X, k), (X2, k2)), (eps_n, eps_m, x, Y, Y2) in edges.items():
-        comp = next(c for c in comps if x in c)
-        big_x = X if x in X else X2
-        full_min_move = len(comp) > 1 and set(comp) <= big_x and x == comp[0]
-        predicted = (-1) ** (len(comp) - 1) if full_min_move else 1
-        a_ratio = per_X[X][1] * per_X[X2][1]
-        if a_ratio != predicted:
+        ratios.append(((X, k), (X2, k + 1), _dot_sign(n, X, X2) * _dot_sign(n, Y, Y2)))
+        # (b) + (c) on this edge; X | X2 and Y | Y2 are the larger sets
+        x = (mask ^ mask2).bit_length() - 1
+        big_x = mask | mask2
+        predicted = predicted_at[x]
+        if a * a2 != predicted:
             raise AssertionError(
                 f"(-1)^a(X) does not solve the discrepancy at x={x}"
             )
-        common = sorted(set(range(n)) - (X | X2 | Y | Y2))
+        common = all_indices & ~(big_x | y_mask | y_mask2)
         if not common:
             continue
-        aleph = common[0]
-        big_y = Y if len(Y) > len(Y2) else Y2
-        (y,) = Y ^ Y2
+        aleph = (common & -common).bit_length() - 1
+        y = y_bit.bit_length() - 1
         slot_ratio = _slot_parity(n, big_x, x, aleph) * _slot_parity(
-            n, big_y, y, aleph
+            n, y_mask | y_mask2, y, aleph
         )
         if slot_ratio != predicted:
             raise AssertionError(
                 f"adapted dot discrepancy is not (-1)^(|A|-1) at x={x}"
             )
+    # (a) solve the diagonal sign by propagation (the graph is connected
+    # for every I since N_I is indecomposable)
+    nodes = [(X, k) for k in sorted(sets) for X in sets[k]]
+    if propagate_signs(nodes, ratios) is None:
+        raise AssertionError(
+            f"no diagonal sign isomorphism N_I = M_J for I={sorted(I)}"
+        )
     return True
 
 
@@ -498,13 +515,10 @@ def tau_equivariance_signs(n):
     consistent assignment exists.
     """
     p = build_P(n)
-
-    def tau(X):
-        return frozenset((x + 1) % n for x in X)
-
+    tau = {X: frozenset((x + 1) % n for x in X) for sets in p.values() for X in sets}
     # the ratio s_Y / s_X forced by matching tau-rotated differentials
     edges = (
-        ((X, k), (Y, k + 1), _dot_sign(n, X, Y) * _dot_sign(n, tau(X), tau(Y)))
+        ((X, k), (Y, k + 1), _dot_sign(n, X, Y) * _dot_sign(n, tau[X], tau[Y]))
         for k, X, Y in adjacent_pairs(n, p)
     )
     signs = propagate_signs([(X, k) for k in sorted(p) for X in p[k]], edges)

@@ -55,6 +55,11 @@ class Matrix:
         )
 
     def __add__(self, other):
+        if (self.n, len(self.rows), self.width) != (other.n, len(other.rows), other.width):
+            raise ValueError(
+                f"cannot add {mat_shape(self)} over n={self.n} "
+                f"and {mat_shape(other)} over n={other.n}"
+            )
         rows = []
         for ra, rb in zip(self.rows, other.rows):
             row = dict(ra)

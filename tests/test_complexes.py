@@ -394,7 +394,7 @@ def test_tensorBI_examples():
     assert len(cert["survivors"]) == 4
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_adjacent_pairs_match_pairwise_scan(n):
     gradings = [build_P(n)] + [n_sets(n, I) for I in proper_subsets(n)]
     for grading in gradings:
@@ -409,10 +409,72 @@ def test_adjacent_pairs_match_pairwise_scan(n):
         assert list(adjacent_pairs(n, grading)) == expected
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_crossover(n):
     for I in proper_subsets(n):
         assert verify_N_equals_M(n, I)
+
+
+def slot_parity_reference(n, Z, x, aleph):
+    """(-1)^(letters to the left of x in the anticyclic word of h_Z), read
+    off the subset Z: the word lists Z in decreasing (z - aleph) % n."""
+    key = (x - aleph) % n
+    before = sum(1 for z in Z if (z - aleph) % n > key)
+    return (-1) ** before
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
+def test_slot_parity_on_masks_matches_the_subset_formula(n):
+    for Z in proper_subsets(n):
+        mask = sum(1 << z for z in Z)
+        for aleph in set(range(n)) - Z:
+            for x in range(n):
+                assert complexes._slot_parity(n, mask, x, aleph) == (
+                    slot_parity_reference(n, Z, x, aleph)
+                ), (sorted(Z), x, aleph)
+
+
+def failing_crossovers(n):
+    """The number of I for which verify_N_equals_M(n, I) raises."""
+    failed = 0
+    for I in proper_subsets(n):
+        try:
+            verify_N_equals_M(n, I)
+        except AssertionError:
+            failed += 1
+    return failed
+
+
+@pytest.mark.parametrize("n, failing", ((3, 4), (4, 11)))
+def test_crossover_detects_a_flipped_bookkeeping_sign(monkeypatch, n, failing):
+    # (-1)^{a(X)} negated on the first X of each N_I breaks check (c) on
+    # every edge at that X; an I whose first X has no edge still passes
+    first = {
+        I: next(X for layer in n_sets(n, I).values() for X in layer)
+        for I in proper_subsets(n)
+    }
+
+    def flipped(n, I, X):
+        sign = crossover_sign(n, I, X)
+        return -sign if X == first[I] else sign
+
+    monkeypatch.setattr(complexes, "crossover_sign", flipped)
+    assert failing_crossovers(n) == failing
+
+
+def test_tau_equivariance_and_crossover_detect_a_flipped_dot(monkeypatch):
+    # the dot {0} -> {0, 1} of F, N_I and M_J negated: tau(F) = F and, for
+    # the I whose N_I or M_J holds that dot, check (a) of N_I = M_J fail
+    flipped = (fr(0), fr(0, 1))
+
+    def eps(n, X, Y):
+        return -eps_sign(n, X, Y) if (X, Y) == flipped else eps_sign(n, X, Y)
+
+    monkeypatch.setattr(complexes, "eps_sign", eps)
+    for n in (3, 4):
+        with pytest.raises(AssertionError, match="tau"):
+            tau_equivariance_signs(n)
+    assert failing_crossovers(4) == 2
 
 
 def test_crossover_sign_values():

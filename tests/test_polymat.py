@@ -132,6 +132,19 @@ def test_mat_mul_sum_shape_mismatch():
             mat_mul_sum([(a, b), bad])
 
 
+def test_matrix_sum_refuses_other_shapes_and_rings():
+    # zipping the rows of a 2 x 2 and a 3 x 3 identity once gave 2 * I_2
+    for a, b, shapes in (
+        (mat_identity(0, 2), mat_identity(0, 3), r"\(2, 2\) over n=0 and \(3, 3\) over n=0"),
+        (mat_zero(2, 2, 3), mat_zero(2, 3, 3), r"\(2, 3\) over n=2 and \(3, 3\) over n=2"),
+        (mat_zero(2, 2, 3), mat_zero(2, 2, 2), r"\(2, 3\) over n=2 and \(2, 2\) over n=2"),
+        (mat_identity(1, 2), mat_identity(2, 2), r"\(2, 2\) over n=1 and \(2, 2\) over n=2"),
+    ):
+        with pytest.raises(ValueError, match=rf"^cannot add {shapes}$"):
+            a + b
+    assert mat_identity(0, 2) + mat_zero(0, 2, 2) == mat_identity(0, 2)
+
+
 def test_mat_blocks_places_non_square_blocks():
     rng = random.Random(5)
     heights, widths = (1, 2), (2, 3)
