@@ -4,11 +4,13 @@ Elements are finite maps from ExtendedWeylElement to Laurent polynomials in
 the standard basis {H_w}.  Multiplication uses the quadratic relation
 H_s^2 = (v^-1 - v) H_s + 1 and omega-conjugation H_w H_omega =
 H_{omega} H_{tau^{-1}(w)}.  Right multiplication by H_s, H_s^-1 and
-b_s = H_s + v is one step H_w -> H_{ws} + c H_w with c chosen by the
-descent; for b_s, c is v or v^-1, so the step only shifts exponents.  The
-step pairs w with ws and writes each output coefficient once, and a product
-whose right factor is b_s is that step.  Serialize reads each element's
-place in the term order and its text from one memo.
+b_s = H_s + v is one step H_w -> H_{ws} + m H_w with the Laurent multiplier
+m chosen by the descent; for b_s, m is v or v^-1, so the step only shifts
+exponents.  The step reads ws and the descent from one w.step(k), pairs w
+with ws and writes each output coefficient once, adding p m into the
+coefficient at w in one pass (LaurentPoly.plus_product); a product whose
+right factor is b_s is that step.  Serialize reads each element's place in
+the term order and its text from one memo.
 Kazhdan-Lusztig elements b_w are computed by the mu-rule
 b_w = b_{ws} b_s - sum mu(y, ws) b_y.  The base case b_{w_I} b_{h_X} of
 c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X, each prefix of that
@@ -33,6 +35,8 @@ from .weyl import (
 
 _V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 _V_MINUS_V_INV = LaurentPoly({1: 1, -1: -1})
+_V = LaurentPoly({1: 1})
+_V_INV = LaurentPoly({-1: 1})
 
 
 def _add_term(out, w, p):
@@ -52,16 +56,6 @@ def _add_scaled(out, coeffs, scale):
     """out += scale * coeffs in place; scale is a nonzero LaurentPoly or int."""
     for w, p in coeffs.items():
         _add_term(out, w, p * scale)
-
-
-def _times_v(p):
-    """v * p, by shifting exponents."""
-    return LaurentPoly._trusted({e + 1: c for e, c in p.coeffs.items()})
-
-
-def _times_v_inv(p):
-    """v^-1 * p, by shifting exponents."""
-    return LaurentPoly._trusted({e - 1: c for e, c in p.coeffs.items()})
 
 
 class HeckeElement:
@@ -139,26 +133,27 @@ class HeckeElement:
     def _step(self, k, descent, ascent):
         """Right multiplication by H_{s_k} + c, with c a Laurent polynomial.
 
-        Every such product sends p H_w to p H_{ws} + f(p) H_w, where f is
-        descent(p) when ws < w and ascent(p) otherwise; None stands for f = 0.
-        s_k pairs the support off, so the output at w is coeffs[ws] + f(p),
-        made in one pass: a w whose ws lies outside the support hands p to ws
-        and keeps f(p), and a sum that cancels is dropped.
+        Every such product sends p H_w to p H_{ws} + p m H_w, where the
+        multiplier m is descent when ws < w and ascent otherwise; None stands
+        for m = 0.  s_k pairs the support off, so the output at w is
+        coeffs[ws] + p m, made in one pass: a w whose ws lies outside the
+        support hands p to ws and keeps p m, and a sum that cancels is
+        dropped.
         """
         coeffs = self.coeffs
         out = {}
         for w, p in coeffs.items():
-            ws = w.times_simple(k)
-            f = descent if w.has_right_descent(k) else ascent
+            ws, down = w.step(k)
+            m = descent if down else ascent
             q = coeffs.get(ws)
             if q is None:
                 out[ws] = p
-                if f is not None:
-                    out[w] = f(p)
-            elif f is None:
+                if m is not None:
+                    out[w] = p * m
+            elif m is None:
                 out[w] = q
             else:
-                q = q + f(p)
+                q = q.plus_product(p, m)
                 if q.coeffs:
                     out[w] = q
         return HeckeElement._trusted(self.n, out)
@@ -168,7 +163,7 @@ class HeckeElement:
 
         H_w H_s = H_{ws} when ws > w, and H_{ws} + (v^-1 - v) H_w otherwise.
         """
-        return self._step(k, lambda p: p * _V_INV_MINUS_V, None)
+        return self._step(k, _V_INV_MINUS_V, None)
 
     def times_simple_inverse(self, k):
         """Right multiplication by H_{s_k}^{-1} = H_{s_k} + (v - v^{-1}).
@@ -176,15 +171,16 @@ class HeckeElement:
         H_w H_s^{-1} = H_{ws} when ws < w, and H_{ws} + (v - v^-1) H_w
         otherwise.
         """
-        return self._step(k, None, lambda p: p * _V_MINUS_V_INV)
+        return self._step(k, None, _V_MINUS_V_INV)
 
     def times_b_simple(self, k):
         """Right multiplication by b_{s_k} = H_{s_k} + v.
 
         H_w b_s = H_{ws} + v H_w when ws > w, and H_{ws} + v^-1 H_w
-        otherwise, so the step only shifts exponents.
+        otherwise; both multipliers are monomials, so each product only
+        shifts exponents.
         """
-        return self._step(k, _times_v_inv, _times_v)
+        return self._step(k, _V_INV, _V)
 
     def times_omega(self, e=1):
         """Right multiplication by H_omega^e."""

@@ -116,6 +116,20 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def plus_product(self, p, m):
+        """self + p * m in one pass over the terms of p * m, dropping every
+        coefficient that cancels."""
+        out = dict(self.coeffs)
+        for e2, c2 in m.coeffs.items():
+            for e1, c1 in p.coeffs.items():
+                e = e1 + e2
+                c = out.get(e, 0) + c1 * c2
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return LaurentPoly._trusted(out)
+
     def bar(self):
         """v -> v^-1."""
         return LaurentPoly._trusted({-e: c for e, c in self.coeffs.items()})
@@ -127,19 +141,20 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
-        return _laurent_text(tuple(sorted(self.coeffs.items(), reverse=True)))
+        return _laurent_text(tuple(self.coeffs.items()))
 
     __repr__ = __str__
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _laurent_text(terms):
-    """The text of a Laurent polynomial from its (exponent, coefficient)
-    terms, highest power first."""
+    """The text of a Laurent polynomial, highest power first, from its
+    (exponent, coefficient) terms in insertion order: the key is the dict's
+    own order, so that __str__ sorts nothing, and only a miss sorts."""
     if not terms:
         return "0"
     parts = []
-    for e, c in terms:
+    for e, c in sorted(terms, reverse=True):
         if e == 0:
             term = str(abs(c))
         else:

@@ -5,6 +5,8 @@ affine permutation f of Z satisfying f(i+n) = f(i)+n and the winding-zero
 normalization sum f(i) = sum i on the window 1..n.  omega acts as the shift
 i -> i+1, so that omega s_k omega^{-1} = s_{k+1}.
 
+An element is the tuple (omega, window) itself: it hashes and compares as
+that plain tuple, in C, so it equals (omega, window) and orders as tuples do.
 Everything here is immutable and pure.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 # longest w whose KL element is expanded by default
 DEFAULT_LENGTH_CAP = 14
@@ -21,9 +24,9 @@ DEFAULT_LENGTH_CAP = 14
 # blocks (sparse matrices) of those checks number 5 413 at n = 2..8 and
 # 12 835 at n = 2..9, bimod.signed_dot 3 514 and 8 104 pairs; bimod.eps_sign
 # about 1 760 pairs, the per-word memos 505 words, hecke._kl_basis about 390
-# elements, hecke._stepped_by_b 500 prefixes, hecke.term_key about 1 900
-# elements and rings._laurent_text 93 texts in a hecke-kl benchmark pass,
-# and _tau_components at most 2^n - 1 subsets per n.
+# elements, hecke._stepped_by_b 500 prefixes, hecke.term_key about 2 000
+# elements and rings._laurent_text 245 term orders of 93 texts in a hecke-kl
+# benchmark pass, and _tau_components at most 2^n - 1 subsets per n.
 CACHE_SIZE = 16384
 
 
@@ -54,17 +57,6 @@ def window_tau(u, k=1):
     return tuple(window_apply(u, i - k) + k for i in range(1, n + 1))
 
 
-def window_times_simple(u, k):
-    """Window of u o s_k, 0 <= k < n: two entries trade places."""
-    out = list(u)
-    if k:
-        out[k - 1], out[k] = u[k], u[k - 1]
-    else:
-        n = len(u)
-        out[0], out[-1] = u[-1] - n, u[0] + n
-    return tuple(out)
-
-
 def window_length(u):
     n = len(u)
     total = 0
@@ -73,29 +65,37 @@ def window_length(u):
     return total
 
 
-class ExtendedWeylElement:
-    """omega^k times an affine permutation in window notation."""
+class ExtendedWeylElement(tuple):
+    """omega^k times an affine permutation in window notation: the tuple
+    (omega, window)."""
 
-    __slots__ = ("omega", "window", "_length")
+    __slots__ = ()
+
+    omega = property(itemgetter(0))
+    window = property(itemgetter(1))
+
+    def __new__(cls, omega, window):
+        return tuple.__new__(cls, (int(omega), tuple(map(int, window))))
 
     def __init__(self, omega, window):
-        self.omega = int(omega)
-        self.window = tuple(window)
-        self._length = None
-        n = len(self.window)
-        if sorted(v % n for v in self.window) != list(range(n)):
+        """Refuse a non-integral omega or window entry (__new__ made 2.0 the
+        int 2, and would have made 1.5 the int 1) and a window that is not a
+        winding-normalized affine permutation.  window is a sequence."""
+        if self != (omega, tuple(window)):
+            raise ValueError(f"non-integral omega {omega} or window {window}")
+        u = self.window
+        n = len(u)
+        if sorted(v % n for v in u) != list(range(n)):
             raise ValueError(f"window {window} entries not distinct mod {n}")
-        if sum(self.window) != n * (n + 1) // 2:
+        if sum(u) != n * (n + 1) // 2:
             raise ValueError(f"window {window} is not winding-normalized")
 
-    @classmethod
-    def _trusted(cls, omega, window):
-        """Build from an int omega and a window tuple known to be valid."""
-        out = object.__new__(cls)
-        out.omega = omega
-        out.window = window
-        out._length = None
-        return out
+    # _trusted(ExtendedWeylElement, (omega, window)) wraps an int omega and
+    # a window tuple known to be valid, with no check
+    _trusted = tuple.__new__
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def n(self):
@@ -131,27 +131,12 @@ class ExtendedWeylElement:
             self.omega + other.omega, window_compose(u, other.window)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtendedWeylElement)
-            and self.omega == other.omega
-            and self.window == other.window
-        )
-
-    def __hash__(self):
-        return hash((self.omega, self.window))
-
     def is_identity(self):
         return self.omega == 0 and self.window == tuple(range(1, self.n + 1))
 
     def length(self):
-        """Coxeter length of the affine part; omega contributes 0.
-
-        Computed on first use and kept, since the window never changes.
-        """
-        if self._length is None:
-            self._length = window_length(self.window)
-        return self._length
+        """Coxeter length of the affine part; omega contributes 0."""
+        return window_length(self.window)
 
     def has_right_descent(self, k):
         u = self.window
@@ -170,9 +155,21 @@ class ExtendedWeylElement:
 
     def times_simple(self, k):
         """Right multiplication by s_k."""
-        return ExtendedWeylElement._trusted(
-            self.omega, window_times_simple(self.window, k % self.n)
-        )
+        return self.step(k)[0]
+
+    def step(self, k):
+        """(w s_k, w s_k < w) from one pass over the window: the two entries
+        that s_k trades are compared (a right descent) and swapped."""
+        omega, u = self
+        n = len(u)
+        k %= n
+        if k:
+            a, b = u[k - 1], u[k]
+            ws = u[: k - 1] + (b, a) + u[k + 1:]
+        else:
+            a, b = u[-1] - n, u[0]
+            ws = (a,) + u[1:-1] + (b + n,)
+        return self._trusted(ExtendedWeylElement, (omega, ws)), a > b
 
     def reduced_word(self):
         """A reduced word for the affine part via leftmost descents.
@@ -182,18 +179,19 @@ class ExtendedWeylElement:
         """
         # a left descent of w is a right descent of w^-1, and s_k w is
         # (w^-1 s_k)^-1, so the peeling runs on the inverse window
-        inv = window_inverse(self.window)
-        n = len(inv)
+        inv = self._trusted(ExtendedWeylElement, (0, window_inverse(self.window)))
+        n = len(inv.window)
         word = []
         while True:
+            u = inv.window
             k = next(
-                (k for k in range(n) if window_apply(inv, k) > window_apply(inv, k + 1)),
+                (k for k in range(n) if window_apply(u, k) > window_apply(u, k + 1)),
                 None,
             )
             if k is None:
                 return tuple(word)
             word.append(k)
-            inv = window_times_simple(inv, k)
+            inv = inv.times_simple(k)
 
     def __str__(self):
         return f"w^{self.omega} | " + " ".join(str(v) for v in self.window)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from affhecke import bimod, complexes, homalg
+from affhecke import bimod, complexes, homalg, weyl
 from affhecke.bimod import eps_sign
 from affhecke.complexes import (
     adjacent_pairs,
@@ -460,6 +460,22 @@ def test_crossover_detects_a_flipped_bookkeeping_sign(monkeypatch, n, failing):
 
     monkeypatch.setattr(complexes, "crossover_sign", flipped)
     assert failing_crossovers(n) == failing
+
+
+@pytest.mark.parametrize("n, failing", ((3, 4), (4, 11)))
+def test_crossover_detects_correspondents_that_are_not_adjacent(monkeypatch, n, failing):
+    # a correspondent_Y that sends every X to the empty set: an edge X -> X2
+    # then maps to no edge of M_J.  verify_N_equals_M imports the function
+    # when called, so the fault is planted in weyl; an I whose N_I has no
+    # edge still passes
+    monkeypatch.setattr(weyl, "correspondent_Y", lambda n, I, X: frozenset())
+    messages = []
+    for I in proper_subsets(n):
+        try:
+            verify_N_equals_M(n, I)
+        except AssertionError as err:
+            messages.append(str(err))
+    assert messages == ["correspondents are not adjacent"] * failing
 
 
 def test_tau_equivariance_and_crossover_detect_a_flipped_dot(monkeypatch):

@@ -252,6 +252,40 @@ def test_laurent_product_matches_convolution():
             assert (p * k).coeffs == (k * p).coeffs == convolution(p, LaurentPoly.v(0, k))
 
 
+def test_plus_product_matches_sum_of_product():
+    rng = random.Random(29)
+    polys = [LaurentPoly(), LaurentPoly.one(), gauss(2), LaurentPoly.v(-1), LaurentPoly.v(1, -2)]
+    for _ in range(40):
+        support = rng.sample(range(-4, 5), rng.randint(1, 5))
+        polys.append(LaurentPoly({e: rng.choice((-3, -1, 1, 2)) for e in support}))
+    two_terms = [gauss(2), LaurentPoly({1: 1, -1: -1}), LaurentPoly({0: 2, 3: -1})]
+    for q in polys:
+        for p in polys:
+            for m in polys[:5] + two_terms:
+                got = q.plus_product(p, m)
+                assert got.coeffs == (q + p * m).coeffs, (q, p, m)
+                assert all(got.coeffs.values())
+    # full cancellation, by a monomial and by a two-term multiplier
+    p = LaurentPoly({2: 3, -1: -1})
+    assert (-(p * LaurentPoly.v(-1))).plus_product(p, LaurentPoly.v(-1)).coeffs == {}
+    assert (-(p * gauss(2))).plus_product(p, gauss(2)).coeffs == {}
+    # a term that cancels and is then written again by a later product
+    q = LaurentPoly({1: -1})
+    assert q.plus_product(LaurentPoly({0: 1, 2: 1}), gauss(2)).coeffs == {3: 1, 1: 1, -1: 1}
+
+
+def test_laurent_text_ignores_insertion_order():
+    rng = random.Random(31)
+    for _ in range(30):
+        support = rng.sample(range(-5, 6), rng.randint(1, 6))
+        terms = [(e, rng.choice((-3, -1, 1, 2))) for e in support]
+        text = str(LaurentPoly(dict(terms)))
+        for _ in range(4):
+            rng.shuffle(terms)
+            assert str(LaurentPoly(dict(terms))) == text
+    assert str(LaurentPoly({-1: 1, 0: 5, 1: -1})) == "-v + 5 + v^-1"
+
+
 def test_laurent_text():
     cases = {
         "0": LaurentPoly(),

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -221,7 +224,32 @@ def test_sigma_of_hX(n):
 
 def test_serialization():
     w = ExtendedWeylElement.rotation(3, 2) * s(3, 1)
-    assert str(w) == "w^2 | 2 1 3"
+    assert str(w) == repr(w) == "w^2 | 2 1 3"
+
+
+def test_element_is_the_tuple_omega_window():
+    w = ExtendedWeylElement.rotation(4, -1) * s(4, 0) * s(4, 2)
+    assert w == (w.omega, w.window) and tuple(w) == (-1, w.window)
+    assert hash(w) == hash((w.omega, w.window))
+    for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(twin) is ExtendedWeylElement
+        assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
+        assert twin.length() == w.length() == 2
+
+
+def test_constructor_refuses_non_integral_entries():
+    for omega, window in ((1.5, (1, 2, 3)), (0, (1.5, 2, 2.5)), (Fraction(1, 2), (1, 2, 3)),
+                          ("1", (1, 2, 3)), (0, ("1", 2, 3))):
+        with pytest.raises(ValueError, match="non-integral"):
+            ExtendedWeylElement(omega, window)
+    w = ExtendedWeylElement(2.0, (Fraction(1, 1), 2.0, 3))
+    assert w == ExtendedWeylElement.rotation(3, 2)
+    assert type(w.omega) is int and all(type(v) is int for v in w.window)
+    assert str(ExtendedWeylElement(0, (1.0, 2.0, 3.0))) == "w^0 | 1 2 3"
+    with pytest.raises(ValueError, match="not distinct"):
+        ExtendedWeylElement(0, (1, 4, 1))
+    with pytest.raises(ValueError, match="winding"):
+        ExtendedWeylElement(0, (2, 3, 4))
 
 
 def short_elements(n, max_length=4):
@@ -249,6 +277,16 @@ def test_times_simple_matches_validated_product(n):
             assert got.times_simple(k + n) == w
             # the trusted result satisfies the checks of the public constructor
             assert ExtendedWeylElement(got.omega, got.window) == got
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_step_is_times_simple_and_descent(n):
+    for w in short_elements(n, 6):
+        for k in range(-1, n + 1):
+            ws, down = w.step(k)
+            assert type(ws) is ExtendedWeylElement
+            assert ws == w * s(n, k) and down == w.has_right_descent(k)
+            assert down == (ws.length() < w.length())
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
