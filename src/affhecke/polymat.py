@@ -5,9 +5,9 @@ A matrix is a `Matrix`: its rows, a tuple of dicts {column: RingElement}
 that hold the nonzero cells only, with the ring's n and the exact width.  Used by the
 bimodule model and by the matrix backend of the pseudocomplex engine.
 Determinants and inverses come from one fraction-free Gauss-Jordan
-elimination over R, so a matrix is inverted exactly when its determinant is
-a unit.  `echelon` with `back_substitute` serves the rational linear
-systems: ranks, nullspaces and particular solutions.
+elimination over R on stored cells, so a matrix is inverted exactly when its
+determinant is a unit.  `echelon` with `back_substitute` serves the rational
+linear systems: ranks, nullspaces and particular solutions.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class Matrix:
     matrices and never mutated, and the arithmetic here walks them only.
 
     As a sequence a Matrix reads as its dense rows: row r is a tuple of
-    `width` cells, 0 where none is stored, for a reader that takes cells by
-    position, such as the dense working copy of `_gauss_jordan`.
+    `width` cells, 0 where none is stored.  No kernel here reads them; the
+    benchmark's span counters and the dense oracles of the tests do.
     """
 
     __slots__ = ("n", "width", "rows")
@@ -137,11 +137,13 @@ def mat_mul_sum(pairs):
     pair, walking the stored cells of a and, for each, the stored row of b
     it selects; cells that cancel are not stored.  Middle dimensions may
     differ per pair."""
-    first = pairs[0][1]
+    n, width = pairs[0][0].n, pairs[0][1].width
     cells = [{} for _ in pairs[0][0].rows]
     for a, b in pairs:
+        if a.n != n or b.n != n:
+            raise ValueError(f"cannot multiply over n={a.n} and n={b.n} in a sum over n={n}")
         b_rows = b.rows
-        if len(a.rows) != len(cells) or not a.width or len(b_rows) != a.width or b.width != first.width:
+        if len(a.rows) != len(cells) or not a.width or len(b_rows) != a.width or b.width != width:
             raise ValueError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
         for row_cells, row in zip(cells, a.rows):
             for k, x in row.items():
@@ -154,11 +156,11 @@ def mat_mul_sum(pairs):
     for row_cells in cells:
         row = {}
         for c, acc in row_cells.items():
-            x = from_accumulated(first.n, acc)
+            x = from_accumulated(n, acc)
             if x.terms:
                 row[c] = x
         rows.append(row)
-    return Matrix(first.n, first.width, rows)
+    return Matrix(n, width, rows)
 
 
 def mat_is_zero(a):
@@ -167,42 +169,54 @@ def mat_is_zero(a):
 
 def _gauss_jordan(a, inverse):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of a, or of [a | I]
-    when `inverse` is set; returns (det a, det a . a^-1), or (0, None).
+    when `inverse` is set; returns (det a, the sparse rows of det a . a^-1,
+    or None without `inverse`), or (0, None).
 
-    The elimination runs on a dense working copy, a's dense rows.  At pivot p in column k,
-    each other row becomes (p row - row[k] row_k) / q with q the previous
-    pivot, so entries are minors and divisions exact.  A row swap negates
-    one of the two rows, so the last pivot is det a.
+    The working rows are dict copies of a's stored rows, and row r of I is
+    one cell at column size + r.  At pivot p in column k, each other row
+    becomes (p row - row[k] row_k) / q with q the previous pivot, so entries
+    are minors and divisions exact; only cells that the row or row k store
+    are touched, and column k leaves the rows.  A row swap negates one of
+    the two rows, so the last pivot is det a.  Without `inverse` the rows
+    above the pivot, which never pivot again, are not updated.
     """
     size, cols = mat_shape(a)
     if size != cols:
         raise ValueError(f"non-square matrix {size} x {cols}")
-    n = a.n
-    prev = one = RingElement.one(n)
-    zero = RingElement.zero(n)
-    m = [list(row) for row in a]
+    prev = one = RingElement.one(a.n)
+    m = [dict(row) for row in a.rows]
     if inverse:
         for r, row in enumerate(m):
-            row += [one if c == r else zero for c in range(size)]
+            row[size + r] = one
     for k in range(size):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
+        if k not in m[k]:
+            pivot = next((r for r in range(k + 1, size) if k in m[r]), None)
             if pivot is None:
-                return zero, None
-            m[k], m[pivot] = m[pivot], [-x for x in m[k]]
+                return RingElement.zero(a.n), None
+            m[k], m[pivot] = m[pivot], {c: -x for c, x in m[k].items()}
         row_k = m[k]
-        p = row_k[k]
-        for r, row in enumerate(m):
-            f = row[k]
-            if r == k or not f.terms and p == prev:
+        p = row_k.pop(k)
+        scale, divide = p != one, prev != one
+        for r in range(0 if inverse else k + 1, size):
+            row = m[r]
+            f = row.pop(k, None)
+            if r == k or f is None and p == prev:
                 continue  # row k, or a row that the step leaves as it is
-            for c in range(k + 1, len(row)):
-                x = p * row[c]
-                if f.terms:
-                    x = x - f * row_k[c]
-                row[c] = x if prev is one else exact_div(x, prev)
+            if scale:
+                for c, x in row.items():
+                    row[c] = p * x
+            if f is not None:
+                f = -f
+                for c, y in row_k.items():
+                    x = row.pop(c, None)
+                    x = f * y if x is None else x + f * y
+                    if x.terms:
+                        row[c] = x
+            if divide:
+                for c, x in row.items():
+                    row[c] = exact_div(x, prev)
         prev = p
-    return prev, [row[size:] for row in m]
+    return prev, [{c - size: x for c, x in row.items()} for row in m] if inverse else None
 
 
 def det_bareiss(a):
@@ -270,6 +284,5 @@ def mat_invert(a):
     det, block = _gauss_jordan(a, True)
     if not det.is_unit():
         raise ArithmeticError("matrix is not invertible over the ring")
-    scale = Fraction(1, det.constant_coefficient())
-    cells = ({c: x for c, x in enumerate(row) if x.terms} for row in block)
-    return mat_scale(Matrix(a.n, cols, cells), scale)
+    inverse, c = Matrix(a.n, cols, block), det.constant_coefficient()
+    return inverse if c == 1 else -inverse if c == -1 else mat_scale(inverse, Fraction(1, c))

@@ -302,9 +302,11 @@ class RingElement:
         return bool(self.terms)
 
     def __add__(self, other):
+        if self.n != other.n:
+            raise ValueError(f"cannot add elements over n={self.n} and n={other.n}")
         if not other.terms:
             return self
-        if not self.terms and self.n == other.n:
+        if not self.terms:
             return other
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -319,6 +321,8 @@ class RingElement:
         return RingElement._trusted(self.n, out)
 
     def __sub__(self, other):
+        if self.n != other.n:
+            raise ValueError(f"cannot subtract elements over n={self.n} and n={other.n}")
         if not other.terms:
             return self
         out = dict(self.terms)
@@ -344,6 +348,8 @@ class RingElement:
             return RingElement._trusted(
                 n, _cleaned({m: c * other for m, c in self.terms.items()})
             )
+        if n != other.n:
+            raise ValueError(f"cannot multiply elements over n={n} and n={other.n}")
         out = {}
         accumulate_product(out, self, other)
         return from_accumulated(n, out)

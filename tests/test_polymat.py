@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from affhecke import bimod, polymat
 from affhecke.polymat import (
     Matrix,
     back_substitute,
@@ -18,7 +19,7 @@ from affhecke.polymat import (
     mat_shape,
     mat_zero,
 )
-from affhecke.rings import RingElement
+from affhecke.rings import RingElement, exact_div
 from bimodule_bases import (
     dense,
     exponents,
@@ -130,6 +131,19 @@ def test_mat_mul_sum_shape_mismatch():
     ):
         with pytest.raises(ValueError, match=r"^shape mismatch \(\d, \d\) x \(\d, \d\)$"):
             mat_mul_sum([(a, b), bad])
+
+
+def test_product_refuses_another_n():
+    # diag(x1, x2) over n = 2 times diag(x1, x3) over n = 3 once gave
+    # ({0: x1*x2}, {1: x3^2}): packed fields of different widths were added
+    a = Matrix(2, 2, ({0: RingElement.x(2, 1)}, {1: RingElement.x(2, 2)}))
+    b = Matrix(3, 2, ({0: RingElement.x(3, 1)}, {1: RingElement.x(3, 3)}))
+    with pytest.raises(ValueError, match=r"^cannot multiply over n=2 and n=3 in a sum over n=2$"):
+        mat_mul(a, b)
+    # a pair over one n that is not the n of the first pair
+    with pytest.raises(ValueError, match=r"^cannot multiply over n=3 and n=3 in a sum over n=2$"):
+        mat_mul_sum([(a, a), (b, b)])
+    assert mat_mul_sum([(a, a), (a, a)]) == mat_scale(mat_mul(a, a), 2)
 
 
 def test_matrix_sum_refuses_other_shapes_and_rings():
@@ -372,6 +386,160 @@ def test_bimodule_basis_changes_invert():
             word = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
             assert check_invertibility_decision(gram_matrix(n, word))
             assert check_invertibility_decision(sigma_basis_change(n, word))
+
+
+def _dense_gauss_jordan_reference(a, inverse):
+    """Dense fraction-free Gauss-Jordan elimination, the oracle of polymat's
+    stored-cells kernel: every cell of a's dense rows and of a dense identity
+    block takes a product and a difference at each step.  Returns (det a,
+    the dense rows of det a . a^-1) or (0, None)."""
+    size, cols = mat_shape(a)
+    if size != cols:
+        raise ValueError(f"non-square matrix {size} x {cols}")
+    n = a.n
+    prev = one = RingElement.one(n)
+    zero = RingElement.zero(n)
+    m = [list(row) for row in a]
+    if inverse:
+        for r, row in enumerate(m):
+            row += [one if c == r else zero for c in range(size)]
+    for k in range(size):
+        if m[k][k].is_zero():
+            pivot = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
+            if pivot is None:
+                return zero, None
+            m[k], m[pivot] = m[pivot], [-x for x in m[k]]
+        row_k = m[k]
+        p = row_k[k]
+        for r, row in enumerate(m):
+            f = row[k]
+            if r == k or not f.terms and p == prev:
+                continue
+            for c in range(k + 1, len(row)):
+                x = p * row[c]
+                if f.terms:
+                    x = x - f * row_k[c]
+                row[c] = x if prev is one else exact_div(x, prev)
+        prev = p
+    return prev, [row[size:] for row in m]
+
+
+def _unitriangular(rng, n, size, upper):
+    """Cells off the diagonal are 0 or one term c x_i or c d of degree <= 1,
+    so that the minors of a product of two stay small."""
+    one, zero = RingElement.one(n), RingElement.zero(n)
+    variables = [one, RingElement.delta(n)] + [RingElement.x(n, i) for i in range(1, n + 1)]
+
+    def cell():
+        if rng.random() < 0.5:
+            return zero
+        return rng.choice(variables) * rng.choice([1, -1, 2, Fraction(1, 2)])
+
+    return [
+        [one if r == c else cell() if (c > r) == upper else zero for c in range(size)]
+        for r in range(size)
+    ]
+
+
+def _dense_product(a, b):
+    n = a[0][0].n
+    return [
+        [sum((x * y for x, y in zip(row, col)), RingElement.zero(n)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def _permutation_sign(perm):
+    return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+
+
+def elimination_case(rng, n, size, kind):
+    """A size x size matrix of the given kind over n, with its determinant."""
+    zero = RingElement.zero(n)
+    if not size:
+        return Matrix(n, 0, ()), RingElement.one(n)
+    det = {
+        "determinant 2": RingElement.constant(n, 2),
+        "determinant x1 + d": (RingElement.x(n, 1) if n else zero) + RingElement.delta(n),
+    }.get(kind, RingElement.one(n))
+    upper = _unitriangular(rng, n, size, True)
+    perm = rng.sample(range(size), size)
+    if kind == "zero first pivot":
+        # the rows of an upper unitriangular matrix, row 0 moved down, so that
+        # row 0 has 0 in column 0; a 1 x 1 case is the singular [0]
+        m, det = (upper, det) if size > 1 else ([[zero]], zero)
+        if perm[0] == 0:
+            perm.reverse()
+    else:
+        m = _dense_product(_unitriangular(rng, n, size, False), upper)
+    # scaling row 0 sets the determinant
+    m[0] = [x * det for x in m[0]]
+    if kind == "singular":
+        # one row becomes a combination of the others (zero when size is 1)
+        r = rng.randrange(size)
+        coeffs = [(random_entry(rng, n), m[i]) for i in range(size) if i != r]
+        m[r] = [sum((f * row[c] for f, row in coeffs), zero) for c in range(size)]
+        det = zero
+    m = [m[i] for i in perm]
+    if _permutation_sign(perm) < 0:
+        det = -det
+    return Matrix(n, size, tuple({c: x for c, x in enumerate(row) if x.terms} for row in m)), det
+
+
+ELIMINATION_KINDS = (
+    "permuted unitriangular",
+    "singular",
+    "zero first pivot",
+    "determinant 2",
+    "determinant x1 + d",
+)
+
+
+def test_elimination_matches_dense_reference():
+    # the stored-cells kernel against the dense one it replaced, cell for
+    # cell: the determinant, the block det a . a^-1 and the inverse
+    rng = random.Random(37)
+    swaps = singular = cases = 0
+    for n in (0, 2):
+        for size in range(7):
+            for kind in ELIMINATION_KINDS:
+                for _ in range(3):
+                    a, det = elimination_case(rng, n, size, kind)
+                    ref_det, ref_block = _dense_gauss_jordan_reference(a, True)
+                    assert ref_det == det
+                    assert det_bareiss(a) == det
+                    got_det, got_block = polymat._gauss_jordan(a, True)
+                    assert got_det == det
+                    if ref_block is None:
+                        assert got_block is None
+                        singular += 1
+                        with pytest.raises(ArithmeticError):
+                            mat_invert(a)
+                        continue
+                    block = Matrix(n, size, got_block)
+                    assert stores_no_zero(block) and dense(block) == tuple(map(tuple, ref_block))
+                    swaps += size > 1 and 0 not in a.rows[0]
+                    if det.is_unit():
+                        inverse = mat_invert(a)
+                        assert inverse == mat_scale(block, Fraction(1, det.constant_coefficient()))
+                        assert not size or mat_mul(inverse, a) == mat_identity(n, size)
+                    else:
+                        with pytest.raises(ArithmeticError):
+                            mat_invert(a)
+                    cases += 1
+    assert cases + singular == 2 * 7 * len(ELIMINATION_KINDS) * 3
+    assert singular >= 40 and swaps >= 20
+
+
+@pytest.mark.parametrize("n, word_from, word_to", [
+    (6, (0, 2, 4), (4, 2, 0)),
+    (8, (0, 2, 4, 6), (6, 4, 2, 0)),
+])
+def test_crossing_isomorphisms_invert(n, word_from, word_to):
+    m = bimod.theta(n, word_from, word_to).matrix
+    inverse = mat_invert(m)
+    assert stores_no_zero(inverse)
+    assert mat_mul(inverse, m) == mat_identity(n, len(m))
 
 
 def test_cancelling_operations_store_no_zero_cell():

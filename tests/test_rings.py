@@ -351,6 +351,36 @@ def test_ring_drops_cancelled_coefficients():
                 assert all(value.terms.values())
 
 
+def other_n_pairs():
+    # packed monomials of different widths once added as integers:
+    # x1 over n = 2 times x1 over n = 3 read as x1
+    return (
+        (x(2, 1), x(3, 1)),
+        (RingElement.zero(2), x(3, 1)),
+        (x(2, 1), RingElement.zero(3)),
+        (RingElement.one(0), RingElement.one(1)),
+    )
+
+
+def test_ring_product_refuses_another_n():
+    for f, g in other_n_pairs():
+        with pytest.raises(ValueError, match=rf"^cannot multiply elements over n={f.n} and n={g.n}$"):
+            f * g
+    assert x(2, 1) * 3 == 3 * x(2, 1) == RingElement(2, {(1, 0, 0): 3})
+
+
+def test_ring_sum_refuses_another_n():
+    for f, g in other_n_pairs():
+        with pytest.raises(ValueError, match=rf"^cannot add elements over n={f.n} and n={g.n}$"):
+            f + g
+
+
+def test_ring_difference_refuses_another_n():
+    for f, g in other_n_pairs():
+        with pytest.raises(ValueError, match=rf"^cannot subtract elements over n={f.n} and n={g.n}$"):
+            f - g
+
+
 def test_exact_div_stays_integral():
     rng = random.Random(10)
     for n in (2, 3, 4):
