@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import polymat
 from .polymat import Matrix
-from .rings import RingElement, demazure, simple_root
+from .rings import RingElement, delta_zero_terms, demazure, packed_bits, simple_root
 from .weyl import CACHE_SIZE, preferred_word
 
 
@@ -43,8 +43,9 @@ def rank(word):
 class Morphism:
     """A right-R-linear map BS(src) -> BS(tgt) with a homogeneous degree.
 
-    matrix is a polymat.Matrix of width rank(src): matrix.rows[r].get(c) is
-    the coefficient of target basis vector r on the image of source basis
+    matrix is a polymat.Matrix of width rank(src), whose packed rows hold
+    every term of every cell as one key: matrix.cells()[r].get(c) is the
+    coefficient of target basis vector r on the image of source basis
     vector c, absent when it is 0.
     """
 
@@ -55,22 +56,7 @@ class Morphism:
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.matrix = matrix
-        if check:
-            degs = set()
-            for r, row in enumerate(matrix.rows):
-                for c, entry in row.items():
-                    degs.add(
-                        entry.degree()
-                        + basis_degree(self.tgt, r)
-                        - basis_degree(self.src, c)
-                    )
-            if len(degs) > 1:
-                raise ValueError(f"inhomogeneous morphism, degrees {degs}")
-            found = degs.pop() if degs else None
-            if degree is not None and found is not None and degree != found:
-                raise ValueError(f"stated degree {degree} != computed {found}")
-            degree = degree if found is None else found
-        self.degree = degree
+        self.degree = cells_degree(self.src, self.tgt, matrix.cells(), degree) if check else degree
 
     @classmethod
     def zero(cls, n, src, tgt):
@@ -155,6 +141,21 @@ class Morphism:
     __repr__ = __str__
 
 
+def cells_degree(src, tgt, rows, degree):
+    """The degree of the map BS(src) -> BS(tgt) with these rows of cells, or the
+    stated one if all are 0; raises ValueError if inhomogeneous or not as stated."""
+    degs = set()
+    for r, row in enumerate(rows):
+        for c, entry in row.items():
+            degs.add(entry.degree() + basis_degree(tgt, r) - basis_degree(src, c))
+    if len(degs) > 1:
+        raise ValueError(f"inhomogeneous morphism, degrees {degs}")
+    found = degs.pop() if degs else None
+    if degree is not None and found is not None and degree != found:
+        raise ValueError(f"stated degree {degree} != computed {found}")
+    return degree if found is None else found
+
+
 def left_mult_matrix(n, word, f):
     """Matrix of left multiplication by f on BS(word), by forcing rightward.
 
@@ -170,7 +171,7 @@ def _forced(n, word, f):
     """left_mult_matrix on a reduced tuple word: each suffix block is memoized
     too, so words sharing a tail share its blocks."""
     if not word:
-        return Matrix(n, 1, ({0: f} if f.terms else {},))
+        return Matrix(n, 1, ({0: f},))
     i = word[0]
     rest = word[1:]
     x = xi(n, i)
@@ -207,23 +208,24 @@ def _whisker(n, left, core, right):
 
     Every nonzero entry f of core at (r, c) contributes, for each basis
     index u of BS(left), the block of left multiplication by f on BS(right)
-    at rows (u, r, .) and columns (u, c, .).  The one kernel here that
-    forces a tensor product: `tensor` composes two whiskerings.
+    at rows (u, r, .) and columns (u, c, .): its packed keys plus the column
+    offset << S.  The one kernel here that forces a tensor product: `tensor`
+    composes two whiskerings.
     """
     rl, rr = rank(left), rank(right)
     rows, cols = rank(core.tgt), rank(core.src)
     out = [{} for _ in range(rl * rows * rr)]
-    for r, row in enumerate(core.matrix.rows):
+    for r, row in enumerate(core.matrix.cells()):
         for c, f in row.items():
-            block = left_mult_matrix(n, right, f)
+            block = left_mult_matrix(n, right, f).rows
             for u in range(rl):
                 r0 = (u * rows + r) * rr
-                c0 = (u * cols + c) * rr
-                for k, brow in enumerate(block.rows):
+                shift = (u * cols + c) * rr << packed_bits(n)
+                for k, brow in enumerate(block):
                     target = out[r0 + k]
-                    for cb, x in brow.items():
-                        target[c0 + cb] = x
-    matrix = Matrix(n, rl * cols * rr, out)
+                    for key, x in brow.items():
+                        target[key + shift] = x
+    matrix = Matrix._packed(n, rl * cols * rr, out)
     return Morphism(
         n, left + core.src + right, left + core.tgt + right, matrix, core.degree,
         check=False,
@@ -412,5 +414,5 @@ def is_bimodule_map(mor):
 
 
 def subs_delta_zero(mor):
-    matrix = polymat.mat_map(mor.matrix, RingElement.subs_delta_zero)
+    matrix = Matrix._packed(mor.n, mor.matrix.width, map(delta_zero_terms, mor.matrix.rows))
     return Morphism(mor.n, mor.src, mor.tgt, matrix, mor.degree, check=False)

@@ -83,7 +83,7 @@ class MatrixArithmetic:
         zero = polymat.mat_zero(self.n, len(g.rows), g.width)
         return polymat.mat_blocks([
             [polymat.mat_scale(g, row[c]) if c in row else zero for c in range(f.width)]
-            for row in f.rows
+            for row in f.cells()
         ])
 
     def tensor_label(self, a, b):
@@ -242,12 +242,7 @@ class BimoduleArithmetic:
 
     def encode(self, f):
         """The dense JSON form: every cell's text, "0" where none is stored."""
-        width = range(f.matrix.width)
-        return {
-            "src": list(f.src),
-            "tgt": list(f.tgt),
-            "matrix": [[str(row[c]) if c in row else "0" for c in width] for row in f.matrix.rows],
-        }
+        return {"src": list(f.src), "tgt": list(f.tgt), "matrix": polymat.mat_texts(f.matrix)}
 
     def decode(self, data):
         """The morphism of encode's form; a cell whose text is 0 (the literal
@@ -265,7 +260,8 @@ class BimoduleArithmetic:
                     if x.terms:
                         out[c] = x
             rows.append(out)
-        return bimod.Morphism(self.n, src, tgt, Matrix(self.n, width, rows))
+        degree = bimod.cells_degree(src, tgt, rows, None)
+        return bimod.Morphism(self.n, src, tgt, Matrix(self.n, width, rows), degree, check=False)
 
     def decode_for_load(self):
         """decode behind a memo for one load, keyed by the full content (src,

@@ -1,9 +1,12 @@
 """Sparse matrices over RingElement: exact products, block assembly,
 determinants, inverses.
 
-A matrix is a `Matrix`: its rows, a tuple of dicts {column: RingElement}
-that hold the nonzero cells only, with the ring's n and the exact width.  Used by the
-bimodule model and by the matrix backend of the pseudocomplex engine.
+A `Matrix` keeps the ring's n, the exact width and its rows, each one dict
+{column << S | packed monomial: coefficient} with S = rings.packed_bits(n):
+a product of two terms is one addition of keys, and a row of a product is
+one flat accumulator (Gustavson, "Two fast algorithms for sparse matrices",
+1978).  Ring elements are built only where a caller needs cells.  Used by
+the bimodule model and by the matrix backend of the pseudocomplex engine.
 Determinants and inverses come from one fraction-free Gauss-Jordan
 elimination over R on stored cells, so a matrix is inverted exactly when its
 determinant is a unit.  `echelon` with `back_substitute` serves the rational
@@ -13,16 +16,28 @@ linear systems: ranks, nullspaces and particular solutions.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
 
-from .rings import RingElement, accumulate_product, exact_div, from_accumulated
+from .rings import RingElement, checked_terms, exact_div, packed_bits, ring_text
+
+
+def _cells(n, row):
+    """The cells {column: RingElement} of a packed row."""
+    s, cells = packed_bits(n), {}
+    for key, x in row.items():
+        c = key >> s
+        if c in cells:
+            cells[c].terms[key ^ c << s] = x
+        else:
+            cells[c] = RingElement._trusted(n, {key ^ c << s: x})
+    return cells
 
 
 class Matrix:
     """A matrix over Q[x_1..x_n, d] of `len(rows)` rows and `width` columns.
-    `rows` is a tuple of sparse rows {column: RingElement}: no row stores a
-    zero cell or a column outside 0..width-1.  Rows are shared between
-    matrices and never mutated, and the arithmetic here walks them only.
+    `rows` is a tuple of packed rows that store no zero coefficient, no
+    column outside 0..width-1 and an integral coefficient as an int; rows
+    are shared between matrices and never mutated.  The constructor packs
+    rows of cells {column: RingElement}; `cells` unpacks them.
 
     As a sequence a Matrix reads as its dense rows: row r is a tuple of
     `width` cells, 0 where none is stored.  No kernel here reads them; the
@@ -32,18 +47,33 @@ class Matrix:
     __slots__ = ("n", "width", "rows")
 
     def __init__(self, n, width, rows):
-        self.n = n
-        self.width = width
-        self.rows = tuple(rows)
+        s, packed = packed_bits(n), []
+        for row in rows:
+            out = {}
+            for c, cell in row.items():
+                c <<= s
+                for m, x in cell.terms.items():
+                    out[c | m] = x
+            packed.append(out)
+        self.n, self.width, self.rows = n, width, tuple(packed)
+
+    @classmethod
+    def _packed(cls, n, width, rows):
+        """Wrap packed rows that already keep the invariant."""
+        out = object.__new__(cls)
+        out.n, out.width, out.rows = n, width, tuple(rows)
+        return out
+
+    def cells(self):
+        """The rows as fresh dicts {column: RingElement} of the stored cells."""
+        return [_cells(self.n, row) for row in self.rows]
 
     def __len__(self):
         return len(self.rows)
 
     def __getitem__(self, r):
-        cells = [RingElement.zero(self.n)] * self.width
-        for c, x in self.rows[r].items():
-            cells[c] = x
-        return tuple(cells)
+        cells, zero = _cells(self.n, self.rows[r]), RingElement.zero(self.n)
+        return tuple(cells.get(c, zero) for c in range(self.width))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.rows)))
@@ -63,16 +93,16 @@ class Matrix:
         rows = []
         for ra, rb in zip(self.rows, other.rows):
             row = dict(ra)
-            for c, y in rb.items():
-                x = row.pop(c, None)
-                x = y if x is None else x + y
-                if x.terms:
-                    row[c] = x
+            for k, y in rb.items():
+                x = row.pop(k, 0) + y
+                if x:
+                    row[k] = x if type(x) is int or x.denominator != 1 else x.numerator
             rows.append(row)
-        return Matrix(self.n, self.width, rows)
+        return Matrix._packed(self.n, self.width, rows)
 
     def __neg__(self):
-        return mat_map(self, neg)
+        rows = [{k: -x for k, x in row.items()} for row in self.rows]
+        return Matrix._packed(self.n, self.width, rows)
 
 
 def mat_shape(m):
@@ -80,50 +110,67 @@ def mat_shape(m):
 
 
 def mat_zero(n, rows, cols):
-    return Matrix(n, cols, ({},) * rows)
+    return Matrix._packed(n, cols, ({},) * rows)
 
 
 def mat_identity(n, size):
-    one = RingElement.one(n)
-    return Matrix(n, size, tuple({r: one} for r in range(size)))
+    return Matrix._packed(n, size, ({r << packed_bits(n): 1} for r in range(size)))
 
 
 def mat_map(a, f):
     """The matrix of f(x) over the stored cells x of a; a cell that f sends
     to 0 is not stored."""
-    rows = []
+    return Matrix(a.n, a.width, ({c: f(x) for c, x in _cells(a.n, row).items()} for row in a.rows))
+
+
+def mat_texts(a):
+    """The dense rows of a as cell texts, "0" where none is stored; a row's
+    keys in decreasing order give each cell its terms in the order of text."""
+    s, out = packed_bits(a.n), []
     for row in a.rows:
-        out = {}
-        for c, x in row.items():
-            x = f(x)
-            if x.terms:
-                out[c] = x
-        rows.append(out)
-    return Matrix(a.n, a.width, rows)
+        texts, cells = ["0"] * a.width, {}
+        for key, x in sorted(row.items(), reverse=True):
+            c = key >> s
+            cells.setdefault(c, []).append((key ^ c << s, x))
+        for c, cell in cells.items():
+            texts[c] = ring_text(a.n, tuple(cell))
+        out.append(texts)
+    return out
 
 
 def mat_scale(a, f):
-    return mat_map(a, lambda x: x * f)
+    """a times f, a RingElement or a rational: the product a . f I, or for
+    f = c m of one term every key plus m with its coefficient times c."""
+    f = f if isinstance(f, RingElement) else RingElement.constant(a.n, f)
+    if f.n != a.n:
+        raise ValueError(f"cannot scale a matrix over n={a.n} by an element over n={f.n}")
+    if len(f.terms) != 1:
+        diagonal = Matrix(a.n, a.width, ({c: f} for c in range(a.width)))
+        return mat_mul_sum(((a, diagonal),)) if a.width else a
+    ((m, c),) = f.terms.items()
+    rows = ({k + m: x * c for k, x in row.items()} for row in a.rows)
+    return Matrix._packed(a.n, a.width, [checked_terms(a.n, row) for row in rows])
 
 
 def mat_blocks(grid):
     """The matrix whose block (i, j) is grid[i][j].
 
     Blocks in one grid row share a height, blocks in one grid column a width.
+    The cells of a block at column offset o are its keys plus o << S.
     """
-    offsets, width = [], 0
+    s, shifts, width = packed_bits(grid[0][0].n), [], 0
     for block in grid[0]:
-        offsets.append(width)
+        shifts.append(width << s)
         width += block.width
     rows = []
     for blocks in grid:
         for r in range(len(blocks[0].rows)):
             row = {}
-            for offset, block in zip(offsets, blocks):
-                for c, x in block.rows[r].items():
-                    row[offset + c] = x
+            for shift, block in zip(shifts, blocks):
+                for k, x in block.rows[r].items():
+                    row[k + shift] = x
             rows.append(row)
-    return Matrix(grid[0][0].n, width, rows)
+    return Matrix._packed(grid[0][0].n, width, rows)
 
 
 def mat_mul(a, b):
@@ -133,34 +180,29 @@ def mat_mul(a, b):
 
 def mat_mul_sum(pairs):
     """Exact sum of the products a . b over a nonempty sequence of pairs: the
-    one product kernel.  Each output cell is accumulated once over every
-    pair, walking the stored cells of a and, for each, the stored row of b
-    it selects; cells that cancel are not stored.  Middle dimensions may
-    differ per pair."""
+    one product kernel.  Each output row is one accumulator over every pair:
+    a key of a's row selects the row of b at its column, and each key there
+    plus the first key's monomial is an output key.  Coefficients that
+    cancel are not stored; checked_terms refuses an overflowed monomial.
+    Middle dimensions may differ per pair."""
     n, width = pairs[0][0].n, pairs[0][1].width
-    cells = [{} for _ in pairs[0][0].rows]
+    s = packed_bits(n)
+    mask = (1 << s) - 1
+    out = [{} for _ in pairs[0][0].rows]
     for a, b in pairs:
         if a.n != n or b.n != n:
             raise ValueError(f"cannot multiply over n={a.n} and n={b.n} in a sum over n={n}")
         b_rows = b.rows
-        if len(a.rows) != len(cells) or not a.width or len(b_rows) != a.width or b.width != width:
+        if len(a.rows) != len(out) or not a.width or len(b_rows) != a.width or b.width != width:
             raise ValueError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
-        for row_cells, row in zip(cells, a.rows):
-            for k, x in row.items():
-                for c, y in b_rows[k].items():
-                    acc = row_cells.get(c)
-                    if acc is None:
-                        acc = row_cells[c] = {}
-                    accumulate_product(acc, x, y)
-    rows = []
-    for row_cells in cells:
-        row = {}
-        for c, acc in row_cells.items():
-            x = from_accumulated(n, acc)
-            if x.terms:
-                row[c] = x
-        rows.append(row)
-    return Matrix(n, width, rows)
+        for acc, row in zip(out, a.rows):
+            get = acc.get
+            for key, x in row.items():
+                m = key & mask
+                for k, y in b_rows[key >> s].items():
+                    k += m
+                    acc[k] = get(k, 0) + x * y
+    return Matrix._packed(n, width, [checked_terms(n, acc) for acc in out])
 
 
 def mat_is_zero(a):
@@ -169,11 +211,11 @@ def mat_is_zero(a):
 
 def _gauss_jordan(a, inverse):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of a, or of [a | I]
-    when `inverse` is set; returns (det a, the sparse rows of det a . a^-1,
+    when `inverse` is set; returns (det a, the rows of cells of det a . a^-1,
     or None without `inverse`), or (0, None).
 
-    The working rows are dict copies of a's stored rows, and row r of I is
-    one cell at column size + r.  At pivot p in column k, each other row
+    The working rows are a's cell view, and row r of I is one cell at
+    column size + r.  At pivot p in column k, each other row
     becomes (p row - row[k] row_k) / q with q the previous pivot, so entries
     are minors and divisions exact; only cells that the row or row k store
     are touched, and column k leaves the rows.  A row swap negates one of
@@ -184,7 +226,7 @@ def _gauss_jordan(a, inverse):
     if size != cols:
         raise ValueError(f"non-square matrix {size} x {cols}")
     prev = one = RingElement.one(a.n)
-    m = [dict(row) for row in a.rows]
+    m = a.cells()
     if inverse:
         for r, row in enumerate(m):
             row[size + r] = one

@@ -213,6 +213,17 @@ def _pack(n, mono):
     return packed
 
 
+def packed_bits(n):
+    """The bits of a packed monomial over n: none is set at or above them."""
+    return _WIDTH * (n + 1)
+
+
+def delta_zero_terms(terms):
+    """The terms of an element, or the keys of a packed matrix row, whose d
+    exponent is 0: the image in R/(d).  d is the lowest field of every key."""
+    return {m: c for m, c in terms.items() if not m & _FIELD}
+
+
 def _unpack(n, packed):
     """The exponent vector (x_1, ..., x_n, d) of a packed monomial."""
     return tuple((packed >> (k * _WIDTH)) & _FIELD for k in range(n, -1, -1))
@@ -223,20 +234,13 @@ def _unit_mono(n, index):
     return 1 << ((n - index) * _WIDTH)
 
 
-def accumulate_product(acc, f, g):
-    """acc += f * g on raw term dicts; clean acc with from_accumulated."""
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            m = m1 + m2
-            acc[m] = acc.get(m, 0) + c1 * c2
-
-
-def from_accumulated(n, acc):
-    """The RingElement of a term dict built by accumulate_product; raises
-    OverflowError when a product reached EXPONENT_LIMIT in some exponent."""
+def checked_terms(n, acc):
+    """An accumulated dict without zeros and with integral values as int; its
+    keys hold a packed monomial over n in their low packed_bits(n) bits.  Raises
+    OverflowError when a key, even one of value 0, sets a guard bit."""
     if acc and reduce(or_, acc) & _guards(n):
         raise OverflowError(f"a product has an exponent of at least {EXPONENT_LIMIT}")
-    return RingElement._trusted(n, _cleaned(acc))
+    return _cleaned(acc)
 
 
 class RingElement:
@@ -351,8 +355,11 @@ class RingElement:
         if n != other.n:
             raise ValueError(f"cannot multiply elements over n={n} and n={other.n}")
         out = {}
-        accumulate_product(out, self, other)
-        return from_accumulated(n, out)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+        return RingElement._trusted(n, checked_terms(n, out))
 
     __rmul__ = __mul__
 
@@ -387,20 +394,14 @@ class RingElement:
         """Nonzero constant (the units of the polynomial ring over Q)."""
         return len(self.terms) == 1 and 0 in self.terms
 
-    def subs_delta_zero(self):
-        """The image in R/(d), exact quotient-set arithmetic."""
-        return RingElement._trusted(
-            self.n, {m: c for m, c in self.terms.items() if not m & _FIELD}
-        )
-
     def __str__(self):
-        return _ring_text(self.n, tuple(sorted(self.terms.items(), reverse=True)))
+        return ring_text(self.n, tuple(sorted(self.terms.items(), reverse=True)))
 
     __repr__ = __str__
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _ring_text(n, terms):
+def ring_text(n, terms):
     """The text of an element of Q[x_1..x_n, d] from its (packed monomial,
     coefficient) terms, highest monomial first."""
     if not terms:

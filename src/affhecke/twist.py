@@ -21,7 +21,7 @@ from .bimod import Morphism, basis_degree, rank
 from .complexes import build_F
 from .homalg import BimoduleArithmetic, add_entries, compose_entries, one_term_complex
 from .polymat import Matrix
-from .rings import RingElement
+from .rings import RingElement, delta_zero_terms
 
 
 def _delta_zero_complex(p):
@@ -124,13 +124,12 @@ def _monomials(n, half_degree):
 
 def _coordinates(entries, tag):
     """Rational coordinates mod delta of entries (a, b) -> morphism, keyed
-    (tag, a, b, row, col, monomial)."""
+    (tag, a, b, row, packed key): the key holds the column and monomial."""
     return {
-        (tag, a, b, r, c, mono): coeff
+        (tag, a, b, r, key): coeff
         for (a, b), mor in entries.items()
         for r, row in enumerate(mor.matrix.rows)
-        for c, x in row.items()
-        for mono, coeff in x.subs_delta_zero().terms.items()
+        for key, coeff in delta_zero_terms(row).items()
     }
 
 

@@ -27,9 +27,13 @@ def sparse(rows):
 
 
 def stores_no_zero(m):
-    """The sparse invariant: each stored cell is nonzero and lies inside the
-    width."""
-    return all(x.terms and 0 <= c < m.width for row in m.rows for c, x in row.items())
+    """The sparse invariant, read through the cell view: each stored
+    coefficient is nonzero, an int when it is integral, and lies in a cell
+    inside the width."""
+    cells = [(c, x) for row in m.cells() for c, x in row.items()]
+    return all(0 <= c < m.width for c, _ in cells) and all(
+        v and (type(v) is int or v.denominator != 1) for _, x in cells for v in x.terms.values()
+    )
 
 
 def exponents(f):

@@ -66,22 +66,16 @@ def assert_exact_d2(n):
 
 def test_criterion_01_d2_equals_mu_delta():
     start = time.monotonic()
-    for n in (2, 3, 4, 5, 6, 7):
+    for n in (2, 3, 4, 5, 6, 7, 8):
         assert_exact_d2(n)
+    # the forced blocks of n <= 8 fit the memo: none is evicted
+    info = bimod._forced.cache_info()
+    assert info.currsize < info.maxsize
     for n in (5, 6, 7, 8):
         assert check_d2_signs(n)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s"
-    report(1, "d^2 = mu.delta, exact to n=7, sign level to n=8")
-
-
-@pytest.mark.slow
-def test_criterion_01_exact_n8():
-    assert_exact_d2(8)
-    # the forced blocks of n <= 8 fit the memo: none is evicted
-    info = bimod._forced.cache_info()
-    assert info.currsize < info.maxsize
-    report("1+", "d^2 = mu.delta, exact at n=8")
+    report(1, "d^2 = mu.delta, exact to n=8, sign level to n=8")
 
 
 @pytest.mark.slow

@@ -39,13 +39,7 @@ from affhecke.complexes import build_F
 from affhecke.hecke import kl_basis
 from affhecke.homalg import BimoduleArithmetic
 from affhecke.polymat import Matrix
-from affhecke.rings import (
-    RingElement,
-    accumulate_product,
-    demazure,
-    from_accumulated,
-    simple_root,
-)
+from affhecke.rings import RingElement, demazure, simple_root
 from affhecke.suites import proper_subsets
 from affhecke.weyl import longest_element, preferred_word
 from bimodule_bases import adjoint, dense, gram_matrix, sparse, stores_no_zero
@@ -459,6 +453,7 @@ def _tensor_reference(a, b):
     n = a.n
     rb_s, rb_t = bimod.rank(b.src), bimod.rank(b.tgt)
     b_rows = [[(cb, y) for cb, y in enumerate(row) if y.terms] for row in dense(b.matrix)]
+    zero = RingElement.zero(n)
     cells = {}
     for ra, rowa in enumerate(dense(a.matrix)):
         for ca, f in enumerate(rowa):
@@ -469,14 +464,11 @@ def _tensor_reference(a, b):
                     if not coeff.terms:
                         continue
                     for cb, entry in b_rows[mid]:
-                        acc = cells.setdefault((ra * rb_t + rb, ca * rb_s + cb), {})
-                        accumulate_product(acc, coeff, entry)
-    zero = RingElement.zero(n)
+                        key = (ra * rb_t + rb, ca * rb_s + cb)
+                        cells[key] = cells.get(key, zero) + coeff * entry
     out = [[zero] * (bimod.rank(a.src) * rb_s) for _ in range(bimod.rank(a.tgt) * rb_t)]
-    for (r, c), acc in cells.items():
-        value = from_accumulated(n, acc)
-        if value.terms:
-            out[r][c] = value
+    for (r, c), value in cells.items():
+        out[r][c] = value
     deg = None
     if a.degree is not None and b.degree is not None:
         deg = a.degree + b.degree

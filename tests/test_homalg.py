@@ -626,7 +626,7 @@ def test_from_json_decodes_entries_differing_in_one_cell_apart():
     keys = [(e["from"], e["to"]) for e in (data["diff"][first], data["diff"][second])]
     one, other = (g.diff[k] for k in keys)
     assert one == f.diff[keys[0]] and other != one
-    assert c not in other.matrix.rows[r] and c in one.matrix.rows[r]
+    assert c not in other.matrix.cells()[r] and c in one.matrix.cells()[r]
 
 
 @pytest.mark.parametrize("fault, error", (

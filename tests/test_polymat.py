@@ -19,7 +19,7 @@ from affhecke.polymat import (
     mat_shape,
     mat_zero,
 )
-from affhecke.rings import RingElement, exact_div
+from affhecke.rings import EXPONENT_LIMIT, RingElement, exact_div
 from bimodule_bases import (
     dense,
     exponents,
@@ -78,7 +78,7 @@ def test_mat_mul_matches_dense_reference():
         assert mat_shape(product) == (rows, cols)
         assert dense(product) == naive_mul(a, b)
         assert stores_no_zero(product)
-        for row in product.rows:
+        for row in product.cells():
             for entry in row.values():
                 assert all(entry.terms.values())
 
@@ -110,11 +110,109 @@ def test_mat_mul_sum_is_the_sum_of_mat_muls():
         assert mat_shape(got) == (rows, cols)
         assert got == expected
         assert stores_no_zero(got) and stores_no_zero(expected)
-        assert all(all(x.terms.values()) for row in got.rows for x in row.values())
+        assert all(all(x.terms.values()) for row in got.cells() for x in row.values())
         # a pair and its negative cancel in every cell
         a, b = pairs[0]
         negated = sparse(tuple(tuple(-x for x in row) for row in dense(a)))
         assert mat_mul_sum([(a, b), (negated, b)]) == mat_zero(n, rows, cols)
+
+
+def _cellwise_mat_mul_sum_reference(pairs):
+    """The cell-wise kernel that packed rows replaced, on the cell view:
+    each output cell is a RingElement accumulated over every pair, walking
+    the stored cells of a and, for each, the stored row of b it selects."""
+    n, width = pairs[0][0].n, pairs[0][1].width
+    zero = RingElement.zero(n)
+    cells = [{} for _ in pairs[0][0].rows]
+    for a, b in pairs:
+        b_rows = b.cells()
+        for row_cells, row in zip(cells, a.cells()):
+            for k, x in row.items():
+                for c, y in b_rows[k].items():
+                    row_cells[c] = row_cells.get(c, zero) + x * y
+    return Matrix(n, width, cells)
+
+
+def random_cells(rng, n, rows, cols):
+    """Rows of cells {column: RingElement} with multi-term cells, Fraction
+    coefficients and empty rows."""
+    out = []
+    for _ in range(rows):
+        row = {}
+        if rng.random() < 0.8:
+            for c in range(cols):
+                x = random_entry(rng, n)
+                if x.terms:
+                    row[c] = x
+        out.append(row)
+    return out
+
+
+def test_packed_rows_match_cellwise_reference():
+    # about 200 seeded sums over n = 0..3 against the cell-wise kernel, cell
+    # for cell; some are a pair and its negative, whose sum cancels to 0
+    rng = random.Random(41)
+    multi_term = fractions = width_one = empty_rows = cancelled = 0
+    for case in range(200):
+        n = case % 4
+        rows, cols = rng.randint(1, 5), rng.choice((1, rng.randint(1, 6)))
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            mid = rng.choice((1, rng.randint(1, 6)))
+            a = random_cells(rng, n, rows, mid)
+            b = random_cells(rng, n, mid, cols)
+            # the cell view round-trips: Matrix(n, w, cells) gives the cells back
+            for cells, width in ((a, mid), (b, cols)):
+                m = Matrix(n, width, cells)
+                assert m.cells() == cells and Matrix(n, width, m.cells()) == m
+                multi_term += any(len(x.terms) > 1 for row in cells for x in row.values())
+                fractions += any(
+                    type(v) is Fraction for row in cells for x in row.values() for v in x.terms.values()
+                )
+                empty_rows += not all(cells)
+            pairs.append((Matrix(n, mid, a), Matrix(n, cols, b)))
+        if rng.random() < 0.2:
+            pairs.append((-pairs[0][0], pairs[0][1]))
+            pairs = pairs[:1] + pairs[-1:]
+        got = mat_mul_sum(pairs)
+        expected = _cellwise_mat_mul_sum_reference(pairs)
+        assert got == expected and got.cells() == expected.cells()
+        assert stores_no_zero(got)
+        # scaling by a ring element of any number of terms, or a rational
+        a = pairs[0][0]
+        f = rng.choice((random_entry(rng, n), Fraction(-3, 2), 0))
+        scaled = Matrix(n, a.width, [{c: x * f for c, x in row.items()} for row in a.cells()])
+        assert mat_scale(a, f) == scaled and stores_no_zero(mat_scale(a, f))
+        width_one += cols == 1 or any(a.width == 1 for a, _ in pairs)
+        cancelled += len(pairs) == 2 and pairs[1][0] == -pairs[0][0] and mat_is_zero(got)
+    assert min(multi_term, fractions, width_one, empty_rows) >= 20 and cancelled >= 20
+
+
+def test_kernel_refuses_an_overflowed_product():
+    # x1 is the top field, next to the column bits, and d the lowest; a
+    # product that reaches EXPONENT_LIMIT sets that field's guard bit, also
+    # when its two paths cancel
+    half = EXPONENT_LIMIT // 2
+    for n, power in ((2, (half, 0, 0)), (2, (0, 0, half)), (0, (half,))):
+        f = RingElement(n, {power: 1})
+        with pytest.raises(OverflowError):
+            mat_mul(Matrix(n, 1, ({0: f},)), Matrix(n, 1, ({0: f},)))
+        a = Matrix(n, 2, ({0: f, 1: f},))
+        b = Matrix(n, 1, ({0: f}, {0: -f}))
+        with pytest.raises(OverflowError):
+            mat_mul(a, b)
+    # 64 columns, so that keys carry 6 column bits above the monomial; the
+    # top field legally at EXPONENT_LIMIT - 1 does not raise
+    n = 3
+    top = RingElement(n, {(EXPONENT_LIMIT - 1 - half, 0, 0, 0): 1})
+    x = RingElement(n, {(half, 0, 0, 0): 1})
+    row = {c: top * RingElement.constant(n, c + 1) for c in range(64)}
+    product = mat_mul(Matrix(n, 1, ({0: x},)), Matrix(n, 64, (row,)))
+    assert product.cells() == [{c: x * y for c, y in row.items()}]
+    assert all(
+        exponents(cell) == {(EXPONENT_LIMIT - 1, 0, 0, 0): c + 1}
+        for c, cell in product.cells()[0].items()
+    )
 
 
 def test_mat_mul_sum_shape_mismatch():
@@ -144,6 +242,11 @@ def test_product_refuses_another_n():
     with pytest.raises(ValueError, match=r"^cannot multiply over n=3 and n=3 in a sum over n=2$"):
         mat_mul_sum([(a, a), (b, b)])
     assert mat_mul_sum([(a, a), (a, a)]) == mat_scale(mat_mul(a, a), 2)
+    # packed keys over n = 3 do not add to keys over n = 2, so scaling refuses
+    # one term and several terms alike
+    for f in (RingElement.x(3, 1), RingElement.x(3, 1) + RingElement.delta(3)):
+        with pytest.raises(ValueError, match=r"^cannot scale a matrix over n=2 by an element over n=3$"):
+            mat_scale(a, f)
 
 
 def test_matrix_sum_refuses_other_shapes_and_rings():
@@ -171,8 +274,8 @@ def test_mat_blocks_places_non_square_blocks():
         for bj, w in enumerate(widths):
             for r in range(h):
                 for c in range(w):
-                    got = m.rows[sum(heights[:bi]) + r].get(sum(widths[:bj]) + c)
-                    assert got is grid[bi][bj].rows[r].get(c)
+                    got = m.cells()[sum(heights[:bi]) + r].get(sum(widths[:bj]) + c)
+                    assert got == grid[bi][bj].cells()[r].get(c)
 
 
 def test_mat_blocks_of_one_block_is_that_matrix():
@@ -368,7 +471,7 @@ def test_invertible_exactly_when_det_is_a_unit():
         size = rng.randint(1, 4)
         a = unit_det_matrix(rng, size)
         assert check_invertibility_decision(a)
-        non_constant += any(m != (0,) for row in a.rows for x in row.values() for m in exponents(x))
+        non_constant += any(m != (0,) for row in a.cells() for x in row.values() for m in exponents(x))
         # a factor d in one row makes det d times a unit: not a unit
         r = rng.randrange(size)
         b = tuple(tuple(x * d for x in row) if i == r else row for i, row in enumerate(dense(a)))
@@ -518,7 +621,7 @@ def test_elimination_matches_dense_reference():
                         continue
                     block = Matrix(n, size, got_block)
                     assert stores_no_zero(block) and dense(block) == tuple(map(tuple, ref_block))
-                    swaps += size > 1 and 0 not in a.rows[0]
+                    swaps += size > 1 and 0 not in a.cells()[0]
                     if det.is_unit():
                         inverse = mat_invert(a)
                         assert inverse == mat_scale(block, Fraction(1, det.constant_coefficient()))

@@ -10,6 +10,7 @@ from affhecke.rings import (
     LaurentPoly,
     RingElement,
     act_simple,
+    delta_zero_terms,
     demazure,
     divide_by_delta,
     exact_div,
@@ -188,7 +189,7 @@ def test_barbell_forcing():
 
 def test_delta_quotient_and_division():
     f = (x(2, 1) + d(2)) * (x(2, 2) - d(2))
-    assert f.subs_delta_zero() == x(2, 1) * x(2, 2)
+    assert delta_zero_terms(f.terms) == (x(2, 1) * x(2, 2)).terms
     g = d(3) * (x(3, 1) + x(3, 2))
     assert divide_by_delta(g) == x(3, 1) + x(3, 2)
     with pytest.raises(ArithmeticError):
@@ -551,7 +552,8 @@ def test_packed_kernel_matches_tuple_oracle(n):
         assert str(h) == tuple_text(n, h_t)
         assert parse_ring_element(n, str(h)) == h
         assert exponents(parse_ring_element(n, str(h))) == h_t
-        assert exponents(h.subs_delta_zero()) == {m: c for m, c in h_t.items() if not m[n]}
+        h0 = RingElement(n, {m: c for m, c in h_t.items() if not m[n]})
+        assert delta_zero_terms(h.terms) == h0.terms
         if all(m[n] for m in h_t):
             assert exponents(divide_by_delta(h)) == {
                 m[:n] + (m[n] - 1,): c for m, c in h_t.items()
