@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import polymat
 from .polymat import Matrix
-from .rings import RingElement, delta_zero_terms, demazure, packed_bits, simple_root
+from .rings import RingElement, demazure, simple_root
 from .weyl import CACHE_SIZE, preferred_word
 
 
@@ -43,9 +43,8 @@ def rank(word):
 class Morphism:
     """A right-R-linear map BS(src) -> BS(tgt) with a homogeneous degree.
 
-    matrix is a polymat.Matrix of width rank(src), whose packed rows hold
-    every term of every cell as one key: matrix.cells()[r].get(c) is the
-    coefficient of target basis vector r on the image of source basis
+    matrix is a polymat.Matrix of width rank(src): matrix.cells()[r].get(c)
+    is the coefficient of target basis vector r on the image of source basis
     vector c, absent when it is 0.
     """
 
@@ -72,55 +71,28 @@ class Morphism:
     def __add__(self, other):
         if (self.src, self.tgt) != (other.src, other.tgt):
             raise ValueError("cannot add morphisms with mismatched endpoints")
-        deg = self.degree if self.degree is not None else other.degree
-        if (
-            self.degree is not None
-            and other.degree is not None
-            and self.degree != other.degree
-            and not (self.is_zero() or other.is_zero())
+        if len({self.degree, other.degree} - {None}) > 1 and not (
+            self.is_zero() or other.is_zero()
         ):
             raise ValueError("cannot add morphisms of different degrees")
-        return Morphism(
-            self.n, self.src, self.tgt, self.matrix + other.matrix,
-            deg, check=False,
-        )
+        deg = self.degree if self.degree is not None else other.degree
+        return Morphism(self.n, self.src, self.tgt, self.matrix + other.matrix, deg, check=False)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Morphism(
-            self.n, self.src, self.tgt, -self.matrix, self.degree,
-            check=False,
-        )
+        return Morphism(self.n, self.src, self.tgt, -self.matrix, self.degree, check=False)
 
     def scale(self, f):
         """Right multiplication by f in R (or a rational scalar)."""
-        extra = 0
-        if not isinstance(f, (int, Fraction)):
-            try:
-                extra = f.degree() or 0
-            except ValueError:
-                extra = None
+        extra, matrix = _scalar_degree(f), polymat.mat_scale(self.matrix, f)
         deg = None if self.degree is None or extra is None else self.degree + extra
-        return Morphism(
-            self.n, self.src, self.tgt, polymat.mat_scale(self.matrix, f), deg,
-            check=False,
-        )
+        return Morphism(self.n, self.src, self.tgt, matrix, deg, check=False)
 
     def compose(self, other):
-        """self after other."""
-        if other.tgt != self.src:
-            raise ValueError(
-                f"composition mismatch: {other.tgt} then {self.src}"
-            )
-        deg = None
-        if self.degree is not None and other.degree is not None:
-            deg = self.degree + other.degree
-        return Morphism(
-            self.n, other.src, self.tgt,
-            polymat.mat_mul(self.matrix, other.matrix), deg, check=False,
-        )
+        """self after other: the one-pair case of compose_sum."""
+        return compose_sum(((self, other),))
 
     def __eq__(self, other):
         return (
@@ -130,15 +102,43 @@ class Morphism:
         )
 
     def __str__(self):
-        rows = [
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix
-        ]
+        rows = ["[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix]
         return (
             f"Morphism {self.src} -> {self.tgt} (degree {self.degree})\n"
             + "\n".join(rows)
         )
 
     __repr__ = __str__
+
+
+def compose_sum(pairs):
+    """The sum of the composites f . g over nonempty pairs (f, g): each g ends
+    where its f starts, and the composites share endpoints and stated degree.
+    One pair is polymat.mat_mul, which bench/spans.py times apart from sums."""
+    src, tgt = pairs[0][1].src, pairs[0][0].tgt
+    degrees = set()
+    for f, g in pairs:
+        if g.tgt != f.src:
+            raise ValueError(f"composition mismatch: {g.tgt} then {f.src}")
+        if g.src != src or f.tgt != tgt:
+            raise ValueError("cannot add composites with mismatched endpoints")
+        if f.degree is not None and g.degree is not None:
+            degrees.add(f.degree + g.degree)
+    if len(degrees) > 1:
+        raise ValueError(f"cannot add morphisms of different degrees {degrees}")
+    products = [(f.matrix, g.matrix) for f, g in pairs]
+    matrix = polymat.mat_mul(*products[0]) if len(pairs) == 1 else polymat.mat_mul_sum(products)
+    return Morphism(pairs[0][0].n, src, tgt, matrix, degrees.pop() if degrees else None, check=False)
+
+
+def _scalar_degree(f):
+    """The degree of a scalar: 0 for a rational or 0, None if inhomogeneous."""
+    if isinstance(f, (int, Fraction)):
+        return 0
+    try:
+        return f.degree() or 0
+    except ValueError:
+        return None
 
 
 def cells_degree(src, tgt, rows, degree):
@@ -185,11 +185,7 @@ def _forced(n, word, f):
 
 
 def left_mult(n, word, f):
-    try:
-        deg = f.degree() or 0
-    except ValueError:
-        deg = None
-    return Morphism(n, word, word, left_mult_matrix(n, word, f), deg, check=False)
+    return Morphism(n, word, word, left_mult_matrix(n, word, f), _scalar_degree(f), check=False)
 
 
 def right_mult(n, word, f):
@@ -208,24 +204,20 @@ def _whisker(n, left, core, right):
 
     Every nonzero entry f of core at (r, c) contributes, for each basis
     index u of BS(left), the block of left multiplication by f on BS(right)
-    at rows (u, r, .) and columns (u, c, .): its packed keys plus the column
-    offset << S.  The one kernel here that forces a tensor product: `tensor`
-    composes two whiskerings.
+    at rows (u, r, .) and columns (u, c, .), placed by polymat.mat_place.
+    The one kernel here that forces a tensor product: `tensor` composes two
+    whiskerings.
     """
     rl, rr = rank(left), rank(right)
     rows, cols = rank(core.tgt), rank(core.src)
-    out = [{} for _ in range(rl * rows * rr)]
-    for r, row in enumerate(core.matrix.cells()):
-        for c, f in row.items():
-            block = left_mult_matrix(n, right, f).rows
-            for u in range(rl):
-                r0 = (u * rows + r) * rr
-                shift = (u * cols + c) * rr << packed_bits(n)
-                for k, brow in enumerate(block):
-                    target = out[r0 + k]
-                    for key, x in brow.items():
-                        target[key + shift] = x
-    matrix = Matrix._packed(n, rl * cols * rr, out)
+    blocks = [
+        (r, c, left_mult_matrix(n, right, f))
+        for r, row in enumerate(core.matrix.cells()) for c, f in row.items()
+    ]
+    matrix = polymat.mat_place(n, rl * rows * rr, rl * cols * rr, (
+        ((u * rows + r) * rr, (u * cols + c) * rr, block)
+        for r, c, block in blocks for u in range(rl)
+    ))
     return Morphism(
         n, left + core.src + right, left + core.tgt + right, matrix, core.degree,
         check=False,
@@ -414,5 +406,5 @@ def is_bimodule_map(mor):
 
 
 def subs_delta_zero(mor):
-    matrix = Matrix._packed(mor.n, mor.matrix.width, map(delta_zero_terms, mor.matrix.rows))
+    matrix = polymat.mat_delta_zero(mor.matrix)
     return Morphism(mor.n, mor.src, mor.tgt, matrix, mor.degree, check=False)

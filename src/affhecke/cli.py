@@ -260,18 +260,25 @@ def _load_verify(path):
     if backend not in ("sign", "bimodule"):
         print(f"FAIL: check-file reads sign and bimodule files, not backend {backend!r}")
         return 1
+    if type(n) is not int or n < 2:
+        print("FAIL: n must be an int of at least 2")
+        return 1
+    # F_n has n 2^(n-1) summands B_X(k), one per proper X of Z/n and degree k
+    # with X in P_k; the count goes before decoding (quadratic in n per term) and
+    # P_n, and bounds n by its bit length before 2^(n-1) is formed
+    size = len(data["summands"]) if isinstance(data.get("summands"), list) else None
+    expected = n * 2 ** (n - 1) if n <= 64 else f"{n}*2^{n - 1}"
+    differ = f"FAIL: summands differ from F_{n} ({size} loaded, {expected} expected)"
+    if size is not None and (n - 1 >= size.bit_length() or n * 2 ** (n - 1) != size):
+        print(differ)
+        return 1
     p = homalg.Pseudocomplex.from_json(data)
-    # F_n has a summand B_X(k) for each proper X of Z/n and each of the
-    # n - |X| degrees k with X in P_k, n 2^(n-1) in all; the count goes
-    # first, so P_n is enumerated only for a file that holds that many
-    count = n * 2 ** (n - 1)
-    loaded = [(s.label, s.shift, s.degree) for s in p.summands]
-    if len(loaded) != count or set(loaded) != {
+    if {(s.label, s.shift, s.degree) for s in p.summands} != {
         (complexes.summand_label(n, X, backend), k, k)
         for k, layer in complexes.build_P(n).items()
         for X in layer
     }:
-        print(f"FAIL: summands differ from F_{n} ({len(loaded)} loaded, {count} expected)")
+        print(differ)
         return 1
     if backend == "bimodule":
         ok, entries = complexes.check_d2_exact(n, p)

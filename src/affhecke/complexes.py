@@ -6,8 +6,9 @@ complexes N_I and M_J, crossover signs, the object-level Gaussian-elimination
 certificate for tensoring with a longest element, and the nulhomotopy H for
 left multiplication by x_1.
 
-Sign-level checks run at any small n; exact bimodule-matrix checks run up
-to n = cli.BIMODULE_EXACT_MAX (6).  The sign-level walks over subsets of
+Sign-level checks run at any small n; exact bimodule d^2 runs to n = 8 in
+criterion 1 (n = 9 under `slow`), the CLI to cli.BIMODULE_EXACT_MAX (6), and
+the x_1 homotopy to n = 4.  The sign-level walks over subsets of
 Z/n (adjacent layers, the signed crossover N_I = M_tau(I), tau-equivariance)
 run on int bitmasks, each subset converted once per call; what they take and
 return stays frozensets: gradings, the pairs of adjacent_pairs, summand

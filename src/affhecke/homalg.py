@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import bimod, polymat
 from .polymat import Matrix
-from .rings import divide_by_delta, parse_ring_element
+from .rings import parse_ring_element
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class MatrixArithmetic:
         return polymat.mat_is_zero(f)
 
     def divide_delta(self, f):
-        return polymat.mat_map(f, divide_by_delta)
+        return polymat.mat_divide_delta(f)
 
     def is_isomorphism(self, f, src, tgt):
         rows, cols = polymat.mat_shape(f)
@@ -79,12 +79,12 @@ class MatrixArithmetic:
         return None
 
     def tensor(self, f, g):
-        """The Kronecker product: block (r, c) is g scaled by f[r][c]."""
-        zero = polymat.mat_zero(self.n, len(g.rows), g.width)
-        return polymat.mat_blocks([
-            [polymat.mat_scale(g, row[c]) if c in row else zero for c in range(f.width)]
-            for row in f.cells()
-        ])
+        """The Kronecker product: block (r, c) is g f[r][c], for stored cells."""
+        height, width = len(g.rows), g.width
+        return polymat.mat_place(self.n, len(f.rows) * height, f.width * width, (
+            (r * height, c * width, polymat.mat_scale(g, x))
+            for r, row in enumerate(f.cells()) for c, x in row.items()
+        ))
 
     def tensor_label(self, a, b):
         return self.rank(a) * self.rank(b)
@@ -183,19 +183,7 @@ class BimoduleArithmetic:
         return f.compose(g)
 
     def compose_sum(self, pairs):
-        """Sum of the composites f . g over the pairs (f, g) as one sum of matrix
-        products; refused on mismatched endpoints or differing stated degrees."""
-        src, tgt = pairs[0][1].src, pairs[0][0].tgt
-        if any(g.tgt != f.src or (g.src, f.tgt) != (src, tgt) for f, g in pairs):
-            raise ValueError("cannot add composites with mismatched endpoints")
-        degrees = {
-            f.degree + g.degree for f, g in pairs if None not in (f.degree, g.degree)
-        }
-        if len(degrees) > 1:
-            raise ValueError(f"cannot add morphisms of different degrees {degrees}")
-        matrix = polymat.mat_mul_sum([(f.matrix, g.matrix) for f, g in pairs])
-        degree = min(degrees, default=None)
-        return bimod.Morphism(self.n, src, tgt, matrix, degree, check=False)
+        return bimod.compose_sum(pairs)
 
     def compose_sum_for_call(self):
         """compose_sum behind a memo for one compose_entries call, keyed by
@@ -218,7 +206,7 @@ class BimoduleArithmetic:
         return f.is_zero()
 
     def divide_delta(self, f):
-        matrix = polymat.mat_map(f.matrix, divide_by_delta)
+        matrix = polymat.mat_divide_delta(f.matrix)
         deg = None if f.degree is None else f.degree - 2
         return bimod.Morphism(f.n, f.src, f.tgt, matrix, deg, check=False)
 

@@ -5,8 +5,9 @@ A `Matrix` keeps the ring's n, the exact width and its rows, each one dict
 {column << S | packed monomial: coefficient} with S = rings.packed_bits(n):
 a product of two terms is one addition of keys, and a row of a product is
 one flat accumulator (Gustavson, "Two fast algorithms for sparse matrices",
-1978).  Ring elements are built only where a caller needs cells.  Used by
-the bimodule model and by the matrix backend of the pseudocomplex engine.
+1978).  Only this module and `rings` know that format: block placement and
+division and quotient by d work on the keys, and cells are built only where
+a caller needs them.  Used by bimod and by homalg's matrix backend.
 Determinants and inverses come from one fraction-free Gauss-Jordan
 elimination over R on stored cells, so a matrix is inverted exactly when its
 determinant is a unit.  `echelon` with `back_substitute` serves the rational
@@ -16,8 +17,9 @@ linear systems: ranks, nullspaces and particular solutions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
-from .rings import RingElement, checked_terms, exact_div, packed_bits, ring_text
+from .rings import RingElement, checked_terms, delta_zero_terms, exact_div, packed_bits, ring_text
 
 
 def _cells(n, row):
@@ -37,7 +39,8 @@ class Matrix:
     `rows` is a tuple of packed rows that store no zero coefficient, no
     column outside 0..width-1 and an integral coefficient as an int; rows
     are shared between matrices and never mutated.  The constructor packs
-    rows of cells {column: RingElement}; `cells` unpacks them.
+    rows of cells {column: RingElement}, refusing a cell over another n or
+    at a column outside 0..width-1; `cells` unpacks them.
 
     As a sequence a Matrix reads as its dense rows: row r is a tuple of
     `width` cells, 0 where none is stored.  No kernel here reads them; the
@@ -51,6 +54,10 @@ class Matrix:
         for row in rows:
             out = {}
             for c, cell in row.items():
+                if not 0 <= c < width:
+                    raise ValueError(f"column {c} is outside 0..{width - 1}")
+                if cell.n != n:
+                    raise ValueError(f"a cell over n={cell.n} in a matrix over n={n}")
                 c <<= s
                 for m, x in cell.terms.items():
                     out[c | m] = x
@@ -74,9 +81,6 @@ class Matrix:
     def __getitem__(self, r):
         cells, zero = _cells(self.n, self.rows[r]), RingElement.zero(self.n)
         return tuple(cells.get(c, zero) for c in range(self.width))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.rows)))
 
     def __eq__(self, other):
         return (
@@ -117,10 +121,19 @@ def mat_identity(n, size):
     return Matrix._packed(n, size, ({r << packed_bits(n): 1} for r in range(size)))
 
 
-def mat_map(a, f):
-    """The matrix of f(x) over the stored cells x of a; a cell that f sends
-    to 0 is not stored."""
-    return Matrix(a.n, a.width, ({c: f(x) for c, x in _cells(a.n, row).items()} for row in a.rows))
+def mat_divide_delta(a):
+    """a / d: each key less 1, d's unit; an ArithmeticError names the lowest
+    cell of the first row that has a term without d."""
+    for r, row in enumerate(a.rows):
+        if lacking := delta_zero_terms(row):
+            c = min(lacking) >> packed_bits(a.n)
+            raise ArithmeticError(f"cell ({r}, {c}) has a term without d")
+    return Matrix._packed(a.n, a.width, [{k - 1: x for k, x in row.items()} for row in a.rows])
+
+
+def mat_delta_zero(a):
+    """The image of a in R/(d): every term with d dropped, key by key."""
+    return Matrix._packed(a.n, a.width, [delta_zero_terms(row) for row in a.rows])
 
 
 def mat_texts(a):
@@ -152,25 +165,32 @@ def mat_scale(a, f):
     return Matrix._packed(a.n, a.width, [checked_terms(a.n, row) for row in rows])
 
 
-def mat_blocks(grid):
-    """The matrix whose block (i, j) is grid[i][j].
+def mat_place(n, height, width, placements):
+    """The one block-placement kernel: the height x width matrix over n that
+    holds, for each (row offset r0, column offset c0, block) of placements,
+    row k of the block in row r0 + k with its keys plus c0 << S; blocks do
+    not overlap."""
+    s, out = packed_bits(n), [{} for _ in range(height)]
+    for r0, c0, block in placements:
+        if block.n != n:
+            raise ValueError(f"cannot place a block over n={block.n} in a matrix over n={n}")
+        shift = c0 << s
+        for r, row in enumerate(block.rows, r0):
+            target = out[r]
+            for k, x in row.items():
+                target[k + shift] = x
+    return Matrix._packed(n, width, out)
 
-    Blocks in one grid row share a height, blocks in one grid column a width.
-    The cells of a block at column offset o are its keys plus o << S.
-    """
-    s, shifts, width = packed_bits(grid[0][0].n), [], 0
-    for block in grid[0]:
-        shifts.append(width << s)
-        width += block.width
-    rows = []
-    for blocks in grid:
-        for r in range(len(blocks[0].rows)):
-            row = {}
-            for shift, block in zip(shifts, blocks):
-                for k, x in block.rows[r].items():
-                    row[k + shift] = x
-            rows.append(row)
-    return Matrix._packed(grid[0][0].n, width, rows)
+
+def mat_blocks(grid):
+    """The matrix whose block (i, j) is grid[i][j]: blocks in one grid row
+    share a height, blocks in one grid column a width."""
+    rows = [0, *accumulate(len(blocks[0].rows) for blocks in grid)]
+    cols = [0, *accumulate(block.width for block in grid[0])]
+    return mat_place(grid[0][0].n, rows[-1], cols[-1], (
+        (rows[i], cols[j], block)
+        for i, blocks in enumerate(grid) for j, block in enumerate(blocks)
+    ))
 
 
 def mat_mul(a, b):

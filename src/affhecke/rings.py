@@ -588,16 +588,6 @@ def exact_div(f, g):
     return RingElement._trusted(n, quo)
 
 
-def divide_by_delta(f):
-    """Exact division by d, cheap path (every monomial must carry d)."""
-    out = {}
-    for m, c in f.terms.items():
-        if not m & _FIELD:
-            raise ArithmeticError(f"{f} is not divisible by d")
-        out[m - 1] = c
-    return RingElement._trusted(f.n, out)
-
-
 def demazure(i, f):
     """Demazure operator: (f - s_i f) / alpha_i.  Exact by construction."""
     num = f - act_simple(i, f)

@@ -21,7 +21,7 @@ from .bimod import Morphism, basis_degree, rank
 from .complexes import build_F
 from .homalg import BimoduleArithmetic, add_entries, compose_entries, one_term_complex
 from .polymat import Matrix
-from .rings import RingElement, delta_zero_terms
+from .rings import RingElement
 
 
 def _delta_zero_complex(p):
@@ -128,8 +128,8 @@ def _coordinates(entries, tag):
     return {
         (tag, a, b, r, key): coeff
         for (a, b), mor in entries.items()
-        for r, row in enumerate(mor.matrix.rows)
-        for key, coeff in delta_zero_terms(row).items()
+        for r, row in enumerate(polymat.mat_delta_zero(mor.matrix).rows)
+        for key, coeff in row.items()
     }
 
 

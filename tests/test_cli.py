@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -538,6 +539,14 @@ def large_n(data):
     return dict(data, n=40)
 
 
+def n_as_text(data):
+    return dict(data, n="3")
+
+
+def n_of_one(data):
+    return dict(data, n=1)
+
+
 def matrix_file(data):
     # a one-summand complex over Q[d] has d^2 = 0 and no diagonal, so the
     # sign-level criterion alone would pass it
@@ -553,6 +562,8 @@ TAMPERED = (
     ("bimodule", large_n, "FAIL: summands differ from F_40 (12 loaded, 21990232555520 expected)"),
     ("sign", matrix_file, "FAIL: check-file reads sign and bimodule files, not backend 'matrix'"),
     ("bimodule", without_backend, 'FAIL: missing field "backend"'),
+    ("sign", n_as_text, "FAIL: n must be an int of at least 2"),
+    ("bimodule", n_of_one, "FAIL: n must be an int of at least 2"),
 )
 
 
@@ -602,3 +613,27 @@ def test_check_file_matrix_of_the_wrong_shape_is_a_verdict(tmp_path, f3_files):
         f"{2 ** len(tgt)} x {2 ** len(src)} matrix\n"
     )
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("n", (20_000, 10**6))
+def test_check_file_refuses_a_huge_n_by_its_summand_count(tmp_path, capsys, n):
+    # decoding the one entry over n would pack each term in time quadratic
+    # in n, and n 2^(n-1) has too many digits for str: the count comes first
+    # and is written as n*2^(n-1)
+    summands = [
+        {"id": 0, "label": [1], "shift": 0, "degree": 0},
+        {"id": 1, "label": [], "shift": 3, "degree": 1},
+    ]
+    morphism = {"src": [1], "tgt": [], "matrix": [["x1 + x2", "0"]]}
+    data = {
+        "n": n, "backend": "bimodule", "summands": summands,
+        "diff": [{"from": 0, "to": 1, "morphism": morphism}],
+    }
+    out = tmp_path / "huge.json"
+    out.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert cli.main(["check-file", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == (
+        f"FAIL: summands differ from F_{n} (2 loaded, {n}*2^{n - 1} expected)\n"
+    )

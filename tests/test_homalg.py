@@ -74,6 +74,10 @@ def test_matrix_tensor_is_the_kronecker_product():
         product = ar.tensor(sparse(f), sparse(g))
         assert dense(product) == _kronecker_reference(f, g)
         assert stores_no_zero(product)
+    # only the stored cells of f place a block: an f of no rows, which once
+    # raised IndexError, has a product of no rows and f.width * g.width columns
+    empty = MatrixArithmetic(0).tensor(polymat.mat_zero(0, 0, 2), polymat.mat_identity(0, 3))
+    assert (len(empty.rows), empty.width) == (0, 6)
 
 
 def test_two_term_identity_eliminates_to_zero():
@@ -282,7 +286,10 @@ def test_monodromy_error_names_entry():
         [Summand(0, 1, 0, 0), Summand(1, 1, 0, 1), Summand(2, 1, 0, 2)],
         {(0, 1): sparse(((one,),)), (1, 2): sparse(((one,),))},
     )
-    with pytest.raises(ValueError, match="0->2"):
+    # the engine's prefix names the entry, polymat's reason the cell
+    with pytest.raises(
+        ValueError, match=r"^d\^2 entry 0->2 is not divisible by delta: cell \(0, 0\) has a term without d$"
+    ):
         p.monodromy()
 
 
@@ -422,8 +429,8 @@ def test_compose_entries_refuses_mismatched_bimodule_paths():
     # both paths end at summand 3, once as () and once as (1,)
     with pytest.raises(ValueError, match="mismatched endpoints"):
         compose_entries(ar, {(1, 3): down, (2, 3): up}, {(0, 1): up, (0, 2): empty})
-    # the entries do not compose: (2,) is not (1,)
-    with pytest.raises(ValueError, match="mismatched endpoints"):
+    # the entries do not compose: (2,) is not (1,), refused as by compose
+    with pytest.raises(ValueError, match=r"^composition mismatch: \(1,\) then \(2,\)$"):
         compose_entries(ar, {(1, 2): enddot_core(n, 2)}, {(0, 1): up})
 
 

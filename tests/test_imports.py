@@ -452,3 +452,38 @@ def test_every_arithmetic_supplies_the_protocol():
         if not hasattr(ar, name) and (type(ar).__name__, name) not in PROTOCOL_EXEMPT
     ]
     assert not missing, f"read off an arithmetic but not defined: {missing}"
+
+
+# the packed row format {column << S | packed monomial: coefficient} of a
+# polymat.Matrix is known to these modules alone; every other module goes
+# through polymat's kernels
+ROW_FORMAT_OWNERS = {"polymat.py", "rings.py"}
+ROW_FORMAT_NAMES = {"_packed", "packed_bits", "delta_zero_terms"}
+
+
+def row_format_names(tree):
+    """The row-format names that a module names: as a name, as an attribute
+    or in an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names & ROW_FORMAT_NAMES
+
+
+def test_only_polymat_and_rings_know_the_row_format():
+    # the shapes in which bimod once named the format: an import, a private
+    # constructor and a row filter
+    probe = "from .rings import packed_bits\nMatrix._packed(n, w, rows)\nmap(delta_zero_terms, rows)\n"
+    assert row_format_names(ast.parse(probe)) == {"packed_bits", "_packed", "delta_zero_terms"}
+    found = {
+        path.name: sorted(names)
+        for path in MODULES
+        if path.name not in ROW_FORMAT_OWNERS
+        and (names := row_format_names(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not found, f"modules that name the packed row format: {found}"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,14 @@ from affhecke.polymat import (
     det_bareiss,
     echelon,
     mat_blocks,
+    mat_delta_zero,
+    mat_divide_delta,
     mat_identity,
     mat_invert,
     mat_is_zero,
     mat_mul,
     mat_mul_sum,
+    mat_place,
     mat_scale,
     mat_shape,
     mat_zero,
@@ -283,6 +287,104 @@ def test_mat_blocks_of_one_block_is_that_matrix():
     assert mat_blocks([[a]]) == a
     x = sparse(((RingElement.x(2, 1),),))
     assert mat_blocks(((x,),)) == x
+
+
+def test_place_kernel_matches_mat_blocks_on_irregular_grids():
+    # grids of irregular heights and widths with some blocks 0: placing only
+    # the nonzero blocks, in any order, gives mat_blocks' matrix, whose cells
+    # are the blocks' cells shifted by the sums of the heights and widths
+    rng = random.Random(43)
+    for case in range(60):
+        n = case % 4
+        heights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        grid = [
+            [Matrix(n, w, random_cells(rng, n, h, w) if rng.random() < 0.7 else [{}] * h)
+             for w in widths]
+            for h in heights
+        ]
+        placements = [
+            (sum(heights[:i]), sum(widths[:j]), block)
+            for i, blocks in enumerate(grid) for j, block in enumerate(blocks)
+            if not mat_is_zero(block)
+        ]
+        rng.shuffle(placements)
+        placed = mat_place(n, sum(heights), sum(widths), placements)
+        assert placed == mat_blocks(grid) and stores_no_zero(placed)
+        expected = [{} for _ in range(sum(heights))]
+        for r0, c0, block in placements:
+            for r, row in enumerate(block.cells()):
+                expected[r0 + r].update({c0 + c: x for c, x in row.items()})
+        assert placed.cells() == expected
+    with pytest.raises(ValueError, match=r"^cannot place a block over n=3 in a matrix over n=2$"):
+        mat_place(2, 1, 2, [(0, 1, mat_identity(3, 1))])
+
+
+def _cellwise_divide_delta_reference(a):
+    """The former division by d: each stored cell through RingElement, its
+    exponent tuples with d's exponent one less; an ArithmeticError names the
+    first cell, rows in order and columns ascending, with a term without d."""
+    rows = []
+    for r, row in enumerate(a.cells()):
+        out = {}
+        for c in sorted(row):
+            terms = exponents(row[c])
+            if not all(mono[-1] for mono in terms):
+                raise ArithmeticError(f"cell ({r}, {c}) has a term without d")
+            out[c] = RingElement(a.n, {mono[:-1] + (mono[-1] - 1,): v for mono, v in terms.items()})
+        rows.append(out)
+    return Matrix(a.n, a.width, rows)
+
+
+def _cellwise_delta_zero_reference(a):
+    """The former quotient by d: each stored cell through RingElement, its
+    terms of d exponent 0."""
+    return Matrix(a.n, a.width, [
+        {c: RingElement(a.n, {m: v for m, v in exponents(x).items() if not m[-1]})
+         for c, x in row.items()}
+        for row in a.cells()
+    ])
+
+
+def test_packed_delta_kernels_match_cellwise_reference():
+    rng = random.Random(44)
+    refused = divided = 0
+    for case in range(120):
+        n = case % 4
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = Matrix(n, cols, random_cells(rng, n, rows, cols))
+        if case % 3:
+            a = mat_scale(a, RingElement.delta(n)) + mat_scale(
+                Matrix(n, cols, random_cells(rng, n, rows, cols)), RingElement.delta(n)
+            )
+        assert mat_delta_zero(a) == _cellwise_delta_zero_reference(a)
+        assert stores_no_zero(mat_delta_zero(a))
+        try:
+            expected = _cellwise_divide_delta_reference(a)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(str(exc))}$"):
+                mat_divide_delta(a)
+            refused += 1
+            continue
+        got = mat_divide_delta(a)
+        assert got == expected and stores_no_zero(got)
+        assert mat_scale(got, RingElement.delta(n)) == a and mat_is_zero(mat_delta_zero(a))
+        divided += not mat_is_zero(a)
+    assert min(refused, divided) >= 20
+
+
+def test_matrix_refuses_a_cell_over_another_n():
+    # x1 over n = 3 once packed at column 1 of a 1-column matrix over n = 2,
+    # and a product read it as the constant 1
+    with pytest.raises(ValueError, match=r"^a cell over n=3 in a matrix over n=2$"):
+        Matrix(2, 1, ({0: RingElement.x(3, 1)},))
+
+
+def test_matrix_refuses_a_column_outside_its_width():
+    one = RingElement.one(2)
+    for c in (2, -1):
+        with pytest.raises(ValueError, match=r"^column -?\d is outside 0\.\.1$"):
+            Matrix(2, 2, ({}, {c: one}))
 
 
 def test_mat_mul_shape_mismatch():
