@@ -91,8 +91,13 @@ class Morphism:
         return Morphism(self.n, self.src, self.tgt, matrix, deg, check=False)
 
     def compose(self, other):
-        """self after other: the one-pair case of compose_sum."""
-        return compose_sum(((self, other),))
+        """self after other: the one-pair case of compose_sum, with no list or
+        set built, since one pair shares its endpoints and has one degree."""
+        if other.tgt != self.src:
+            raise ValueError(f"composition mismatch: {other.tgt} then {self.src}")
+        deg = None if self.degree is None or other.degree is None else self.degree + other.degree
+        matrix = polymat.mat_mul(self.matrix, other.matrix)
+        return Morphism(self.n, other.src, self.tgt, matrix, deg, check=False)
 
     def __eq__(self, other):
         return (
@@ -115,6 +120,9 @@ def compose_sum(pairs):
     """The sum of the composites f . g over nonempty pairs (f, g): each g ends
     where its f starts, and the composites share endpoints and stated degree.
     One pair is polymat.mat_mul, which bench/spans.py times apart from sums."""
+    if len(pairs) == 1:
+        f, g = pairs[0]
+        return f.compose(g)
     src, tgt = pairs[0][1].src, pairs[0][0].tgt
     degrees = set()
     for f, g in pairs:
@@ -126,8 +134,7 @@ def compose_sum(pairs):
             degrees.add(f.degree + g.degree)
     if len(degrees) > 1:
         raise ValueError(f"cannot add morphisms of different degrees {degrees}")
-    products = [(f.matrix, g.matrix) for f, g in pairs]
-    matrix = polymat.mat_mul(*products[0]) if len(pairs) == 1 else polymat.mat_mul_sum(products)
+    matrix = polymat.mat_mul_sum([(f.matrix, g.matrix) for f, g in pairs])
     return Morphism(pairs[0][0].n, src, tgt, matrix, degrees.pop() if degrees else None, check=False)
 
 

@@ -9,8 +9,9 @@ m chosen by the descent; for b_s, m is v or v^-1, so the step only shifts
 exponents.  The step reads ws and the descent from one w.step(k), pairs w
 with ws and writes each output coefficient once, adding p m into the
 coefficient at w in one pass (LaurentPoly.plus_product); a product whose
-right factor is b_s is that step.  Serialize reads each element's place in
-the term order and its text from one memo.
+right factor is b_s is that step.  Serialize reads each term's place in the
+term order and its text from one memo, and an element keeps its own text
+after the first serialize (no code writes into a wrapped element's coeffs).
 Kazhdan-Lusztig elements b_w are computed by the mu-rule
 b_w = b_{ws} b_s - sum mu(y, ws) b_y.  The base case b_{w_I} b_{h_X} of
 c_{I,X,Y} is b_{w_I} stepped by b_s along a word of h_X, each prefix of that
@@ -29,6 +30,7 @@ from .weyl import (
     ExtendedWeylElement,
     longest_element,
     preferred_word,
+    residues,
     tau_components,
 )
 
@@ -59,9 +61,13 @@ def _add_scaled(out, coeffs, scale):
 
 
 class HeckeElement:
-    """Finite support map ExtendedWeylElement -> LaurentPoly, no zeros."""
+    """Finite support map ExtendedWeylElement -> LaurentPoly, no zeros.
 
-    __slots__ = ("n", "coeffs")
+    An element is never changed once built: no code writes into the coeffs
+    of a wrapped element, so the text of its first serialize() is kept.
+    """
+
+    __slots__ = ("n", "coeffs", "_text")
 
     def __init__(self, n, coeffs=None):
         self.n = n
@@ -73,6 +79,7 @@ class HeckeElement:
                 if not p.is_zero():
                     _add_term(clean, w, p)
         self.coeffs = clean
+        self._text = None
 
     @classmethod
     def _trusted(cls, n, coeffs):
@@ -81,6 +88,7 @@ class HeckeElement:
         out = object.__new__(cls)
         out.n = n
         out.coeffs = coeffs
+        out._text = None
         return out
 
     @classmethod
@@ -256,10 +264,14 @@ class HeckeElement:
         return self.coeffs.get(w, LaurentPoly.zero())
 
     def serialize(self):
-        """Stable text form, lines ordered by (length, window lex, omega)."""
-        items = [term_key(w) + (p,) for w, p in self.coeffs.items()]
-        items.sort(key=itemgetter(0))
-        return "\n".join([f"{label} : {p}" for _, label, p in items])
+        """Stable text form, lines ordered by (length, window lex, omega);
+        made on the first call and kept."""
+        text = self._text
+        if text is None:
+            items = [term_key(w) + (p,) for w, p in self.coeffs.items()]
+            items.sort(key=itemgetter(0))
+            text = self._text = "\n".join([f"{label} : {p}" for _, label, p in items])
+        return text
 
     def __str__(self):
         return self.serialize() if self.coeffs else "0"
@@ -309,14 +321,15 @@ def _kl_basis(w):
 
     where mu(y, ws) is the v^1-coefficient of b_{ws} at H_y.  The product
     b_{ws} b_s is one times_b_simple step; coefficients of b_w below the top
-    lie in vZ[v].
+    lie in vZ[v].  The mu-corrections go into a copy of that step's dict: a
+    wrapped element's coeffs are never written.
     """
     n = w.n
     if w.is_identity():
         return HeckeElement.unit(n)
     k = next(k for k in range(n) if w.has_right_descent(k))
     lower = _kl_basis(w.times_simple(k))
-    coeffs = lower.times_b_simple(k).coeffs
+    coeffs = dict(lower.times_b_simple(k).coeffs)
     for y, p in lower.coeffs.items():
         mu = p.coeffs.get(1)
         if mu and y.has_right_descent(k):
@@ -407,19 +420,22 @@ def c_element(n, I, X, Y, length_cap=DEFAULT_LENGTH_CAP, _memo=None, order="firs
     c_{I,X,empty} = b_{w_I} b_{h_X}; growing the suffix at m trades
     c_{I,X,Y} = c_{I,X,Ym} + c_{I,X\\{m,m+1},Y\\{m+1}}; the result does not
     depend on the order the indices of Y were absorbed (the `order` knob
-    varies the component traversal so tests can check this).  Entries of
-    `_memo` are keyed by (n, I, X, Y), so one memo may serve several I.
+    varies the component traversal so tests can check this; it is "first"
+    or "last").  Entries of `_memo` are keyed by (n, I, X, Y), so one memo
+    may serve several I.
     """
-    I = frozenset(i % n for i in I)
-    X = frozenset(x % n for x in X)
-    Y = frozenset(y % n for y in Y)
+    if order not in ("first", "last"):
+        raise ValueError(f"order must be 'first' or 'last', not {order!r}")
+    I = residues(n, I)
+    X = residues(n, X)
+    Y = residues(n, Y)
     if not Y <= X:
         raise ValueError("Y must be contained in X")
     if len(X) >= n:
         raise ValueError("X must be proper")
-    comps = tau_components(n, I)
-    if not is_tau_suffix(n, I, Y, comps):
+    if not _is_tau_suffix(n, I, Y):
         raise ValueError(f"Y={sorted(Y)} is not a tau-suffix for I={sorted(I)}")
+    comps = tau_components(n, I)
     if _memo is None:
         _memo = {}
     if order == "last":
@@ -428,11 +444,17 @@ def c_element(n, I, X, Y, length_cap=DEFAULT_LENGTH_CAP, _memo=None, order="firs
 
 
 def is_tau_suffix(n, I, Y, comps=None):
-    """Per tau-component, Y meets the component in a suffix {m..max}."""
-    if comps is None:
-        comps = tau_components(n, I)
-    Y = frozenset(Y)
-    for comp in comps:
+    """Per tau-component, Y meets the component in a suffix {m..max}.
+
+    I and Y are read mod n, and the answer is computed once per (n, I mod n,
+    Y mod n); comps is accepted and not read.
+    """
+    return _is_tau_suffix(n, residues(n, I), residues(n, Y))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _is_tau_suffix(n, I, Y):
+    for comp in tau_components(n, I):
         inter = [v for v in comp if v in Y]
         if inter and tuple(inter) != comp[-len(inter):]:
             return False
@@ -495,10 +517,13 @@ def godown_applicable(n, I, X, Y, j, comps=None):
     second condition letters of X separate j from the absorbed block and the
     identity genuinely fails (e.g. I={0}, X={0,1}, Y=empty, j=0 at n=3).
     """
+    I = residues(n, I)
     if comps is None:
         comps = tau_components(n, I)
-    X, Y = frozenset(X), frozenset(Y)
-    if j not in X or j in Y or is_tau_suffix(n, I, Y | {j}, comps):
+    X = residues(n, X)
+    Y = residues(n, Y)
+    j %= n
+    if j not in X or j in Y or _is_tau_suffix(n, I, Y | {j}):
         return False
     comp = next(c for c in comps if j in c)
     above = set(comp[comp.index(j) + 1:])
@@ -506,5 +531,6 @@ def godown_applicable(n, I, X, Y, j, comps=None):
 
 
 def c_godown_rhs(n, I, X, Y, j, length_cap=DEFAULT_LENGTH_CAP, _memo=None):
-    """(v + v^-1) c_{I,X\\j,Y}: the value under the godown hypothesis."""
-    return c_element(n, I, frozenset(X) - {j}, Y, length_cap, _memo).scale(gauss(2))
+    """(v + v^-1) c_{I,X\\j,Y}: the value under the godown hypothesis, with
+    X and j read mod n."""
+    return c_element(n, I, residues(n, X) - {j % n}, Y, length_cap, _memo).scale(gauss(2))

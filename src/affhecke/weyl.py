@@ -25,9 +25,21 @@ DEFAULT_LENGTH_CAP = 14
 # 12 835 at n = 2..9, bimod.signed_dot 3 514 and 8 104 pairs; bimod.eps_sign
 # about 1 760 pairs, the per-word memos 505 words, hecke._kl_basis about 390
 # elements, hecke._stepped_by_b 500 prefixes, hecke.term_key about 2 000
-# elements and rings._laurent_text 245 term orders of 93 texts in a hecke-kl
-# benchmark pass, and _tau_components at most 2^n - 1 subsets per n.
+# elements, rings._laurent_text 245 term orders of 93 texts,
+# hecke._is_tau_suffix 461 (n, I, Y), _longest_element 34 and _preferred_word
+# 119 (n, subset) and _reduced_word 215 windows in a hecke-kl benchmark pass
+# (the last four 1 049, 120, 1 012 and 915 over the acceptance suite), and
+# _tau_components at most 2^n - 1 subsets per n.
 CACHE_SIZE = 16384
+
+
+def residues(n, S):
+    """The residues mod n of the integers in S, as a frozenset: S itself when
+    it is a frozenset of residues already, so that memo keys built from one
+    caller's sets share them."""
+    if type(S) is frozenset and all(0 <= s < n for s in S):
+        return S
+    return frozenset(s % n for s in S)
 
 
 def window_apply(window, i):
@@ -175,28 +187,34 @@ class ExtendedWeylElement(tuple):
         """A reduced word for the affine part via leftmost descents.
 
         Returns a tuple of indices (i_1, ..., i_m) with the affine part equal
-        to s_{i_1} ... s_{i_m}; the omega power is carried separately.
+        to s_{i_1} ... s_{i_m}; the omega power is carried separately.  The
+        word depends on the window alone and is computed once per window.
         """
-        # a left descent of w is a right descent of w^-1, and s_k w is
-        # (w^-1 s_k)^-1, so the peeling runs on the inverse window
-        inv = self._trusted(ExtendedWeylElement, (0, window_inverse(self.window)))
-        n = len(inv.window)
-        word = []
-        while True:
-            u = inv.window
-            k = next(
-                (k for k in range(n) if window_apply(u, k) > window_apply(u, k + 1)),
-                None,
-            )
-            if k is None:
-                return tuple(word)
-            word.append(k)
-            inv = inv.times_simple(k)
+        return _reduced_word(self[1])
 
     def __str__(self):
         return f"w^{self.omega} | " + " ".join(str(v) for v in self.window)
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _reduced_word(window):
+    # a left descent of w is a right descent of w^-1, and s_k w is
+    # (w^-1 s_k)^-1, so the peeling runs on the inverse window
+    inv = ExtendedWeylElement._trusted(ExtendedWeylElement, (0, window_inverse(window)))
+    n = len(window)
+    word = []
+    while True:
+        u = inv.window
+        k = next(
+            (k for k in range(n) if window_apply(u, k) > window_apply(u, k + 1)),
+            None,
+        )
+        if k is None:
+            return tuple(word)
+        word.append(k)
+        inv = inv.times_simple(k)
 
 
 def from_word(n, word):
@@ -222,8 +240,13 @@ def anticyclic_word(n, X, aleph):
 
 def preferred_word(n, X):
     """The globally fixed reduced expression of h_X: the anticyclic word for
-    aleph = min(S \\ X) in the natural order 0 < 1 < ... < n-1."""
-    X = frozenset(x % n for x in X)
+    aleph = min(S \\ X) in the natural order 0 < 1 < ... < n-1, computed
+    once per (n, X mod n)."""
+    return _preferred_word(n, residues(n, X))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _preferred_word(n, X):
     if len(X) >= n:
         raise ValueError("X must be a proper subset")
     return anticyclic_word(n, X, min(set(range(n)) - X))
@@ -235,7 +258,7 @@ def h_of(n, X, aleph=None):
     Independent of the choice of aleph not in X; the default is the one of
     preferred_word.
     """
-    X = frozenset(x % n for x in X)
+    X = residues(n, X)
     if len(X) >= n:
         raise ValueError("X must be a proper subset")
     word = preferred_word(n, X) if aleph is None else anticyclic_word(n, X, aleph)
@@ -279,7 +302,13 @@ def longest_word(n, I):
 
 
 def longest_element(n, I):
-    """The longest element w_I of the parabolic W_I, I a proper subset."""
+    """The longest element w_I of the parabolic W_I, I a proper subset,
+    computed once per (n, I mod n)."""
+    return _longest_element(n, residues(n, I))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _longest_element(n, I):
     out = ExtendedWeylElement.identity(n)
     for k in longest_word(n, I):
         out = out.times_simple(k)
@@ -293,7 +322,7 @@ def tau_components(n, I):
     are singletons.  When |I| = n-1 the single block is all of S, ordered
     i+1 < i+2 < ... < i where i is the unique index outside I.
     """
-    return list(_tau_components(n, frozenset(i % n for i in I)))
+    return list(_tau_components(n, residues(n, I)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -321,8 +350,8 @@ def rewrite_wIhX(n, I, X, aleph):
     concatenated product is w_I h_X, ordered
     (w_{I&A0} h_{X&A<}), (w_{I&Ad} h_{X&Ad}), ..., (w_{I&A1} h_{X&A1}), h_{X&A>}.
     """
-    I = frozenset(i % n for i in I)
-    X = frozenset(x % n for x in X)
+    I = residues(n, I)
+    X = residues(n, X)
     aleph = aleph % n
     if aleph in X:
         raise ValueError("aleph must avoid X")
@@ -350,8 +379,8 @@ def correspondent_Y(n, I, X):
 
     Requires tau(I) contained in X.
     """
-    I = frozenset(i % n for i in I)
-    X = frozenset(x % n for x in X)
+    I = residues(n, I)
+    X = residues(n, X)
     J = frozenset((i + 1) % n for i in I)
     if not J <= X:
         raise ValueError("tau(I) must be contained in X")

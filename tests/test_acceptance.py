@@ -130,11 +130,11 @@ def test_criterion_02_golden_figures():
 
 def test_criterion_03_wakimoto():
     start = time.monotonic()
-    for n in range(2, 7):
+    for n in range(2, 9):
         assert verify_wakimoto(n)
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"criterion 3 took {elapsed:.1f}s"
-    report(3, "Wakimoto filtration n=2..6")
+    report(3, "Wakimoto filtration n=2..8")
 
 
 def test_criterion_04_descent_lemma():

@@ -377,6 +377,26 @@ def test_composition_endpoint_mismatch():
         startdot_core(n, 1) + enddot_core(n, 1)
 
 
+def test_compose_is_the_one_pair_compose_sum():
+    # the one-pair path builds no list or set, and keeps the rule and the
+    # refusal of the many-pair path
+    n = 3
+    for f, g in ((merge_core(n, 2), split_core(n, 2)), (enddot_core(n, 1), startdot_core(n, 1)),
+                 (merge(n, (1, 1, 2), 0), tensor(startdot_core(n, 1), identity_word(n, (1, 2))))):
+        one = f.compose(g)
+        two = bimod.compose_sum(((f, g), (f, g)))
+        assert bimod.compose_sum(((f, g),)) == one
+        assert (one.src, one.tgt, one.degree) == (two.src, two.tgt, two.degree) == (
+            g.src, f.tgt, f.degree + g.degree)
+        assert one + one == two
+    f, g, h = merge_core(n, 2), split_core(n, 2), startdot_core(n, 1)
+    message = r"^composition mismatch: \(1,\) then \(2, 2\)$"
+    for call in (lambda: f.compose(h), lambda: bimod.compose_sum(((f, h),)),
+                 lambda: bimod.compose_sum(((f, g), (f, h)))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_gram_and_adjoint_involution():
     n = 3
     g = dense(gram_matrix(n, (1, 2)))
@@ -564,8 +584,9 @@ def test_every_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 caches[f"{info.name}.{name}"] = value
-    assert {"bimod._forced", "bimod.eps_sign", "bimod.signed_dot", "hecke._kl_basis",
-            "hecke._stepped_by_b", "rings._laurent_text",
+    assert {"bimod._forced", "bimod.eps_sign", "bimod.signed_dot", "hecke._is_tau_suffix",
+            "hecke._kl_basis", "hecke._stepped_by_b", "rings._laurent_text",
+            "weyl._longest_element", "weyl._preferred_word", "weyl._reduced_word",
             "weyl._tau_components"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name

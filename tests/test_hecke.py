@@ -30,6 +30,13 @@ from affhecke.weyl import (
 )
 
 
+def reference_text(a):
+    """serialize() made afresh from coeffs: lines sorted by (length,
+    window, omega), each "(omega, window) : coefficient"."""
+    terms = sorted(a.coeffs.items(), key=lambda t: (t[0].length(), t[0].window, t[0].omega))
+    return "\n".join(f"({w.omega}, {' '.join(map(str, w.window))}) : {p}" for w, p in terms)
+
+
 def H(n, *word):
     return HeckeElement.std(from_word(n, list(word)))
 
@@ -259,6 +266,61 @@ def test_c_element_steps_each_prefix_once(monkeypatch):
                         assert c == c_godown_rhs(n, I, X, Y, j, _memo=memo)
     # 14 sets I, each with 15 distinct nonempty prefixes over the 14 sets X
     assert len(steps) == len(prefixes) == 14 * 15
+
+
+def test_c_element_refuses_an_unknown_order():
+    # a misspelt order would compare one traversal with itself
+    for order in ("Last", "reversed", None):
+        with pytest.raises(ValueError, match=repr(order)):
+            c_element(3, {0}, {0, 1}, {1}, order=order)
+    assert c_element(3, {0}, {0, 1}, {1}, order="first") == c_element(
+        3, {0}, {0, 1}, {1}, order="last")
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_tau_suffix_and_godown_read_indices_mod_n(n):
+    # I, X, Y and j given with indices outside 0..n-1 answer as their residues
+    for I in proper_subsets(n):
+        for X in proper_subsets(n):
+            for Y in itertools.chain.from_iterable(
+                itertools.combinations(sorted(X), r) for r in range(len(X) + 1)
+            ):
+                raw = [I, {x - n for x in X}, [y + n for y in Y]]
+                answer = is_tau_suffix(n, I, frozenset(Y))
+                size = hecke._is_tau_suffix.cache_info().currsize
+                assert is_tau_suffix(n, sorted(I), raw[2]) == answer
+                assert is_tau_suffix(n, {i + n for i in I}, list(Y)) == answer
+                assert hecke._is_tau_suffix.cache_info().currsize == size
+                for j in X:
+                    applicable = godown_applicable(n, I, X, frozenset(Y), j)
+                    assert godown_applicable(n, *raw, j + n) == applicable
+                    if applicable and answer and n == 3:
+                        assert c_godown_rhs(n, *raw, j + n) == c_godown_rhs(
+                            n, I, X, frozenset(Y), j)
+    assert not is_tau_suffix(3, {0}, {3}) and not is_tau_suffix(3, {0}, {0})
+    assert is_tau_suffix(3, {3}, {4}) and is_tau_suffix(3, {0}, {1})
+
+
+def test_serialize_keeps_the_text_of_every_construction():
+    n = 3
+    a = H(n, 0, 1).scale(LaurentPoly.v(2)) + b_simple(n, 2)
+    built = {
+        "__init__": a,
+        "times_b_simple": a.times_b_simple(1),
+        "times_simple_inverse": a.times_simple_inverse(0),
+        "+": a + H(n, 2),
+        "-": a - H(n, 0, 1),
+        "scale": a.scale(gauss(2)),
+        "bar": a.bar(),
+        "kl_basis of an omega-rotated w": kl_basis(
+            ExtendedWeylElement.rotation(n, 1) * from_word(n, [0, 1, 2, 0])),
+        "c_element": c_element(n, {0}, {0, 1}, {1}),
+    }
+    for name, element in built.items():
+        assert element.coeffs, name
+        text = element.serialize()
+        assert text == reference_text(element), name
+        assert element.serialize() is text, name
 
 
 def test_godown_needs_absorbed_block():

@@ -363,6 +363,8 @@ def test_no_single_valued_defaults():
 UNREAD_ALLOWED = {
     ("homalg.py", "is_isomorphism"): (
         {"src", "tgt"}, "the summand labels are part of the call that bench/ makes"),
+    ("hecke.py", "is_tau_suffix"): (
+        {"comps"}, "the answer is memoized on (n, I, Y); comps stays in the call that bench/ makes"),
     ("cli.py", "_suite_d2"): ({"args"}, "the run(n, args) protocol of cli.SUITES"),
     ("cli.py", "_suite_phi_n2"): ({"args"}, "the run(n, args) protocol of cli.SUITES"),
     ("cli.py", "<lambda>"): ({"n", "args"}, "the run(n, args) protocol of cli.SUITES"),
@@ -487,3 +489,69 @@ def test_only_polymat_and_rings_know_the_row_format():
         and (names := row_format_names(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert not found, f"modules that name the packed row format: {found}"
+
+
+# a HeckeElement keeps the text of its first serialize(), which goes stale
+# if anything writes into the coeffs dict of an element once it is wrapped
+COEFFS_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+COEFFS_ADDERS = {"_add_term", "_add_scaled"}
+
+
+def coeffs_writes(tree):
+    """The lines that write into an <expr>.coeffs dict, or into a name that
+    the same function binds to one: an item assignment or del, a mutating
+    dict method, or the dict passed first to _add_term or _add_scaled."""
+    lines = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "coeffs"
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+
+        def wrapped(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "coeffs") or (
+                isinstance(node, ast.Name) and node.id in aliases)
+
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                hit = wrapped(node.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                hit = node.func.attr in COEFFS_MUTATORS and wrapped(node.func.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                hit = node.func.id in COEFFS_ADDERS and bool(node.args) and wrapped(node.args[0])
+            else:
+                hit = False
+            if hit:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_code_writes_into_a_wrapped_coeffs_dict():
+    # the shapes a write can take, among reads and writes into an owned copy;
+    # lines 6-7 are the mu-correction of hecke._kl_basis as it once was
+    probe = (
+        "def f(e, w, p):\n"
+        "    e.coeffs[w] = p\n"
+        "    del e.coeffs[w]\n"
+        "    e.coeffs.update({})\n"
+        "    _add_term(e.coeffs, w, p)\n"
+        "    c = e.times_b_simple(0).coeffs\n"
+        "    _add_scaled(c, {}, 1)\n"
+        "    c[w] += p\n"
+        "    own = dict(e.coeffs)\n"
+        "    _add_term(own, w, p)\n"
+        "    own.pop(w)\n"
+        "    return e.coeffs.get(w), c.items()\n"
+    )
+    assert coeffs_writes(ast.parse(probe)) == [2, 3, 4, 5, 7, 8]
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := coeffs_writes(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not found, f"writes into a wrapped coeffs dict: {found}"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from affhecke import weyl
 from affhecke.suites import (
     commutation_reachable,
     descent_lemma_cases,
@@ -19,6 +20,8 @@ from affhecke.weyl import (
     h_of,
     longest_element,
     longest_word,
+    preferred_word,
+    residues,
     rewrite_wIhX,
     tau_components,
     window_inverse,
@@ -295,3 +298,26 @@ def test_reduced_word_is_reduced(n):
         word = w.reduced_word()
         assert len(word) == w.length()
         assert from_word(n, word) == ExtendedWeylElement(0, w.window)
+
+
+def test_residues_keeps_a_reduced_frozenset():
+    S = frozenset({0, 2})
+    assert residues(3, S) is S
+    for given in ([0, 2], {3, 2}, (-1, 0), frozenset({5, 0})):
+        assert residues(3, given) == frozenset({0, 2})
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_index_memos_key_on_residues(n):
+    # a list, a set with an index >= n (or < 0) and the frozenset give the
+    # identical memoized object, and the later forms add no memo entry
+    for I in proper_subsets(n):
+        w, word = longest_element(n, I), preferred_word(n, I)
+        sizes = (weyl._longest_element.cache_info().currsize,
+                 weyl._preferred_word.cache_info().currsize)
+        for given in (sorted(I), {i + n for i in I}, {i - n for i in I}, frozenset(I)):
+            assert longest_element(n, given) is w
+            assert preferred_word(n, given) is word
+        assert (weyl._longest_element.cache_info().currsize,
+                weyl._preferred_word.cache_info().currsize) == sizes
+        assert w.reduced_word() is ExtendedWeylElement(2, w.window).reduced_word()
