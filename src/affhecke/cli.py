@@ -26,7 +26,7 @@ from .suites import descent_lemma_cases, ge_property_cases, proper_subsets
 from .weyl import DEFAULT_LENGTH_CAP, ExtendedWeylElement, from_word
 
 # largest n at which the exact bimodule complex is built and checked
-BIMODULE_EXACT_MAX = 6
+BIMODULE_EXACT_MAX = 8
 
 
 def _out_path(path, default_name):

@@ -10,10 +10,12 @@ products, splittings of a summand and minimal complexes.
 Three arithmetics ship: matrices over Q[d] (property tests), sign
 bookkeeping (object-level checks, morphisms are integers +-1 composed
 multiplicatively), and exact Bott-Samelson bimodule morphisms.  An
-arithmetic supplies what differs between backends: zero and identity
-morphisms, composition and its sums, the zero test, degrees, division by
-delta, inversion, tensor products and serialization.  Morphism values add,
-negate and compare with the operators +, unary - and ==.
+arithmetic supplies what differs between backends: identity morphisms,
+composition and its sums, the zero test, degrees, division by delta,
+inversion, tensor products and serialization; it supplies no zero morphism.
+Morphism values add, negate and compare with the operators +, unary - and
+==, and so do chain maps, which are equal when they join the same complex
+objects with the same degree shift and the same nonzero entries.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ class MatrixArithmetic:
 
     def rank(self, label):
         return int(label)
-
-    def zero(self, src_label, tgt_label):
-        return polymat.mat_zero(self.n, self.rank(tgt_label), self.rank(src_label))
 
     def identity(self, label):
         return polymat.mat_identity(self.n, self.rank(label))
@@ -99,9 +98,6 @@ class SignArithmetic:
     """
 
     name = "sign"
-
-    def zero(self, src_label, tgt_label):
-        return 0
 
     def identity(self, label):
         return 1
@@ -172,9 +168,6 @@ class BimoduleArithmetic:
 
     def __init__(self, n):
         self.n = n
-
-    def zero(self, src_label, tgt_label):
-        return bimod.Morphism.zero(self.n, src_label, tgt_label)
 
     def identity(self, label):
         return bimod.Morphism.identity(self.n, label)
@@ -586,9 +579,9 @@ class Pseudocomplex:
         if not pairs or ar.compose_sum(pairs) != ar.identity(old.label):
             raise ValueError("splitting data does not sum to the identity")
         for a, (label, _, _, pi) in enumerate(pieces):
-            for b, (label_b, _, iota, _) in enumerate(pieces):
-                want = ar.identity(label) if a == b else ar.zero(label_b, label)
-                if ar.compose(pi, iota) != want:
+            for b, (_, _, iota, _) in enumerate(pieces):
+                got = ar.compose(pi, iota)
+                if not (got == ar.identity(label) if a == b else ar.is_zero(got)):
                     raise ValueError(f"pieces {a}, {b}: pi_a iota_b is not delta_ab id")
         next_sid = max(self.by_sid) + 1
         new_summands = [s for s in self.summands if s.sid != sid]
@@ -652,7 +645,9 @@ class ChainMap:
 
     degree_shift k means entries go from degree d summands of src to degree
     d + k summands of tgt (as in maps P -> Q[ -k ]-style bookkeeping kept
-    external); for plain chain maps it is 0.
+    external); for plain chain maps it is 0.  Chain maps add and subtract
+    with + and - when they join the same complex objects with the same
+    shift, and are == when they also have the same nonzero entries.
     """
 
     def __init__(self, src, tgt, entries, degree_shift=0):
@@ -664,38 +659,32 @@ class ChainMap:
             k: m for k, m in entries.items() if not ar.is_zero(m)
         }
 
-    def entry(self, a, b):
-        got = self.entries.get((a, b))
-        if got is None:
-            return self.src.arithmetic.zero(
-                self.src.by_sid[a].label, self.tgt.by_sid[b].label
-            )
-        return got
-
     def compose(self, other):
         """self after other."""
         entries = compose_entries(self.src.arithmetic, self.entries, other.entries)
         return ChainMap(other.src, self.tgt, entries, self.degree_shift + other.degree_shift)
 
-    def add(self, other):
+    def __add__(self, other):
+        if not (self.src is other.src and self.tgt is other.tgt
+                and self.degree_shift == other.degree_shift):
+            raise ValueError("cannot add chain maps between other complexes or of another shift")
         out = add_entries(self.src.arithmetic, self.entries, other.entries)
         return ChainMap(self.src, self.tgt, out, self.degree_shift)
 
-    def negate(self):
+    def __neg__(self):
         negated = {k: -m for k, m in self.entries.items()}
         return ChainMap(self.src, self.tgt, negated, self.degree_shift)
 
-    def is_zero(self):
-        return not self.entries
+    def __sub__(self, other):
+        return self + -other
 
-    def is_identity(self):
-        ar = self.src.arithmetic
-        if {s.sid for s in self.src.summands} != {s.sid for s in self.tgt.summands}:
-            return False
-        for s in self.src.summands:
-            if self.entry(s.sid, s.sid) != ar.identity(s.label):
-                return False
-        return all(a == b for (a, b) in self.entries)
+    def __eq__(self, other):
+        return (
+            isinstance(other, ChainMap)
+            and self.src is other.src and self.tgt is other.tgt
+            and self.degree_shift == other.degree_shift
+            and self.entries == other.entries
+        )
 
     def defect(self):
         """d_tgt f - (-1)^degree_shift f d_src, as raw entries."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import bimod, homalg, polymat
 from .bimod import Morphism, basis_degree, rank
 from .complexes import build_F
-from .homalg import BimoduleArithmetic, add_entries, compose_entries, one_term_complex
+from .homalg import BimoduleArithmetic, one_term_complex
 from .polymat import Matrix
 from .rings import RingElement
 
@@ -85,10 +85,8 @@ def startdot_square_defect(s, F, phi):
         top[(summand.sid, tgt)] = bimod.startdot(n, word, len(word), t)
         src_pair = BsF.by_label[((s,) + word, k)].sid
         bottom_first[(summand.sid, src_pair)] = bimod.startdot(n, word, 0, s)
-    ar = F.arithmetic
-    bottom = compose_entries(ar, phi.entries, bottom_first)
-    out = add_entries(ar, top, bottom, sign=-1)
-    return homalg.ChainMap(F, FBt, out), F, FBt
+    g = homalg.ChainMap(F, FBt, top) - phi.compose(homalg.ChainMap(F, BsF, bottom_first))
+    return g, F, FBt
 
 
 def enddot_square_defect(F, phi):
@@ -108,9 +106,8 @@ def enddot_square_defect(F, phi):
         word = tuple(summand.label)
         tgt = F.by_label[(word[1:], summand.degree)].sid
         second[(summand.sid, tgt)] = bimod.enddot(n, word, 0)
-    ar = F.arithmetic
-    out = add_entries(ar, compose_entries(ar, after, phi.entries), second, sign=-1)
-    return homalg.ChainMap(BsF, F, out), BsF, F
+    g = homalg.ChainMap(FBt, F, after).compose(phi) - homalg.ChainMap(BsF, F, second)
+    return g, BsF, F
 
 
 def _monomials(n, half_degree):

@@ -5,6 +5,7 @@ budgets are asserted with a wall clock.
 """
 
 import itertools
+import re
 import time
 
 import pytest
@@ -262,12 +263,15 @@ def test_criterion_08_flattening():
 def test_criterion_09_pseudocomplex_engine():
     start = time.monotonic()
     cases = ge_property_cases(seed=0, count=200)
-    total = 200 + 100 + 200 + 1 + 100
+    # each check names its case count, "(200 cases)"; the pitfall is one case
+    total = 0
     for name, ok in cases:
         assert ok, name
+        counted = re.search(r"\((\d+) cases\)$", name)
+        total += int(counted.group(1)) if counted else 1
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"criterion 9 took {elapsed:.1f}s"
-    assert total >= 500
+    assert total >= 500, total
     report(9, f"pseudocomplex engine, {total} randomized cases")
 
 

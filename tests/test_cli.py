@@ -286,10 +286,10 @@ def test_verify_d2_fails_on_a_perturbed_entry(tmp_path, monkeypatch, capsys, fac
 
 def test_build_f_bimodule_cap(tmp_path):
     result = run_cli(
-        "build-f", "--n", "7", "--backend", "bimodule", "--out", str(tmp_path / "x.json")
+        "build-f", "--n", "9", "--backend", "bimodule", "--out", str(tmp_path / "x.json")
     )
     assert result.returncode == 2
-    assert "capped at n <= 6" in result.stderr
+    assert "capped at n <= 8" in result.stderr
 
 
 def test_verify_ge_props(tmp_path):

@@ -23,7 +23,6 @@ from affhecke.homalg import (
     Pseudocomplex,
     SignArithmetic,
     Summand,
-    add_entries,
     compose_entries,
     one_term_complex,
 )
@@ -109,7 +108,7 @@ def test_ge_on_a_complex_with_survivors():
     diff = {(A, C): q(1), (A, D): q(0, 1), (B, C): q(0, 1), (B, D): q(2),
             (C, E): q(0, 1), (D, E): q(0, 1)}
     p = Pseudocomplex(ar, summands, diff)
-    assert not p.monodromy().is_zero()
+    assert p.monodromy().entries
     isos = [key for key, mor in sorted(p.diff.items())
             if ar.is_isomorphism(mor, p.by_sid[key[0]].label, p.by_sid[key[1]].label)]
     assert isos == [(A, C), (B, D)]
@@ -118,12 +117,13 @@ def test_ge_on_a_complex_with_survivors():
         reduced, alpha, beta, homotopy = p.gaussian_eliminate(iso)
         assert len(reduced.summands) == 3
         assert len(alpha.entries) >= 4 and len(beta.entries) >= 4
-        assert alpha.compose(beta).is_identity()
+        assert alpha.compose(beta) == homalg.identity_chain_map(reduced)
         combined = dict(homalg.identity_chain_map(p).entries)
         for key, m in homotopy.nulhomotopic_map().entries.items():
             m = mat_scale(m, Fraction(-1))
             combined[key] = combined[key] + m if key in combined else m
-        assert not add_entries(ar, beta.compose(alpha).entries, combined, sign=-1)
+        # a ChainMap drops the sums that cancel
+        assert beta.compose(alpha) == homalg.ChainMap(p, p, combined)
         assert alpha.is_pseudo_chain_map() and beta.is_pseudo_chain_map()
         reduced.monodromy()
 
@@ -137,10 +137,9 @@ def test_elimination_of_a_non_graded_invertible_entry():
     p = Pseudocomplex(ar, [Summand(0, 2, 0, 0), Summand(1, 2, 0, 1)], {(0, 1): phi})
     reduced, alpha, beta, homotopy = p.gaussian_eliminate((0, 1))
     assert not reduced.summands
-    assert alpha.compose(beta).is_identity()
+    assert alpha.compose(beta) == homalg.identity_chain_map(reduced)
     # beta alpha - id = dq + qd
-    expected = homalg.identity_chain_map(p).add(homotopy.nulhomotopic_map().negate())
-    assert not add_entries(ar, beta.compose(alpha).entries, expected.entries, sign=-1)
+    assert beta.compose(alpha) == homalg.identity_chain_map(p) - homotopy.nulhomotopic_map()
     assert not p.simultaneous_eliminate([(0, 1)])[0].summands
     assert not p.minimal_complex().summands
 
@@ -315,7 +314,7 @@ def test_monodromy_lets_a_fault_in_divide_delta_through(monkeypatch):
 def test_zero_complex_monodromy():
     ar = MatrixArithmetic(0)
     p = Pseudocomplex(ar, [Summand(0, 2, 0, 0)], {})
-    assert p.monodromy().is_zero()
+    assert not p.monodromy().entries
 
 
 def test_tensor_with_the_one_term_unit_changes_nothing():
@@ -395,15 +394,18 @@ def bs_tensor_f(n, s, side):
     return p, next(x.sid for x in p.summands if tuple(x.label) == (s, s))
 
 
-def test_split_summand_bimodule():
-    fb1, sid = bs_tensor_f(2, 1, "right")
-    minimal = fb1.split_summand(sid, split_pieces(2, 1)).minimal_complex()
-    assert [(tuple(s.label), s.shift, s.degree) for s in minimal.summands] == [
+@pytest.mark.parametrize("s, side", ((1, "right"), (0, "left")))
+def test_split_summand_bimodule(s, side):
+    # F B_1 and B_0 F at n = 2, with B_s B_s split, both reduce to B_0 B_1
+    # in degree zero
+    p, sid = bs_tensor_f(2, s, side)
+    minimal = p.split_summand(sid, split_pieces(2, s)).minimal_complex()
+    assert [(tuple(x.label), x.shift, x.degree) for x in minimal.summands] == [
         ((0, 1), 0, 0)
     ]
     # bad splitting data is rejected
-    with pytest.raises(ValueError):
-        fb1.split_summand(sid, split_pieces(2, 1)[:1])
+    with pytest.raises(ValueError, match="sum to the identity"):
+        p.split_summand(sid, split_pieces(2, s)[:1])
 
 
 def test_split_summand_refuses_a_phantom_piece():
@@ -416,6 +418,44 @@ def test_split_summand_refuses_a_phantom_piece():
         p.split_summand(sid, [(word, 0, ident, ident), (word, 0, zero, zero)])
     with pytest.raises(ValueError, match="sum to the identity"):
         p.split_summand(sid, [])
+
+
+def test_split_summand_refuses_overlapping_pieces():
+    # itself plus a piece that projects to zero: sum iota pi and pi_0 iota_0
+    # are the identity, but pi_0 iota_1 is not zero ([[1, 1], [0, 0]] is an
+    # idempotent that only the off-diagonal test refuses)
+    p, sid = bs_tensor_f(2, 0, "left")
+    word = p.by_sid[sid].label
+    ident, zero = Morphism.identity(2, word), Morphism.zero(2, word, word)
+    with pytest.raises(ValueError, match=r"^pieces 0, 1: pi_a iota_b is not delta_ab id$"):
+        p.split_summand(sid, [(word, 0, ident, ident), (word, 0, ident, zero)])
+
+
+@pytest.mark.parametrize("backend", ("sign", "matrix"))
+def test_chain_map_operators(backend):
+    if backend == "sign":
+        ar, label, one, two = SignArithmetic(), "A", 1, 2
+    else:
+        ar, label = MatrixArithmetic(0), 1
+        one = sparse(((RingElement.one(0),),))
+        two = sparse(((RingElement.one(0) + RingElement.delta(0),),))
+    summands = [Summand(0, label, 0, 0), Summand(1, label, 0, 1)]
+    p, twin = (Pseudocomplex(ar, summands, {(0, 1): one}) for _ in "pq")
+    f = homalg.ChainMap(p, p, {(0, 0): one, (1, 1): two})
+    g = homalg.ChainMap(p, p, {(0, 0): -one, (1, 1): one})
+    assert f == homalg.ChainMap(p, p, {(1, 1): two, (0, 0): one})
+    assert not (f - f).entries
+    assert (f + g).entries.keys() == {(1, 1)}
+    assert (f + g) - g == f and -(-f) == f
+    # complexes are compared as objects, then the shift
+    assert f != homalg.ChainMap(twin, p, f.entries)
+    assert f != homalg.ChainMap(p, twin, f.entries)
+    assert f != homalg.ChainMap(p, p, f.entries, degree_shift=2)
+    assert f != g and f != f.entries
+    with pytest.raises(ValueError, match="^cannot add chain maps"):
+        f + homalg.ChainMap(twin, p, g.entries)
+    with pytest.raises(ValueError, match="^cannot add chain maps"):
+        f - homalg.ChainMap(p, p, g.entries, degree_shift=1)
 
 
 def test_compose_entries_refuses_mismatched_bimodule_paths():
@@ -532,8 +572,7 @@ def test_minimal_complex_eliminates_lowest_degree_first():
 
 @pytest.mark.parametrize("s, side", ((1, "right"), (0, "left")))
 def test_minimal_complex_matches_rescan_bimodule(s, side):
-    # the split complexes of test_split_summand_bimodule and
-    # test_complexes.test_BsF_minimal_complex_n2
+    # the split complexes of test_split_summand_bimodule
     p, sid = bs_tensor_f(2, s, side)
     p = p.split_summand(sid, split_pieces(2, s))
     assert p.minimal_complex().to_json(2) == rescan_minimal_complex(p).to_json(2)

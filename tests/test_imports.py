@@ -463,8 +463,8 @@ ROW_FORMAT_OWNERS = {"polymat.py", "rings.py"}
 ROW_FORMAT_NAMES = {"_packed", "packed_bits", "delta_zero_terms"}
 
 
-def row_format_names(tree):
-    """The row-format names that a module names: as a name, as an attribute
+def named_in(tree, wanted):
+    """The names of wanted that a module names: as a name, as an attribute
     or in an import."""
     names = set()
     for node in ast.walk(tree):
@@ -474,21 +474,34 @@ def row_format_names(tree):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    return names & ROW_FORMAT_NAMES
+    return names & wanted
 
 
 def test_only_polymat_and_rings_know_the_row_format():
     # the shapes in which bimod once named the format: an import, a private
     # constructor and a row filter
     probe = "from .rings import packed_bits\nMatrix._packed(n, w, rows)\nmap(delta_zero_terms, rows)\n"
-    assert row_format_names(ast.parse(probe)) == {"packed_bits", "_packed", "delta_zero_terms"}
+    assert named_in(ast.parse(probe), ROW_FORMAT_NAMES) == {"packed_bits", "_packed", "delta_zero_terms"}
     found = {
         path.name: sorted(names)
         for path in MODULES
         if path.name not in ROW_FORMAT_OWNERS
-        and (names := row_format_names(ast.parse(path.read_text(encoding="utf-8"))))
+        and (names := named_in(ast.parse(path.read_text(encoding="utf-8")), ROW_FORMAT_NAMES))
     }
     assert not found, f"modules that name the packed row format: {found}"
+
+
+def test_only_homalg_does_entry_dict_algebra():
+    # chain maps add, subtract, compose and compare through their own
+    # operators; the sparse entry-dict kernels behind them are homalg's
+    kernels = {"compose_entries", "add_entries"}
+    found = {
+        path.name: sorted(names)
+        for path in MODULES
+        if path.name != "homalg.py"
+        and (names := named_in(ast.parse(path.read_text(encoding="utf-8")), kernels))
+    }
+    assert not found, f"modules that do entry-dict algebra outside homalg: {found}"
 
 
 # a HeckeElement keeps the text of its first serialize(), which goes stale
